@@ -16,7 +16,8 @@ from typing import Optional
 
 from .delaunay import SiteSet, TriMesh
 from .errors import DegenerateIntersection
-from .geometry import CirclePosition, Point, Rect, in_circumcircle, segment_intersection
+from .geometry import CirclePosition, Point, Rect, in_circumcircle
+from .io import geometry_literal
 from .proximity import near, triangles_near
 from .regions import (
     extract_regions,
@@ -159,7 +160,12 @@ def _check_lemma2(diagram: VoronoiDiagram) -> list[CheckResult]:
             results.append(CheckResult(name, "pass"))
         else:
             results.append(
-                CheckResult(name, "fail", f"circumcenter-{center}!=vertex-{shared}")
+                CheckResult(
+                    name,
+                    "fail",
+                    f"circumcenter-{geometry_literal(center)}"
+                    f"!=vertex-{geometry_literal(shared)}",
+                )
             )
     return results
 
@@ -190,21 +196,6 @@ def _check_theorem_equivalence(diagram: VoronoiDiagram) -> list[CheckResult]:
                     f"empty-disk={empty_disk},vertex={center_is_vertex},strong={pairwise_strong}",
                 )
             )
-        # Edge-pair decomposition: triangle edges are convex pieces meeting
-        # exactly in their shared vertices.
-        poly = mesh.triangle_polygon(t)
-        edges = poly.edges()
-        decomposition_ok = True
-        for e, f in combinations(edges, 2):
-            hit = segment_intersection(e, f)
-            if not isinstance(hit, Point):
-                decomposition_ok = False
-        results.append(
-            CheckResult(
-                f"theorem-equivalence/edge-pairs-triangle-{t}",
-                "pass" if decomposition_ok else "fail",
-            )
-        )
     return results
 
 
@@ -231,12 +222,12 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
         if not sound:
             break
     results.append(CheckResult("regions/maximal-cliques", "pass" if sound else "fail", witness))
-    cover_ok = covered == set(range(len(mesh)))
+    missing = sorted(set(range(len(mesh))) - covered)
     results.append(
         CheckResult(
             "regions/cover",
-            "pass" if cover_ok else "fail",
-            "-" if cover_ok else f"missing-{sorted(set(range(len(mesh))) - covered)}",
+            "fail" if missing else "pass",
+            "missing-" + ",".join(map(str, missing)) if missing else "-",
         )
     )
     area_ok = True

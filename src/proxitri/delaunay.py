@@ -793,12 +793,12 @@ def is_constrained_delaunay_edge(
     return lower <= upper
 
 
-def is_delaunay_edge(mesh: TriMesh, diagram, p: int, q: int) -> bool:
+def is_delaunay_edge(diagram, p: int, q: int) -> bool:
     """Delaunay-edge test straight from the defining relation: the two
     Voronoi cells must meet along a positive-length segment.
 
-    Works from cell polygons rather than the mesh so it can cross-check
-    the construction. `diagram` is the Voronoi dual of mesh.sites.
+    Works from the diagram's cell polygons rather than its mesh so it can
+    cross-check the construction.
     """
     from .voronoi import cells_strongly_near  # local import: avoid a cycle
 

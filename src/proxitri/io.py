@@ -192,27 +192,6 @@ def document_for_mesh(mesh: TriMesh, locally_delaunay: dict) -> dict:
     return model
 
 
-def document_for_voronoi(diagram) -> dict:
-    cells = []
-    for cell in diagram.cells:
-        cells.append(
-            {
-                "site": cell.site,
-                "unbounded": cell.unbounded,
-                "corners": [_point_pair(p) for p in cell.polygon.vertices],
-                "neighbors": [
-                    "frame" if e.neighbor is None else e.neighbor for e in cell.edges
-                ],
-            }
-        )
-    f = diagram.frame
-    return {
-        "frame": [coord_literal(v) for v in (f.x0, f.y0, f.x1, f.y1)],
-        "vertices": [_point_pair(p) for p in diagram.vertices],
-        "cells": cells,
-    }
-
-
 def mesh_from_document(model: dict) -> TriMesh:
     sites = SiteSet(
         tuple(Point(Fraction(x), Fraction(y)) for x, y in model["sites"])
@@ -244,20 +223,6 @@ def render_document(model: dict, fmt: str = "document") -> str:
         flags = "constrained" if e["constrained"] else "plain"
         ld = "locally-delaunay" if e["locally_delaunay"] else "not-locally-delaunay"
         out.append(f"edge {e['a']} {e['b']} {flags} {ld}")
-    vor = model.get("voronoi")
-    if vor:
-        out.append("frame " + " ".join(vor["frame"]))
-        for t, (x, y) in enumerate(vor["vertices"]):
-            out.append(f"vertex {t} {x} {y}")
-        for cell in vor["cells"]:
-            corners = " ".join(f"{x},{y}" for x, y in cell["corners"])
-            neighbors = " ".join(str(nb) for nb in cell["neighbors"])
-            bounded = "unbounded" if cell["unbounded"] else "bounded"
-            out.append(
-                f"cell {cell['site']} {bounded} corners {corners} neighbors {neighbors}"
-            )
-    for r, members in enumerate(model.get("regions", [])):
-        out.append("region " + " ".join(str(x) for x in [r] + list(members)))
     for q in model.get("queries", []):
         verdict = "true" if q["verdict"] else "false"
         out.append(
@@ -294,7 +259,24 @@ def parse_document(text: str, path: str = "") -> dict:
     return model
 
 
+# Field count of each text record after its kind. Every field is a single
+# token, so a longer record would silently lose data.
+_RECORD_FIELDS = {
+    "site": 3,
+    "constraint": 2,
+    "triangle": 4,
+    "edge": 4,
+    "query": 5,
+    "check": 3,
+    "stat": 2,
+}
+
+
 def _parse_document_line(model: dict, kind: str, args: list[str]) -> None:
+    if kind not in _RECORD_FIELDS:
+        raise ValueError(f"unknown record {kind}")
+    if len(args) != _RECORD_FIELDS[kind]:
+        raise ValueError(f"{kind} record needs {_RECORD_FIELDS[kind]} fields")
     if kind == "site":
         idx = int(args[0])
         sites = model.setdefault("sites", [])
@@ -321,32 +303,6 @@ def _parse_document_line(model: dict, kind: str, args: list[str]) -> None:
                 }[args[3]],
             }
         )
-    elif kind == "frame":
-        model.setdefault("voronoi", {})["frame"] = args[:4]
-    elif kind == "vertex":
-        vor = model.setdefault("voronoi", {})
-        vor.setdefault("vertices", []).append([args[1], args[2]])
-    elif kind == "cell":
-        vor = model.setdefault("voronoi", {})
-        site = int(args[0])
-        unbounded = {"unbounded": True, "bounded": False}[args[1]]
-        if args[2] != "corners":
-            raise ValueError("cell record missing corners")
-        split = args.index("neighbors")
-        corners = [token.split(",") for token in args[3:split]]
-        neighbors = [
-            token if token == "frame" else int(token) for token in args[split + 1 :]
-        ]
-        vor.setdefault("cells", []).append(
-            {
-                "site": site,
-                "unbounded": unbounded,
-                "corners": corners,
-                "neighbors": neighbors,
-            }
-        )
-    elif kind == "region":
-        model.setdefault("regions", []).append([int(x) for x in args[1:]])
     elif kind == "query":
         model.setdefault("queries", []).append(
             {
@@ -363,5 +319,3 @@ def _parse_document_line(model: dict, kind: str, args: list[str]) -> None:
         )
     elif kind == "stat":
         model.setdefault("stats", {})[args[0]] = args[1]
-    else:
-        raise ValueError(f"unknown record {kind}")

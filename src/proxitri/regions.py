@@ -1,11 +1,15 @@
 """Triangulation regions and neighborhood families.
 
 A region is a set of mesh triangles in which every pair shares a full
-edge (a clique of the edge-adjacency graph). Because a triangle has only
-three edges and edge-adjacent triangles of a planar triangulation cannot
-form a 4-clique, maximal regions have at most three members and direct
-enumeration is cheap. Connected-component grouping is also available as
-an explicitly separate mode for comparison; it is not the default reading.
+edge (a clique of the edge-adjacency graph). In a valid triangulation the
+maximal regions are read off the mesh in one pass. Three triangles that
+pairwise share an edge are exactly the closed fan around a vertex with
+exactly three incident triangles (an open hull fan of three is not a
+clique), and no four triangles are pairwise adjacent. Every other maximal
+region is the pair of triangles on an interior edge that is no spoke of
+such a fan, and a triangle with no edge neighbor is a singleton region.
+Connected-component grouping is also available as an explicitly separate
+mode for comparison; it is not the default reading.
 """
 
 from __future__ import annotations
@@ -63,20 +67,25 @@ def extract_regions(mesh: TriMesh) -> list[Region]:
     Every triangle belongs to at least one region (a lone triangle is its
     own singleton region).
     """
-    n = len(mesh)
-    adj = {t: adjacency(mesh, t) for t in range(n)}
-    cliques: set[frozenset[int]] = set()
-    for t in range(n):
-        cliques.add(frozenset((t,)))
-        neighborhood = sorted(adj[t])
-        for i, u in enumerate(neighborhood):
-            cliques.add(frozenset((t, u)))
-            for v in neighborhood[i + 1 :]:
-                if v in adj[u]:
-                    cliques.add(frozenset((t, u, v)))
-    maximal = [c for c in cliques if not any(c < other for other in cliques)]
-    maximal.sort(key=lambda c: sorted(c))
-    return [Region(mesh, c) for c in maximal]
+    cliques: list[frozenset[int]] = []
+    hubs: set[int] = set()
+    for v in range(len(mesh.sites)):
+        tids = mesh.vertex_triangles(v)
+        # Three triangles around v close their fan iff they use only three
+        # other vertices; an open fan of three uses four.
+        if len(tids) == 3 and len({u for t in tids for u in mesh.triangles[t]}) == 4:
+            hubs.add(v)
+            cliques.append(frozenset(tids))
+    paired: set[int] = set()
+    for a, b in mesh.edges():
+        tids = mesh.edge_triangles(a, b)
+        if len(tids) == 2:
+            paired.update(tids)
+            if a not in hubs and b not in hubs:
+                cliques.append(frozenset(tids))
+    cliques.extend(frozenset((t,)) for t in range(len(mesh)) if t not in paired)
+    cliques.sort(key=sorted)
+    return [Region(mesh, c) for c in cliques]
 
 
 def connected_components(mesh: TriMesh) -> list[frozenset[int]]:

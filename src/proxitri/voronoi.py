@@ -3,9 +3,14 @@
 Each cell is read off the fan of triangles around its site: the
 circumcenters of the fan, walked counterclockwise, are the cell corners.
 Hull sites get two outward bisector rays which are clipped to a bounding
-frame, so every cell is represented by a closed convex polygon. Edges
-introduced purely by the clip frame are tagged so proximity queries can
-tell genuine bisector contact from clipping artifacts.
+frame, so every cell is represented by a closed convex polygon.
+
+Edge labels come from the fan as well. Consecutive fan triangles share a
+spoke edge (site, v), so both circumcenters lie on the site/v bisector and
+the cell edge between them belongs to neighbor v. An open (hull) fan's
+entry ray belongs to its first spoke and its exit ray to its last. Edges
+introduced purely by the clip frame get neighbor None, so proximity
+queries can tell genuine bisector contact from clipping artifacts.
 """
 
 from __future__ import annotations
@@ -138,11 +143,13 @@ def _dedupe_ring(points: list[Point]) -> list[Point]:
     return out
 
 
-def _cell_ring(mesh: TriMesh, site: int) -> tuple[list[int], bool, Optional[int], Optional[int]]:
-    """Fan of triangles around a site in CCW order.
+def _cell_ring(mesh: TriMesh, site: int) -> tuple[list[int], list[int]]:
+    """Fan of triangles around a site in CCW order, with its spokes.
 
-    Returns (triangle ids, closed?, first hull neighbor, last hull
-    neighbor); the hull neighbors are None for interior sites.
+    Triangle ring[i] is (site, spokes[i], spokes[i + 1]) up to rotation,
+    indices taken cyclically. A closed fan has one spoke per triangle; an
+    open (hull) fan has one more, and its first and last spokes are the
+    site's hull neighbors.
     """
     tids = mesh.vertex_triangles(site)
     if not tids:
@@ -163,18 +170,18 @@ def _cell_ring(mesh: TriMesh, site: int) -> tuple[list[int], bool, Optional[int]
         if mesh.directed_triangle(a, site) is None:
             start = tid
             break
-    closed = start is None
-    if closed:
+    if start is None:
         start = min(tids)
     ring = [start]
-    first_neighbor = rotation(start)[0]
+    spokes = [rotation(start)[0]]
     while True:
         _, b = rotation(ring[-1])
         nxt = mesh.directed_triangle(site, b)
-        if nxt is None:
-            return ring, False, first_neighbor, b
         if nxt == start:
-            return ring, True, None, None
+            return ring, spokes
+        spokes.append(b)
+        if nxt is None:
+            return ring, spokes
         ring.append(nxt)
 
 
@@ -185,59 +192,39 @@ def _build_cell(
     site: int,
 ) -> VoronoiCell:
     pts = mesh.sites.points
-    ring, closed, first_nb, last_nb = _cell_ring(mesh, site)
-    if closed:
-        corners = _dedupe_ring([centers[t] for t in ring])
+    ring, spokes = _cell_ring(mesh, site)
+    chain = [centers[t] for t in ring]
+    # labels[i] is the neighbor owning the edge from corners[i] to the next corner.
+    if len(spokes) == len(ring):
+        corners = chain
+        labels: list[Optional[int]] = spokes[1:] + spokes[:1]
         unbounded = False
     else:
-        chain = _dedupe_ring([centers[t] for t in ring])
         p = pts[site]
         # Outward ray duals of the two hull edges at this site: rotate the
         # CCW hull direction by -90 degrees so the ray leaves the hull.
-        a0 = pts[first_nb]
+        a0 = pts[spokes[0]]
         d_in = (a0.y - p.y, p.x - a0.x)
-        bm = pts[last_nb]
+        bm = pts[spokes[-1]]
         d_out = (p.y - bm.y, bm.x - p.x)
         entry = _ray_frame_exit(frame, chain[0], d_in[0], d_in[1])
         exit_pt = _ray_frame_exit(frame, chain[-1], d_out[0], d_out[1])
-        corners = _dedupe_ring(
-            [entry] + chain + [exit_pt] + _frame_walk(frame, exit_pt, entry)
-        )
+        walk = _frame_walk(frame, exit_pt, entry)
+        corners = [entry] + chain + [exit_pt] + walk
+        labels = spokes + [None] * (len(walk) + 1)
         unbounded = True
-    polygon = Polygon(tuple(corners))
-    candidates = sorted(_mesh_neighbors(mesh, site, ring))
-    edges = tuple(_label_edges(mesh, frame, site, polygon, candidates))
-    return VoronoiCell(site=site, polygon=polygon, unbounded=unbounded, edges=edges)
-
-
-def _mesh_neighbors(mesh: TriMesh, site: int, ring: list[int]) -> set[int]:
-    out: set[int] = set()
-    for tid in ring:
-        for v in mesh.triangles[tid]:
-            if v != site:
-                out.add(v)
-    return out
-
-
-def _label_edges(mesh: TriMesh, frame: Rect, site: int, polygon: Polygon, candidates):
-    """Attribute each polygon edge to the neighboring site whose bisector
-    carries it, or to the frame. Only the site's mesh neighbors can own a
-    bisector edge of its cell."""
-    pts = mesh.sites.points
-    p = pts[site]
+    n = len(corners)
+    owner = {(corners[i], corners[(i + 1) % n]): labels[i] for i in range(n)}
+    polygon = Polygon(tuple(_dedupe_ring(corners)))
+    edges = []
     for seg in polygon.edges():
-        da = distance_sq(seg.a, p)
-        db = distance_sq(seg.b, p)
-        neighbor = None
-        for q in candidates:
-            if distance_sq(seg.a, pts[q]) == da and distance_sq(seg.b, pts[q]) == db:
-                neighbor = q
-                break
+        neighbor = owner.get((seg.a, seg.b))
         if neighbor is None and not (frame.on_boundary(seg.a) and frame.on_boundary(seg.b)):
             raise GeometryError(
                 f"cell edge {seg} of site {site} is neither bisector nor frame"
             )
-        yield CellEdge(segment=seg, neighbor=neighbor)
+        edges.append(CellEdge(segment=seg, neighbor=neighbor))
+    return VoronoiCell(site=site, polygon=polygon, unbounded=unbounded, edges=tuple(edges))
 
 
 def voronoi_diagram(sites: SiteSet, frame: Optional[Rect] = None) -> VoronoiDiagram:

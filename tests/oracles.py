@@ -3,7 +3,8 @@
 Each oracle takes a different computational route from the code it
 verifies: circumcenters come from a linear solve rather than an in-circle
 determinant, cells come from half-plane clipping rather than the Delaunay
-dual walk, and visibility from parametric intersection rather than
+dual walk, cell edge owners from distance matching rather than fan
+spokes, and visibility from parametric intersection rather than
 point-location classification.
 """
 
@@ -13,7 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from proxitri.delaunay import ConstraintSet, SiteSet
-from proxitri.geometry import Point, Polygon, Rect
+from proxitri.geometry import Point, Polygon, Rect, distance_sq
+from proxitri.voronoi import CellEdge
 
 
 def brute_delaunay_triangles(sites: SiteSet) -> set[tuple[int, int, int]]:
@@ -85,6 +87,28 @@ def halfplane_cell(sites: SiteSet, i: int, frame: Rect) -> Polygon:
         if not ring:
             break
     return Polygon(tuple(ring))
+
+
+def distance_matching_edges(sites: SiteSet, site: int, polygon: Polygon) -> tuple[CellEdge, ...]:
+    """Cell edges labelled by distance matching rather than by the fan.
+
+    An edge belongs to the site that is exactly as far from each of its
+    endpoints as the cell's own site is: the two sites' bisector carries
+    it. Only one site can qualify (the mirror image of the cell's site in
+    that line), and an edge no site owns is labelled None (frame).
+    """
+    p = sites[site]
+    out = []
+    for seg in polygon.edges():
+        da = distance_sq(seg.a, p)
+        db = distance_sq(seg.b, p)
+        owner = None
+        for q, pt in enumerate(sites.points):
+            if q != site and distance_sq(seg.a, pt) == da and distance_sq(seg.b, pt) == db:
+                owner = q
+                break
+        out.append(CellEdge(segment=seg, neighbor=owner))
+    return tuple(out)
 
 
 def _clip(ring: list[Point], fa, fb, fc) -> list[Point]:

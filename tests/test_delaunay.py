@@ -179,17 +179,17 @@ class TestLocallyDelaunay:
 class TestDelaunayEdgeAndTriangle:
     def test_fan_edge_via_voronoi(self, fan_sites):
         diagram = voronoi_diagram(fan_sites)
-        assert is_delaunay_edge(diagram.mesh, diagram, 0, 3)
+        assert is_delaunay_edge(diagram, 0, 3)
 
     def test_blocked_pair_is_not_an_edge(self):
         sites = sites_of((0, 0), (2, 0), (4, 0), (2, 1))
         diagram = voronoi_diagram(sites)
-        assert not is_delaunay_edge(diagram.mesh, diagram, 0, 2)
+        assert not is_delaunay_edge(diagram, 0, 2)
 
     def test_equal_indices_rejected(self, fan_sites):
         diagram = voronoi_diagram(fan_sites)
         with pytest.raises(IndexOutOfRange):
-            is_delaunay_edge(diagram.mesh, diagram, 1, 1)
+            is_delaunay_edge(diagram, 1, 1)
 
     def test_fan_triangles_are_delaunay(self, fan_sites):
         diagram = voronoi_diagram(fan_sites)

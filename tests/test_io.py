@@ -1,15 +1,17 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from proxitri.delaunay import SiteSet, is_locally_delaunay, triangulate
+from proxitri.checks import _check_lemma2, _check_regions
+from proxitri.delaunay import SiteSet, TriMesh, is_locally_delaunay, triangulate
 from proxitri.errors import ParseError
 from proxitri.generate import generate_sites
 from proxitri.geometry import Point, Polygon, Segment, distance_sq
 from proxitri.io import (
+    SCHEMA,
     coord_literal,
     document_for_mesh,
-    document_for_voronoi,
     format_site_file,
     geometry_literal,
     mesh_from_document,
@@ -20,6 +22,7 @@ from proxitri.io import (
     parse_site_file,
     render_document,
 )
+from proxitri.regions import Region
 from proxitri.voronoi import voronoi_diagram
 
 
@@ -104,8 +107,6 @@ class TestDocuments:
         mesh = triangulate(sites)
         flags = {e: is_locally_delaunay(mesh, e) for e in mesh.edges()}
         model = document_for_mesh(mesh, flags)
-        model["voronoi"] = document_for_voronoi(voronoi_diagram(sites))
-        model["regions"] = [[0, 1, 2]]
         model["queries"] = [
             {
                 "relation": "strong",
@@ -151,6 +152,53 @@ class TestDocuments:
             parse_document('{"schema": "other/9"}')
         with pytest.raises(ParseError):
             parse_document("unexpected 1\n")
+
+
+class TestCheckWitnesses:
+    def round_trip(self, results):
+        model = {
+            "schema": SCHEMA,
+            "checks": [
+                {"name": r.name, "status": r.status, "witness": r.witness} for r in results
+            ],
+        }
+        assert parse_document(render_document(model)) == model
+
+    def test_lemma2_failure_on_flipped_diagonal(self):
+        # the quad's non-Delaunay diagonal: neither triangle's circumcenter
+        # is a vertex of the true diagram
+        sites = SiteSet.of([(0, 0), (4, 0), (4, 3), (0, "3.5")])
+        bad = TriMesh(sites, ((0, 1, 3), (1, 2, 3)), frozenset())
+        diagram = voronoi_diagram(sites)
+        centers = tuple(bad.circumcenter(t) for t in range(len(bad)))
+        results = _check_lemma2(replace(diagram, mesh=bad, vertices=centers))
+        assert [r.status for r in results] == ["fail", "fail"]
+        assert results[0].witness == "circumcenter-point(2,1.75)!=vertex--"
+        self.round_trip(results)
+
+    def test_regions_cover_failure(self, fan_mesh, monkeypatch):
+        # extract_regions covers every triangle of any mesh, so a stub that
+        # keeps only triangle 0 stands in for a faulty extraction
+        monkeypatch.setattr(
+            "proxitri.checks.extract_regions", lambda mesh: [Region(mesh, {0})]
+        )
+        results, _ = _check_regions(fan_mesh)
+        cover = [r for r in results if r.name == "regions/cover"]
+        assert cover[0].status == "fail" and cover[0].witness == "missing-1,2"
+        self.round_trip(results)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "check demo/x fail circumcenter-(1, 2)",
+            "query near t:0 t:1 true point(1,2) extra",
+            "triangle 0 0 1 2 3",
+            "stat regions 5 extra",
+        ],
+    )
+    def test_extra_tokens_rejected(self, record):
+        with pytest.raises(ParseError):
+            parse_document(f"proxitri-document 1\n{record}\n")
 
 
 class TestGenerator:

@@ -46,8 +46,8 @@ class TestExtractRegions:
         regions = extract_regions(mesh)
         assert [r.members() for r in regions] == [[0, 1], [1, 2], [2, 3]]
 
-    def test_matches_brute_force_cliques(self, corpus):
-        for entry in corpus[:8]:
+    def test_matches_brute_force_cliques(self, corpus, degenerate_corpus):
+        for entry in corpus[:8] + degenerate_corpus:
             mesh = entry.mesh
             adj = {t: adjacency(mesh, t) for t in range(len(mesh))}
             expected = brute_maximal_cliques(adj)

@@ -21,7 +21,7 @@ from proxitri.voronoi import (
     voronoi_diagram,
 )
 
-from oracles import halfplane_cell
+from oracles import distance_matching_edges, halfplane_cell
 
 
 def sites_of(*coords) -> SiteSet:
@@ -96,6 +96,12 @@ class TestConstruction:
             for cell in diagram.cells:
                 expected = halfplane_cell(entry.sites, cell.site, diagram.frame)
                 assert cell.polygon == expected
+
+    def test_edge_labels_match_distance_reference(self, corpus, degenerate_corpus):
+        for entry in corpus + degenerate_corpus:
+            for cell in entry.diagram.cells:
+                expected = distance_matching_edges(entry.sites, cell.site, cell.polygon)
+                assert cell.edges == expected
 
     def test_nearest_site_property_on_vertices(self, corpus):
         # every cell corner is at least as close to its own site as to others
