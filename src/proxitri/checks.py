@@ -16,12 +16,11 @@ from typing import Optional
 
 from .delaunay import SiteSet, TriMesh
 from .errors import DegenerateIntersection
-from .geometry import CirclePosition, Point, Rect, in_circumcircle
+from .geometry import CirclePosition, Point, Rect, in_circumcircle, is_convex_polygon
 from .io import geometry_literal
 from .proximity import near, triangles_near
 from .regions import (
     extract_regions,
-    is_region_convex,
     leader_neighborhoods,
     region_union_polygon,
 )
@@ -242,7 +241,7 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
         if poly.area() != total:
             area_ok = False
             area_witness = f"region-{idx}:union-area-mismatch"
-        if is_region_convex(region):
+        if is_convex_polygon(poly):
             convex += 1
     results.append(CheckResult("regions/union-area-additivity", "pass" if area_ok else "fail", area_witness))
     stats = {

@@ -187,7 +187,7 @@ def _resolve_selector(selector: str, mesh, diagram):
             return ("e", Segment(mesh.sites[i], mesh.sites[j]), (i, j))
         if kind == "v":
             site = int(rest)
-            return ("v", diagram.cells[site].polygon, site)
+            return ("v", diagram.cell(site).polygon, site)
     except (ValueError, IndexError, GeometryError) as exc:
         raise UnknownSelector(f"cannot resolve selector {selector!r}: {exc}") from exc
     raise UnknownSelector(f"unknown selector kind in {selector!r}")
@@ -195,8 +195,14 @@ def _resolve_selector(selector: str, mesh, diagram):
 
 def cmd_query(args) -> int:
     sites = parse_site_file(_read_text(args.input), args.input)
-    diagram = voronoi_diagram(sites, _frame_from_args(args))
-    mesh = diagram.mesh
+    # Only cell selectors read the Voronoi diagram; triangle and edge
+    # selectors need the mesh alone.
+    if any(sel.partition(":")[0] == "v" for sel in (args.a, args.b)):
+        diagram = voronoi_diagram(sites, _frame_from_args(args))
+        mesh = diagram.mesh
+    else:
+        diagram = None
+        mesh = triangulate(sites)
     kind_a, geom_a, ref_a = _resolve_selector(args.a, mesh, diagram)
     kind_b, geom_b, ref_b = _resolve_selector(args.b, mesh, diagram)
 

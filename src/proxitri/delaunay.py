@@ -6,6 +6,11 @@ flips. Flip decisions use an in-circle predicate that never reports a tie:
 exactly cocircular quadruples are resolved by a symbolic perturbation that
 favors the lower site index, so the produced mesh is canonical and
 identical runs are bit-for-bit reproducible.
+
+The predicates work on integer homogeneous coordinates: site i is
+(X_i, Y_i, W_i) with W_i the lcm of its own two denominators, so operand
+sizes stay those of the individual sites instead of growing with the lcm
+of every denominator in the set.
 """
 
 from __future__ import annotations
@@ -23,23 +28,23 @@ from .errors import (
     DuplicateSite,
     GeometryError,
     IndexOutOfRange,
+    NotCCW,
     TooFewSites,
     UnknownEdge,
 )
 from .geometry import (
-    CirclePosition,
     CircumCircle,
     Point,
     PointLocation,
     Polygon,
     Segment,
     circumcircle,
-    in_circumcircle,
     locate_point,
     segment_intersection,
 )
 
 ScaledCoords = tuple[tuple[int, int], ...]
+Weights = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,7 @@ class SiteSet:
 
     points: tuple[Point, ...]
     scaled: ScaledCoords = field(init=False, repr=False, compare=False)
+    weights: Weights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -63,15 +69,17 @@ class SiteSet:
             if p in seen:
                 raise DuplicateSite(f"site {p} appears at #{seen[p]} and #{i}")
             seen[p] = i
-        # Common-denominator integer coordinates: keeps the hot predicates in
-        # pure (arbitrary-precision) integer arithmetic.
-        denom = 1
-        for p in pts:
-            denom = lcm(denom, p.x.denominator, p.y.denominator)
+        # Per-site homogeneous integer coordinates: site i is
+        # (scaled[i][0] / weights[i], scaled[i][1] / weights[i]).
+        weights = tuple(lcm(p.x.denominator, p.y.denominator) for p in pts)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(
             self,
             "scaled",
-            tuple((int(p.x * denom), int(p.y * denom)) for p in pts),
+            tuple(
+                (p.x.numerator * (w // p.x.denominator), p.y.numerator * (w // p.y.denominator))
+                for p, w in zip(pts, weights)
+            ),
         )
 
     @classmethod
@@ -117,42 +125,63 @@ class ConstraintSet:
 
 
 # ---------------------------------------------------------------------------
-# Integer predicates over pre-scaled site coordinates.
+# Integer predicates over per-site homogeneous coordinates.
+#
+# Each determinant row belongs to one site, and scaling a row by that site's
+# positive weight (or a product of weights) leaves the determinant's sign
+# unchanged, so no common denominator is ever formed.
 
 
 def _sign(value: int) -> int:
     return (value > 0) - (value < 0)
 
 
-def _orient(sc: ScaledCoords, i: int, j: int, k: int) -> int:
+def _orient(sc: ScaledCoords, w: Weights, i: int, j: int, k: int) -> int:
+    """Sign of the turn (i, j, k): the 3x3 determinant of rows (X, Y, W)."""
     ax, ay = sc[i]
     bx, by = sc[j]
     cx, cy = sc[k]
-    return _sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    bw = w[j]
+    cw = w[k]
+    return _sign(
+        ax * (by * cw - bw * cy) - ay * (bx * cw - bw * cx) + w[i] * (bx * cy - by * cx)
+    )
 
 
-def _incircle(sc: ScaledCoords, i: int, j: int, k: int, l: int) -> int:
+def _incircle(sc: ScaledCoords, w: Weights, i: int, j: int, k: int, l: int) -> int:
     """Sign of the in-circle determinant; positive when site l is strictly
-    inside the circle through the CCW triple (i, j, k)."""
+    inside the circle through the CCW triple (i, j, k).
+
+    Rows are translated to site l: (adx, ady) = W_i W_l (p_i - p_l), and
+    the lifted determinant is taken times the positive W_i^2 W_j^2 W_k^2
+    W_l^4.
+    """
     dx, dy = sc[l]
-    adx = sc[i][0] - dx
-    ady = sc[i][1] - dy
-    bdx = sc[j][0] - dx
-    bdy = sc[j][1] - dy
-    cdx = sc[k][0] - dx
-    cdy = sc[k][1] - dy
+    dw = w[l]
+    ax, ay = sc[i]
+    aw = w[i]
+    bx, by = sc[j]
+    bw = w[j]
+    cx, cy = sc[k]
+    cw = w[k]
+    adx = ax * dw - dx * aw
+    ady = ay * dw - dy * aw
+    bdx = bx * dw - dx * bw
+    bdy = by * dw - dy * bw
+    cdx = cx * dw - dx * cw
+    cdy = cy * dw - dy * cw
     alift = adx * adx + ady * ady
     blift = bdx * bdx + bdy * bdy
     clift = cdx * cdx + cdy * cdy
     det = (
-        alift * (bdx * cdy - bdy * cdx)
-        - blift * (adx * cdy - ady * cdx)
-        + clift * (adx * bdy - ady * bdx)
+        alift * (bw * cw) * (bdx * cdy - bdy * cdx)
+        - blift * (aw * cw) * (adx * cdy - ady * cdx)
+        + clift * (aw * bw) * (adx * bdy - ady * bdx)
     )
     return _sign(det)
 
 
-def _incircle_perturbed(sc: ScaledCoords, i: int, j: int, k: int, l: int) -> int:
+def _incircle_perturbed(sc: ScaledCoords, w: Weights, i: int, j: int, k: int, l: int) -> int:
     """In-circle test that never answers "on".
 
     Cocircular quadruples are decided as if every site's paraboloid lift
@@ -161,14 +190,14 @@ def _incircle_perturbed(sc: ScaledCoords, i: int, j: int, k: int, l: int) -> int
     of the perturbed determinant reduces each tie to an orientation sign
     of the three remaining rows.
     """
-    s = _incircle(sc, i, j, k, l)
+    s = _incircle(sc, w, i, j, k, l)
     if s:
         return s
     rows = (i, j, k, l)
     for site in sorted(rows):
         r = rows.index(site)
         others = [rows[x] for x in range(4) if x != r]
-        m = _orient(sc, others[0], others[1], others[2])
+        m = _orient(sc, w, others[0], others[1], others[2])
         if m:
             return m if r % 2 == 1 else -m
     raise GeometryError("perturbed in-circle test on degenerate quadruple")
@@ -179,8 +208,9 @@ def _incircle_perturbed(sc: ScaledCoords, i: int, j: int, k: int, l: int) -> int
 
 
 class _MeshBuilder:
-    def __init__(self, sc: ScaledCoords):
-        self.sc = sc
+    def __init__(self, sites: SiteSet):
+        self.sc = sites.scaled
+        self.w = sites.weights
         self.tris: dict[int, tuple[int, int, int]] = {}
         self.edge: dict[tuple[int, int], int] = {}  # directed edge -> tid
         self.constrained: set[tuple[int, int]] = set()
@@ -224,7 +254,7 @@ class _MeshBuilder:
                 continue
             c = self.apex(u, v)
             d = self.apex(v, u)
-            if _incircle_perturbed(self.sc, u, v, c, d) > 0:
+            if _incircle_perturbed(self.sc, self.w, u, v, c, d) > 0:
                 self.remove(t1)
                 self.remove(t2)
                 self.add(u, d, c)
@@ -240,20 +270,21 @@ def _build_delaunay(sites: SiteSet) -> _MeshBuilder:
     n = len(sites)
     if n < 3:
         raise TooFewSites(f"need at least 3 sites, got {n}")
-    sc = sites.scaled
-    order = sorted(range(n), key=lambda i: sc[i])
-    builder = _MeshBuilder(sc)
+    pts = sites.points
+    order = sorted(range(n), key=lambda i: pts[i].key())
+    builder = _MeshBuilder(sites)
+    sc, w = builder.sc, builder.w
 
     chain = [order[0], order[1]]
     k = 2
-    while k < n and _orient(sc, chain[0], chain[1], order[k]) == 0:
+    while k < n and _orient(sc, w, chain[0], chain[1], order[k]) == 0:
         chain.append(order[k])
         k += 1
     if k == n:
         raise AllCollinear("all sites lie on one line")
 
     apex = order[k]
-    side = _orient(sc, chain[0], chain[-1], apex)
+    side = _orient(sc, w, chain[0], chain[-1], apex)
     hull: list[int]
     if side > 0:
         for a, b in zip(chain, chain[1:]):
@@ -272,9 +303,9 @@ def _build_delaunay(sites: SiteSet) -> _MeshBuilder:
 def _insert_hull_point(builder: _MeshBuilder, hull: list[int], p: int) -> None:
     """Connect p (lexicographically beyond the current mesh) to every hull
     edge it strictly sees, then restore the Delaunay property locally."""
-    sc = builder.sc
+    sc, w = builder.sc, builder.w
     m = len(hull)
-    vis = [_orient(sc, hull[i], hull[(i + 1) % m], p) < 0 for i in range(m)]
+    vis = [_orient(sc, w, hull[i], hull[(i + 1) % m], p) < 0 for i in range(m)]
     start = -1
     for i in range(m):
         if vis[i] and not vis[(i - 1) % m]:
@@ -502,7 +533,7 @@ def _validate_constraints(
 
 
 def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
-    sc = builder.sc
+    sc, w = builder.sc, builder.w
     key = _edge_key(a, b)
     if (a, b) in builder.edge or (b, a) in builder.edge:
         builder.constrained.add(key)
@@ -515,7 +546,7 @@ def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
             continue
         x = v
         y = builder.apex(a, x)
-        if _orient(sc, a, x, b) > 0 and _orient(sc, a, y, b) < 0:
+        if _orient(sc, w, a, x, b) > 0 and _orient(sc, w, a, y, b) < 0:
             entry = (tid, x, y)
             break
     if entry is None:
@@ -537,7 +568,7 @@ def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
         z = builder.apex(left, right)
         if z == b:
             break
-        oz = _orient(sc, a, b, z)
+        oz = _orient(sc, w, a, b, z)
         if oz == 0:
             raise ConstraintThroughSite(f"constraint {a}-{b} passes through site #{z}")
         if oz > 0:
@@ -569,7 +600,7 @@ def _retriangulate_cavity(
         return
     c = 0
     for j in range(1, len(chain)):
-        if _incircle_perturbed(builder.sc, a, b, chain[c], chain[j]) > 0:
+        if _incircle_perturbed(builder.sc, builder.w, a, b, chain[c], chain[j]) > 0:
             c = j
     builder.add(a, b, chain[c])
     new_edges.extend(((a, chain[c]), (chain[c], b)))
@@ -616,8 +647,12 @@ def is_locally_delaunay(mesh: TriMesh, edge: tuple[int, int]) -> bool:
         return True
     c = mesh.opposite_vertex(i, j)
     d = mesh.opposite_vertex(j, i)
-    pts = mesh.sites.points
-    return in_circumcircle(pts[i], pts[j], pts[c], pts[d]) is not CirclePosition.INSIDE
+    sc, w = mesh.sites.scaled, mesh.sites.weights
+    # The in-circle sign is meaningless unless (i, j, c) turns left, which a
+    # hand-built or ingested mesh does not guarantee.
+    if _orient(sc, w, i, j, c) <= 0:
+        raise NotCCW(f"triangle {i}, {j}, {c} is not counterclockwise")
+    return _incircle(sc, w, i, j, c, d) <= 0
 
 
 def is_visible(

@@ -82,7 +82,8 @@ class ParseError(InputError):
 
 
 class BadCount(InputError):
-    """Site generation asked for fewer than three points."""
+    """Site generation asked for fewer than three points, or for more
+    distinct points than the distribution can draw."""
 
 
 class UnwritablePath(InputError):

@@ -10,15 +10,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import BadCount
 from .geometry import Point
 
 DISTRIBUTIONS = ("uniform", "clustered", "cocircular", "collinear-heavy")
 
-# Cocircular mode puts points exactly on this circle.
+# Cocircular mode puts points exactly on this circle, at the parameters
+# t = k / 100 for integer k in _CIRCLE_K.
 COCIRCULAR_CENTER = (Fraction(50), Fraction(50))
 COCIRCULAR_RADIUS = Fraction(25)
+_CIRCLE_K = range(-500, 501)
+
+# Collinear-heavy mode draws x = k / 100 for integer k in _LINE_K.
+_LINE_K = range(0, 100 * 100 + 1)
 
 
 def _grid(rng: random.Random, lo: int, hi: int, scale: int = 10**4) -> Fraction:
@@ -81,11 +87,15 @@ def _cocircular(rng: random.Random, n: int) -> list[Point]:
     injective over rational t.
     """
     on_circle = max(4, n // 2)
+    if on_circle > len(_CIRCLE_K):
+        raise BadCount(
+            f"cocircular mode draws at most {2 * len(_CIRCLE_K) + 1} sites, requested {n}"
+        )
     cx, cy = COCIRCULAR_CENTER
     r = COCIRCULAR_RADIUS
     ts: set[Fraction] = set()
     while len(ts) < on_circle:
-        ts.add(Fraction(rng.randrange(-500, 501), 100))
+        ts.add(Fraction(rng.randrange(_CIRCLE_K.start, _CIRCLE_K.stop), 100))
     points = []
     for t in sorted(ts):
         den = 1 + t * t
@@ -103,7 +113,7 @@ def _collinear_heavy(rng: random.Random, n: int) -> list[Point]:
 
     def draw_on_line(r: random.Random) -> Point:
         a, b = lines[r.randrange(len(lines))]
-        x = _grid(r, 0, 100, 100)
+        x = Fraction(r.randrange(_LINE_K.start, _LINE_K.stop), 100)
         return Point(x, a + b * x)
 
     def off_all_lines(p: Point) -> bool:
@@ -112,4 +122,24 @@ def _collinear_heavy(rng: random.Random, n: int) -> list[Point]:
     apex = _uniform_point(rng)
     while not off_all_lines(apex):
         apex = _uniform_point(rng)
+    available = _grid_points_on_lines(lines) + 1
+    if n > available:
+        raise BadCount(
+            f"collinear-heavy mode draws at most {available} sites for this seed, requested {n}"
+        )
     return _fill_distinct(rng, n, draw_on_line, [apex])
+
+
+def _grid_points_on_lines(lines: list[tuple[Fraction, Fraction]]) -> int:
+    """Number of distinct points (x, a + b x), x = k / 100 with k in _LINE_K,
+    on the union of the lines y = a + b x."""
+    distinct = set(lines)
+    meets: dict[tuple[Fraction, Fraction], set] = {}
+    for (a1, b1), (a2, b2) in combinations(distinct, 2):
+        if b1 == b2:
+            continue  # parallel
+        x = (a2 - a1) / (b1 - b2)
+        k = 100 * x
+        if k.denominator == 1 and k.numerator in _LINE_K:
+            meets.setdefault((x, a1 + b1 * x), set()).update(((a1, b1), (a2, b2)))
+    return len(_LINE_K) * len(distinct) - sum(len(on) - 1 for on in meets.values())

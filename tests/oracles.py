@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from proxitri.delaunay import ConstraintSet, SiteSet
 from proxitri.geometry import Point, Polygon, Rect, distance_sq
@@ -23,9 +24,13 @@ def brute_delaunay_triangles(sites: SiteSet) -> set[tuple[int, int, int]]:
 
     O(n^4): the circumcenter of each candidate triple comes from solving
     the two perpendicular-bisector equations (Cramer), and containment is
-    an integer comparison of cross-multiplied squared distances.
+    an integer comparison of cross-multiplied squared distances, all over
+    coordinates scaled by the common denominator of every site.
     """
-    sc = sites.scaled
+    denom = 1
+    for p in sites.points:
+        denom = lcm(denom, p.x.denominator, p.y.denominator)
+    sc = [(int(p.x * denom), int(p.y * denom)) for p in sites.points]
     n = len(sc)
     out = set()
     for i, j, k in combinations(range(n), 3):

@@ -207,6 +207,24 @@ class TestQuery:
         code, _, _ = run_cli("query", fan_file, "near", "x:1", "t:0")
         assert code == 2
 
+    def test_negative_cell_selector_rejected(self, fan_file):
+        for relation in ("near", "strong"):
+            code, out, err = run_cli("query", fan_file, relation, "v:-1", "v:3")
+            assert code == 2
+            assert out == ""
+            assert "v:-1" in err
+
+    def test_triangle_selectors_build_no_voronoi_diagram(self, fan_file, monkeypatch):
+        import proxitri.cli
+
+        def no_diagram(*args, **kwargs):
+            raise AssertionError("voronoi_diagram called for t: selectors")
+
+        monkeypatch.setattr(proxitri.cli, "voronoi_diagram", no_diagram)
+        code, out, _ = run_cli("query", fan_file, "near", "t:0", "t:1")
+        assert code == 0
+        assert out == "proxitri-document 1\nquery near t:0 t:1 true segment(0,0;1,1)\n"
+
     def test_strong_mixed_kinds_unsupported(self, fan_file):
         code, _, err = run_cli("query", fan_file, "strong", "t:0", "v:1")
         assert code == 2

@@ -1,8 +1,14 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxitri.delaunay import (
     ConstraintSet,
     SiteSet,
+    _incircle,
+    _orient,
     adjacency,
     constrained_triangulate,
     is_constrained_delaunay_edge,
@@ -21,7 +27,8 @@ from proxitri.errors import (
     TooFewSites,
     UnknownEdge,
 )
-from proxitri.geometry import CirclePosition, Point, in_circumcircle
+from proxitri.generate import generate_sites
+from proxitri.geometry import CirclePosition, Point, in_circumcircle, orientation
 from proxitri.voronoi import voronoi_diagram
 
 from oracles import (
@@ -49,6 +56,63 @@ class TestSiteSet:
     def test_all_collinear(self):
         with pytest.raises(AllCollinear):
             triangulate(sites_of((0, 0), (1, 1), (2, 2)))
+
+
+# Rationals whose denominators differ from site to site.
+kernel_coords = st.fractions(min_value=-30, max_value=30, max_denominator=60)
+kernel_points = st.builds(Point, kernel_coords, kernel_coords)
+
+
+@st.composite
+def cocircular_quadruples(draw):
+    """Four distinct points exactly on one circle, from the stereographic
+    parametrization x = cx + r(1-t^2)/(1+t^2), y = cy + 2rt/(1+t^2)."""
+    cx = draw(kernel_coords)
+    cy = draw(kernel_coords)
+    r = draw(st.fractions(min_value=Fraction(1, 10), max_value=30, max_denominator=60))
+    ts = draw(
+        st.lists(
+            st.fractions(min_value=-12, max_value=12, max_denominator=40),
+            min_size=4,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return [Point(cx + r * (1 - t * t) / (1 + t * t), cy + 2 * r * t / (1 + t * t)) for t in ts]
+
+
+def assert_kernel_matches_geometry(pts):
+    sites = SiteSet(tuple(pts))
+    sc, w = sites.scaled, sites.weights
+    a, b, c, d = pts
+    turn = orientation(a, b, c).value
+    assert _orient(sc, w, 0, 1, 2) == turn
+    assert _orient(sc, w, 0, 2, 1) == -turn
+    if turn == 0:
+        return None
+    i, j, k = (0, 1, 2) if turn > 0 else (0, 2, 1)
+    expected = in_circumcircle(pts[i], pts[j], pts[k], d).value
+    assert _incircle(sc, w, i, j, k, 3) == expected
+    return expected
+
+
+class TestKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(kernel_points, min_size=4, max_size=4, unique=True))
+    def test_signs_match_fraction_predicates(self, pts):
+        assert_kernel_matches_geometry(pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cocircular_quadruples())
+    def test_cocircular_quadruples_are_on(self, pts):
+        assert assert_kernel_matches_geometry(pts) == CirclePosition.ON.value
+
+    def test_per_site_operands_stay_small(self):
+        # a common denominator of these sets would exceed 3000 bits
+        for seed in (0, 1):
+            sites = SiteSet(tuple(generate_sites(1000, seed, "cocircular")))
+            assert max(w.bit_length() for w in sites.weights) <= 64
+            assert max(max(abs(x).bit_length(), abs(y).bit_length()) for x, y in sites.scaled) <= 64
 
 
 class TestTriangulate:
@@ -151,8 +215,10 @@ class TestLocallyDelaunay:
         with pytest.raises(UnknownEdge):
             is_locally_delaunay(fan_mesh, (0, 0))
 
-    def test_all_edges_of_delaunay_mesh(self, fan_mesh):
-        assert all(is_locally_delaunay(fan_mesh, e) for e in fan_mesh.edges())
+    def test_all_edges_of_delaunay_mesh(self, fan_mesh, degenerate_corpus):
+        # the hand-built lattice sets put cocircular apexes across edges
+        for mesh in [fan_mesh] + [entry.mesh for entry in degenerate_corpus]:
+            assert all(is_locally_delaunay(mesh, e) for e in mesh.edges())
 
     def test_flipped_diagonal_detected(self):
         # convex quad whose Delaunay diagonal is 0-2; force 1-3 instead
@@ -164,6 +230,15 @@ class TestLocallyDelaunay:
         bad = TriMesh(sites, ((0, 1, 3), (1, 2, 3)), frozenset())
         assert not is_locally_delaunay(bad, (1, 3))
         assert is_locally_delaunay(bad, (0, 1))  # hull edges always qualify
+
+    def test_clockwise_triangle_rejected(self):
+        from proxitri.delaunay import TriMesh
+        from proxitri.errors import NotCCW
+
+        sites = sites_of((0, 0), (4, 0), (4, 3), (0, "3.5"))
+        clockwise = TriMesh(sites, ((0, 3, 1), (1, 3, 2)), frozenset())
+        with pytest.raises(NotCCW):
+            is_locally_delaunay(clockwise, (1, 3))
 
     def test_cocircular_rectangle_is_locally_delaunay_both_ways(self):
         # all four sites concyclic: either diagonal passes the test exactly

@@ -232,3 +232,26 @@ class TestGenerator:
 
         with pytest.raises(BadCount):
             generate_sites(2, 0, "uniform")
+
+    def test_count_beyond_the_distribution_rejected(self):
+        from proxitri.errors import BadCount
+
+        # 1001 distinct circle parameters: n // 2 of them fit up to n = 2003
+        assert len(generate_sites(2003, 0, "cocircular")) == 2003
+        with pytest.raises(BadCount):
+            generate_sites(2004, 0, "cocircular")
+        # three lines of 10001 grid points each, plus the apex
+        with pytest.raises(BadCount):
+            generate_sites(3 * 10_001 + 2, 0, "collinear-heavy")
+
+    def test_collinear_heavy_capacity_counts_shared_points_once(self):
+        from proxitri.generate import _grid_points_on_lines
+
+        F = Fraction
+        for lines in (
+            [(F(0), F(1)), (F(2), F(-1)), (F(1), F(0))],  # all three meet at (1, 1)
+            [(F(1), F(1)), (F(1), F(1)), (F(3), F(-1))],  # a repeated line
+        ):
+            grid = [F(k, 100) for k in range(100 * 100 + 1)]
+            points = {(x, a + b * x) for a, b in lines for x in grid}
+            assert _grid_points_on_lines(lines) == len(points)
