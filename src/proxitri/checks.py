@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
-from .delaunay import SiteSet, TriMesh
+from .delaunay import SiteSet, TriMesh, adjacency
 from .errors import DegenerateIntersection
 from .geometry import CirclePosition, Point, Rect, in_circumcircle, is_convex_polygon
 from .io import geometry_literal
@@ -59,14 +60,17 @@ def run_checks(
     mesh = diagram.mesh
     results: list[CheckResult] = []
     stats: dict = {}
+    # Per-triangle results that two suites read, computed once per run.
+    intruder = cache(partial(_site_inside_circumdisk, mesh))
+    vertex = cache(partial(_triangle_vertex, diagram))
     if "delaunay" in wanted:
-        results.extend(_check_delaunay(mesh))
+        results.extend(_check_delaunay(mesh, intruder))
     if "dual" in wanted:
         results.extend(_check_dual(diagram))
     if "lemma2" in wanted:
-        results.extend(_check_lemma2(diagram))
+        results.extend(_check_lemma2(diagram, vertex))
     if "theorem-equivalence" in wanted:
-        results.extend(_check_theorem_equivalence(diagram))
+        results.extend(_check_theorem_equivalence(diagram, intruder, vertex))
     if "regions" in wanted:
         region_results, region_stats = _check_regions(mesh)
         results.extend(region_results)
@@ -77,6 +81,7 @@ def run_checks(
 
 
 def _site_inside_circumdisk(mesh: TriMesh, t: int) -> Optional[int]:
+    """The first site strictly inside triangle t's circumdisk, if any."""
     i, j, k = mesh.triangles[t]
     pts = mesh.sites.points
     for d in range(len(pts)):
@@ -87,11 +92,25 @@ def _site_inside_circumdisk(mesh: TriMesh, t: int) -> Optional[int]:
     return None
 
 
-def _check_delaunay(mesh: TriMesh) -> list[CheckResult]:
+# common_vertex verdict for a triangle whose cells meet four or more at once.
+_COCIRCULAR = object()
+
+
+def _triangle_vertex(diagram: VoronoiDiagram, t: int):
+    """The point shared by the closed cells of triangle t's sites (None when
+    there is none), or _COCIRCULAR."""
+    i, j, k = diagram.mesh.triangles[t]
+    try:
+        return common_vertex(diagram, i, j, k)
+    except DegenerateIntersection:
+        return _COCIRCULAR
+
+
+def _check_delaunay(mesh: TriMesh, intruder: Callable[[int], Optional[int]]) -> list[CheckResult]:
     results = []
     bad = None
     for t in range(len(mesh)):
-        hit = _site_inside_circumdisk(mesh, t)
+        hit = intruder(t)
         if hit is not None:
             bad = f"triangle-{t}:site-{hit}-inside"
             break
@@ -143,15 +162,13 @@ def _check_dual(diagram: VoronoiDiagram) -> list[CheckResult]:
     return [CheckResult("dual/edge-definition", "pass")]
 
 
-def _check_lemma2(diagram: VoronoiDiagram) -> list[CheckResult]:
-    mesh = diagram.mesh
+def _check_lemma2(diagram: VoronoiDiagram, vertex: Optional[Callable] = None) -> list[CheckResult]:
+    vertex = vertex or partial(_triangle_vertex, diagram)
     results = []
-    for t in range(len(mesh)):
-        i, j, k = mesh.triangles[t]
+    for t in range(len(diagram.mesh)):
         name = f"lemma2/triangle-{t}"
-        try:
-            shared = common_vertex(diagram, i, j, k)
-        except DegenerateIntersection:
+        shared = vertex(t)
+        if shared is _COCIRCULAR:
             results.append(CheckResult(name, "degenerate-skip", "cocircular-vertex"))
             continue
         center = diagram.vertices[t]
@@ -169,16 +186,17 @@ def _check_lemma2(diagram: VoronoiDiagram) -> list[CheckResult]:
     return results
 
 
-def _check_theorem_equivalence(diagram: VoronoiDiagram) -> list[CheckResult]:
+def _check_theorem_equivalence(
+    diagram: VoronoiDiagram, intruder: Callable[[int], Optional[int]], vertex: Callable
+) -> list[CheckResult]:
     mesh = diagram.mesh
     results = []
     for t in range(len(mesh)):
         i, j, k = mesh.triangles[t]
         name = f"theorem-equivalence/triangle-{t}"
-        empty_disk = _site_inside_circumdisk(mesh, t) is None
-        try:
-            shared = common_vertex(diagram, i, j, k)
-        except DegenerateIntersection:
+        empty_disk = intruder(t) is None
+        shared = vertex(t)
+        if shared is _COCIRCULAR:
             results.append(CheckResult(name, "degenerate-skip", "cocircular-vertex"))
             continue
         center_is_vertex = shared is not None and shared == diagram.vertices[t]
@@ -208,7 +226,9 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
         covered |= region.triangles
         members = region.members()
         # Region construction already checks the clique; verify maximality.
-        for t in range(len(mesh)):
+        # A triangle sharing an edge with every member shares one with the
+        # first, so only that member's edge neighbours can extend the region.
+        for t in sorted(adjacency(mesh, members[0])):
             if t in region.triangles:
                 continue
             if all(
@@ -234,10 +254,7 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
     convex = 0
     for idx, region in enumerate(regions):
         poly = region_union_polygon(region)
-        total = sum(
-            (mesh.triangle_polygon(t).area() for t in region.members()),
-            start=Fraction(0),
-        )
+        total = sum((_triangle_area(mesh, t) for t in region.members()), start=Fraction(0))
         if poly.area() != total:
             area_ok = False
             area_witness = f"region-{idx}:union-area-mismatch"
@@ -250,6 +267,12 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
         "convex_region_fraction": str(Fraction(convex, len(regions)) if regions else Fraction(0)),
     }
     return results, stats
+
+
+def _triangle_area(mesh: TriMesh, t: int) -> Fraction:
+    """Area of a (counterclockwise) mesh triangle, from its three corners."""
+    a, b, c = mesh.triangle_points(t)
+    return ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2
 
 
 def _check_leader(mesh: TriMesh) -> list[CheckResult]:

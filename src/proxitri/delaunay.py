@@ -34,10 +34,14 @@ from .errors import (
 )
 from .geometry import (
     CircumCircle,
+    Homogeneous,
     Point,
     PointLocation,
     Polygon,
     Segment,
+    _det3,
+    _incircle_det,
+    _sign,
     circumcircle,
     locate_point,
     segment_intersection,
@@ -125,63 +129,31 @@ class ConstraintSet:
 
 
 # ---------------------------------------------------------------------------
-# Integer predicates over per-site homogeneous coordinates.
-#
-# Each determinant row belongs to one site, and scaling a row by that site's
-# positive weight (or a product of weights) leaves the determinant's sign
-# unchanged, so no common denominator is ever formed.
+# Integer predicates over per-site homogeneous coordinates: site i is the
+# determinant row (X_i, Y_i, W_i), and the determinants are geometry's.
+# _orient and _incircle read the rows off a SiteSet's scaled coordinates
+# and weights; the construction builds the rows once and calls the
+# determinants directly.
 
 
-def _sign(value: int) -> int:
-    return (value > 0) - (value < 0)
+def _rows(sites: SiteSet) -> list[Homogeneous]:
+    return [(x, y, w) for (x, y), w in zip(sites.scaled, sites.weights)]
 
 
 def _orient(sc: ScaledCoords, w: Weights, i: int, j: int, k: int) -> int:
-    """Sign of the turn (i, j, k): the 3x3 determinant of rows (X, Y, W)."""
-    ax, ay = sc[i]
-    bx, by = sc[j]
-    cx, cy = sc[k]
-    bw = w[j]
-    cw = w[k]
-    return _sign(
-        ax * (by * cw - bw * cy) - ay * (bx * cw - bw * cx) + w[i] * (bx * cy - by * cx)
-    )
+    """Sign of the turn (i, j, k)."""
+    return _sign(_det3((*sc[i], w[i]), (*sc[j], w[j]), (*sc[k], w[k])))
 
 
 def _incircle(sc: ScaledCoords, w: Weights, i: int, j: int, k: int, l: int) -> int:
     """Sign of the in-circle determinant; positive when site l is strictly
-    inside the circle through the CCW triple (i, j, k).
-
-    Rows are translated to site l: (adx, ady) = W_i W_l (p_i - p_l), and
-    the lifted determinant is taken times the positive W_i^2 W_j^2 W_k^2
-    W_l^4.
-    """
-    dx, dy = sc[l]
-    dw = w[l]
-    ax, ay = sc[i]
-    aw = w[i]
-    bx, by = sc[j]
-    bw = w[j]
-    cx, cy = sc[k]
-    cw = w[k]
-    adx = ax * dw - dx * aw
-    ady = ay * dw - dy * aw
-    bdx = bx * dw - dx * bw
-    bdy = by * dw - dy * bw
-    cdx = cx * dw - dx * cw
-    cdy = cy * dw - dy * cw
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    det = (
-        alift * (bw * cw) * (bdx * cdy - bdy * cdx)
-        - blift * (aw * cw) * (adx * cdy - ady * cdx)
-        + clift * (aw * bw) * (adx * bdy - ady * bdx)
+    inside the circle through the CCW triple (i, j, k)."""
+    return _sign(
+        _incircle_det((*sc[i], w[i]), (*sc[j], w[j]), (*sc[k], w[k]), (*sc[l], w[l]))
     )
-    return _sign(det)
 
 
-def _incircle_perturbed(sc: ScaledCoords, w: Weights, i: int, j: int, k: int, l: int) -> int:
+def _incircle_perturbed(rows: list[Homogeneous], i: int, j: int, k: int, l: int) -> int:
     """In-circle test that never answers "on".
 
     Cocircular quadruples are decided as if every site's paraboloid lift
@@ -190,14 +162,14 @@ def _incircle_perturbed(sc: ScaledCoords, w: Weights, i: int, j: int, k: int, l:
     of the perturbed determinant reduces each tie to an orientation sign
     of the three remaining rows.
     """
-    s = _incircle(sc, w, i, j, k, l)
+    s = _sign(_incircle_det(rows[i], rows[j], rows[k], rows[l]))
     if s:
         return s
-    rows = (i, j, k, l)
-    for site in sorted(rows):
-        r = rows.index(site)
-        others = [rows[x] for x in range(4) if x != r]
-        m = _orient(sc, w, others[0], others[1], others[2])
+    quad = (i, j, k, l)
+    for site in sorted(quad):
+        r = quad.index(site)
+        others = [rows[quad[x]] for x in range(4) if x != r]
+        m = _sign(_det3(*others))
         if m:
             return m if r % 2 == 1 else -m
     raise GeometryError("perturbed in-circle test on degenerate quadruple")
@@ -209,8 +181,7 @@ def _incircle_perturbed(sc: ScaledCoords, w: Weights, i: int, j: int, k: int, l:
 
 class _MeshBuilder:
     def __init__(self, sites: SiteSet):
-        self.sc = sites.scaled
-        self.w = sites.weights
+        self.rows = _rows(sites)
         self.tris: dict[int, tuple[int, int, int]] = {}
         self.edge: dict[tuple[int, int], int] = {}  # directed edge -> tid
         self.constrained: set[tuple[int, int]] = set()
@@ -254,7 +225,7 @@ class _MeshBuilder:
                 continue
             c = self.apex(u, v)
             d = self.apex(v, u)
-            if _incircle_perturbed(self.sc, self.w, u, v, c, d) > 0:
+            if _incircle_perturbed(self.rows, u, v, c, d) > 0:
                 self.remove(t1)
                 self.remove(t2)
                 self.add(u, d, c)
@@ -273,20 +244,19 @@ def _build_delaunay(sites: SiteSet) -> _MeshBuilder:
     pts = sites.points
     order = sorted(range(n), key=lambda i: pts[i].key())
     builder = _MeshBuilder(sites)
-    sc, w = builder.sc, builder.w
+    rows = builder.rows
 
     chain = [order[0], order[1]]
     k = 2
-    while k < n and _orient(sc, w, chain[0], chain[1], order[k]) == 0:
+    while k < n and _det3(rows[chain[0]], rows[chain[1]], rows[order[k]]) == 0:
         chain.append(order[k])
         k += 1
     if k == n:
         raise AllCollinear("all sites lie on one line")
 
     apex = order[k]
-    side = _orient(sc, w, chain[0], chain[-1], apex)
     hull: list[int]
-    if side > 0:
+    if _det3(rows[chain[0]], rows[chain[-1]], rows[apex]) > 0:
         for a, b in zip(chain, chain[1:]):
             builder.add(a, b, apex)
         hull = chain + [apex]
@@ -302,20 +272,34 @@ def _build_delaunay(sites: SiteSet) -> _MeshBuilder:
 
 def _insert_hull_point(builder: _MeshBuilder, hull: list[int], p: int) -> None:
     """Connect p (lexicographically beyond the current mesh) to every hull
-    edge it strictly sees, then restore the Delaunay property locally."""
-    sc, w = builder.sc, builder.w
+    edge it strictly sees, then restore the Delaunay property locally.
+
+    Hull edge i runs from hull[i] to hull[i + 1]. The site inserted last,
+    hull[-1], is the lexicographic maximum of the mesh, so the edges p sees
+    form one arc through an edge at hull[-1]; the arc is found by walking
+    out from that edge in both directions.
+    """
+    rows = builder.rows
     m = len(hull)
-    vis = [_orient(sc, w, hull[i], hull[(i + 1) % m], p) < 0 for i in range(m)]
-    start = -1
-    for i in range(m):
-        if vis[i] and not vis[(i - 1) % m]:
-            start = i
-            break
-    if start < 0:
+
+    def visible(i: int) -> bool:
+        return _det3(rows[hull[i % m]], rows[hull[(i + 1) % m]], rows[p]) < 0
+
+    if visible(m - 1):
+        first = m - 1
+    elif visible(m - 2):
+        first = m - 2
+    else:
         raise GeometryError(f"no hull edge visible from site {p}")
-    count = 1
-    while vis[(start + count) % m]:
-        count += 1
+    last = first
+    while last - first < m - 1 and visible(last + 1):
+        last += 1
+    while last - first < m - 1 and visible(first - 1):
+        first -= 1
+    if last - first == m - 1:
+        raise GeometryError(f"every hull edge is visible from site {p}")
+    start = first % m
+    count = last - first + 1
     flip_seeds = []
     for t in range(count):
         i = (start + t) % m
@@ -533,7 +517,7 @@ def _validate_constraints(
 
 
 def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
-    sc, w = builder.sc, builder.w
+    rows = builder.rows
     key = _edge_key(a, b)
     if (a, b) in builder.edge or (b, a) in builder.edge:
         builder.constrained.add(key)
@@ -546,7 +530,7 @@ def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
             continue
         x = v
         y = builder.apex(a, x)
-        if _orient(sc, w, a, x, b) > 0 and _orient(sc, w, a, y, b) < 0:
+        if _det3(rows[a], rows[x], rows[b]) > 0 and _det3(rows[a], rows[y], rows[b]) < 0:
             entry = (tid, x, y)
             break
     if entry is None:
@@ -568,7 +552,7 @@ def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
         z = builder.apex(left, right)
         if z == b:
             break
-        oz = _orient(sc, w, a, b, z)
+        oz = _det3(rows[a], rows[b], rows[z])
         if oz == 0:
             raise ConstraintThroughSite(f"constraint {a}-{b} passes through site #{z}")
         if oz > 0:
@@ -600,7 +584,7 @@ def _retriangulate_cavity(
         return
     c = 0
     for j in range(1, len(chain)):
-        if _incircle_perturbed(builder.sc, builder.w, a, b, chain[c], chain[j]) > 0:
+        if _incircle_perturbed(builder.rows, a, b, chain[c], chain[j]) > 0:
             c = j
     builder.add(a, b, chain[c])
     new_edges.extend(((a, chain[c]), (chain[c], b)))

@@ -1,16 +1,24 @@
 """Exact planar primitives.
 
 Coordinates are arbitrary-precision rationals (`fractions.Fraction`).
-Every predicate in this module determines signs exactly; there are no
-tolerances anywhere. Floats are rejected at the boundary so binary
-rounding error can never leak into a construction.
+Floats are rejected at the boundary so binary rounding error can never
+leak into a construction.
+
+Every sign test is decided on integers, with no tolerance anywhere. A
+point x/d_x, y/d_y is taken in homogeneous form (X, Y, W) with W > 0,
+and each predicate is a determinant whose rows are scaled by positive
+weights, which leaves its sign unchanged. The orientation and in-circle
+determinants here are the ones the Delaunay construction uses as well.
+Fractions are built only for constructed points (segment crossings,
+circumcenters), with one division per coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .errors import CollinearInput, NonConvexInput, NotCCW
@@ -64,6 +72,10 @@ class PointLocation(Enum):
 class Point:
     x: Fraction
     y: Fraction
+    # Homogeneous integer form, filled in by the first predicate that reads it.
+    _homogeneous: Optional[tuple[int, int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "x", as_coord(self.x))
@@ -98,23 +110,108 @@ class Segment:
         return f"[{self.a} - {self.b}]"
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    """Signed cross product of vectors o->a and o->b."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+# ---------------------------------------------------------------------------
+# Integer sign kernel.
+
+Homogeneous = tuple[int, int, int]
+
+
+def _hom(p: Point) -> Homogeneous:
+    """Integer (X, Y, W) with W > 0 and p = (X / W, Y / W)."""
+    h = p._homogeneous
+    if h is None:
+        x = p.x
+        y = p.y
+        xd = x.denominator
+        yd = y.denominator
+        if xd == yd:
+            h = (x.numerator, y.numerator, xd)
+        else:
+            h = (x.numerator * yd, y.numerator * xd, xd * yd)
+        object.__setattr__(p, "_homogeneous", h)
+    return h
+
+
+def _sign(value: int) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _det3(a: Homogeneous, b: Homogeneous, c: Homogeneous) -> int:
+    """The 3x3 determinant of rows (X, Y, W): W_a W_b W_c times the cross
+    product of a->b and a->c, so its sign is the turn of (a, b, c)."""
+    ax, ay, aw = a
+    bx, by, bw = b
+    cx, cy, cw = c
+    return ax * (by * cw - bw * cy) - ay * (bx * cw - bw * cx) + aw * (bx * cy - by * cx)
+
+
+def _incircle_det(a: Homogeneous, b: Homogeneous, c: Homogeneous, d: Homogeneous) -> int:
+    """In-circle determinant; positive when d is strictly inside the circle
+    through the CCW triple (a, b, c).
+
+    Rows are translated to d: (adx, ady) = W_a W_d (a - d), and the lifted
+    determinant is taken times the positive W_a^2 W_b^2 W_c^2 W_d^4.
+    """
+    dx, dy, dw = d
+    ax, ay, aw = a
+    bx, by, bw = b
+    cx, cy, cw = c
+    adx = ax * dw - dx * aw
+    ady = ay * dw - dy * aw
+    bdx = bx * dw - dx * bw
+    bdy = by * dw - dy * bw
+    cdx = cx * dw - dx * cw
+    cdy = cy * dw - dy * cw
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    return (
+        alift * (bw * cw) * (bdx * cdy - bdy * cdx)
+        - blift * (aw * cw) * (adx * cdy - ady * cdx)
+        + clift * (aw * bw) * (adx * bdy - ady * bdx)
+    )
+
+
+def _between(p: Homogeneous, a: Homogeneous, b: Homogeneous) -> bool:
+    """For p on the line through a and b: p lies on the closed segment ab.
+
+    The dot product (a - p).(b - p) is taken times W_a W_b W_p^2 > 0.
+    """
+    px, py, pw = p
+    ax, ay, aw = a
+    bx, by, bw = b
+    return (ax * pw - px * aw) * (bx * pw - px * bw) + (ay * pw - py * aw) * (by * pw - py * bw) <= 0
+
+
+def _line_point(fa: int, fb: int, a: Homogeneous, b: Homogeneous) -> Point:
+    """Where the segment ab crosses the zero line of an affine function f.
+
+    fa and fb are W_a f(a) and W_b f(b), both times one positive constant,
+    and have opposite signs. The crossing (f(a) b - f(b) a) / (f(a) - f(b))
+    then takes one division per coordinate.
+    """
+    ax, ay, aw = a
+    bx, by, bw = b
+    den = fa * bw - fb * aw
+    return Point(Fraction(fa * bx - fb * ax, den), Fraction(fa * by - fb * ay, den))
+
+
+def _turn(o: Point, a: Point, b: Point) -> int:
+    """Sign of the turn (o, a, b): 1 left, -1 right, 0 collinear."""
+    return _sign(_det3(_hom(o), _hom(a), _hom(b)))
+
+
+_ORIENTATIONS = (Orientation.COLLINEAR, Orientation.CCW, Orientation.CW)
+_CIRCLE_POSITIONS = (CirclePosition.ON, CirclePosition.INSIDE, CirclePosition.OUTSIDE)
 
 
 def orientation(a: Point, b: Point, c: Point) -> Orientation:
     """Exact turn direction of the triple (a, b, c)."""
-    d = _cross(a, b, c)
-    if d > 0:
-        return Orientation.CCW
-    if d < 0:
-        return Orientation.CW
-    return Orientation.COLLINEAR
+    return _ORIENTATIONS[_turn(a, b, c)]
 
 
 def collinear(a: Point, b: Point, c: Point) -> bool:
-    return _cross(a, b, c) == 0
+    return _turn(a, b, c) == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,12 +223,14 @@ class CircumCircle:
     radius_sq: Fraction
 
     def position_of(self, p: Point) -> CirclePosition:
-        d = (p.x - self.center.x) ** 2 + (p.y - self.center.y) ** 2
-        if d < self.radius_sq:
-            return CirclePosition.INSIDE
-        if d == self.radius_sq:
-            return CirclePosition.ON
-        return CirclePosition.OUTSIDE
+        px, py, pw = _hom(p)
+        cx, cy, cw = _hom(self.center)
+        dx = px * cw - cx * pw  # W_p W_c (p - center)
+        dy = py * cw - cy * pw
+        r = self.radius_sq
+        return _CIRCLE_POSITIONS[
+            _sign(r.numerator * (pw * cw) ** 2 - (dx * dx + dy * dy) * r.denominator)
+        ]
 
 
 def circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
@@ -139,51 +238,41 @@ def circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
 
     Raises CollinearInput when no finite circle exists.
     """
-    d = 2 * _cross(a, b, c)
-    if d == 0:
+    ax, ay, aw = _hom(a)
+    bx, by, bw = _hom(b)
+    cx, cy, cw = _hom(c)
+    # B = W_a W_b (b - a) and C = W_a W_c (c - a); k = B x C has the sign of the turn.
+    bdx = bx * aw - ax * bw
+    bdy = by * aw - ay * bw
+    cdx = cx * aw - ax * cw
+    cdy = cy * aw - ay * cw
+    k = bdx * cdy - bdy * cdx
+    if k == 0:
         raise CollinearInput(f"no circumcircle through collinear {a}, {b}, {c}")
-    sa = a.x * a.x + a.y * a.y
-    sb = b.x * b.x + b.y * b.y
-    sc = c.x * c.x + c.y * c.y
-    ux = (sa * (b.y - c.y) + sb * (c.y - a.y) + sc * (a.y - b.y)) / d
-    uy = (sa * (c.x - b.x) + sb * (a.x - c.x) + sc * (b.x - a.x)) / d
-    center = Point(ux, uy)
-    radius_sq = (a.x - ux) ** 2 + (a.y - uy) ** 2
-    return CircumCircle(center, radius_sq)
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    # center - a = (nx, ny) / (2 W_a W_b W_c k)
+    nx = cw * cdy * blift - bw * bdy * clift
+    ny = bw * bdx * clift - cw * cdx * blift
+    e = 2 * bw * cw * k
+    den = aw * e
+    center = Point(Fraction(ax * e + nx, den), Fraction(ay * e + ny, den))
+    return CircumCircle(center, Fraction(nx * nx + ny * ny, den * den))
 
 
 def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
     """Exact position of d relative to the circle through the CCW triple a, b, c."""
     if orientation(a, b, c) is not Orientation.CCW:
         raise NotCCW(f"defining triple {a}, {b}, {c} is not counterclockwise")
-    adx = a.x - d.x
-    ady = a.y - d.y
-    bdx = b.x - d.x
-    bdy = b.y - d.y
-    cdx = c.x - d.x
-    cdy = c.y - d.y
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    det = (
-        alift * (bdx * cdy - bdy * cdx)
-        - blift * (adx * cdy - ady * cdx)
-        + clift * (adx * bdy - ady * bdx)
-    )
-    if det > 0:
-        return CirclePosition.INSIDE
-    if det < 0:
-        return CirclePosition.OUTSIDE
-    return CirclePosition.ON
+    return _CIRCLE_POSITIONS[_sign(_incircle_det(_hom(a), _hom(b), _hom(c), _hom(d)))]
 
 
 def _on_segment(p: Point, a: Point, b: Point) -> bool:
     """True when p lies on the closed segment ab (a != b)."""
-    if _cross(a, b, p) != 0:
-        return False
-    lo_x, hi_x = (a.x, b.x) if a.x <= b.x else (b.x, a.x)
-    lo_y, hi_y = (a.y, b.y) if a.y <= b.y else (b.y, a.y)
-    return lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y
+    hp = _hom(p)
+    ha = _hom(a)
+    hb = _hom(b)
+    return _det3(ha, hb, hp) == 0 and _between(hp, ha, hb)
 
 
 SegmentIntersection = Union[None, Point, Segment]
@@ -195,14 +284,13 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
     Returns None when disjoint, the Point of a single-point contact, or the
     Segment of a positive-length collinear overlap.
     """
-    r_x = s.b.x - s.a.x
-    r_y = s.b.y - s.a.y
-    q_x = t.b.x - t.a.x
-    q_y = t.b.y - t.a.y
-    denom = r_x * q_y - r_y * q_x
-    if denom == 0:
-        if _cross(s.a, s.b, t.a) != 0:
-            return None  # parallel, different carrier lines
+    sa = _hom(s.a)
+    sb = _hom(s.b)
+    ta = _hom(t.a)
+    tb = _hom(t.b)
+    d1 = _det3(sa, sb, ta)
+    d2 = _det3(sa, sb, tb)
+    if d1 == 0 and d2 == 0:
         # Collinear: overlap interval along the dominant axis.
         pts = sorted([s.a, s.b], key=Point.key)
         qts = sorted([t.a, t.b], key=Point.key)
@@ -213,13 +301,23 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
         if lo == hi:
             return lo
         return Segment(lo, hi)
-    w_x = t.a.x - s.a.x
-    w_y = t.a.y - s.a.y
-    t_par = (w_x * q_y - w_y * q_x) / denom
-    u_par = (w_x * r_y - w_y * r_x) / denom
-    if 0 <= t_par <= 1 and 0 <= u_par <= 1:
-        return Point(s.a.x + t_par * r_x, s.a.y + t_par * r_y)
-    return None
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+        return None  # t strictly on one side of s's carrier line
+    d3 = _det3(ta, tb, sa)
+    d4 = _det3(ta, tb, sb)
+    if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+        return None
+    # The carrier lines meet in one point; an endpoint on the other
+    # segment's line is that point.
+    if d1 == 0:
+        return t.a
+    if d2 == 0:
+        return t.b
+    if d3 == 0:
+        return s.a
+    if d4 == 0:
+        return s.b
+    return _line_point(d3, d4, sa, sb)
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,20 +333,21 @@ class Polygon:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        verts = _normalize_ring(tuple(self.vertices))
+        verts, homs = _normalize_ring(tuple(self.vertices))
         if len(verts) < 3:
             raise CollinearInput("polygon degenerates to fewer than 3 vertices")
         object.__setattr__(self, "vertices", verts)
-        if _signed_area2(verts) <= 0:
+        if _area2(homs)[0] <= 0:
             raise ValueError("polygon boundary must be counterclockwise")
-        _check_simple(verts)
+        _check_simple(verts, homs)
 
     def edges(self) -> list[Segment]:
         v = self.vertices
         return [Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def area(self) -> Fraction:
-        return _signed_area2(self.vertices) / 2
+        num, den = _area2([_hom(v) for v in self.vertices])
+        return Fraction(num, 2 * den)
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         xs = [p.x for p in self.vertices]
@@ -259,49 +358,56 @@ class Polygon:
         return "[" + ", ".join(str(p) for p in self.vertices) + "]"
 
 
-def _signed_area2(verts: tuple[Point, ...]) -> Fraction:
-    """Twice the signed area of the closed ring."""
-    total = Fraction(0)
-    n = len(verts)
+def _area2(homs: list[Homogeneous]) -> tuple[int, int]:
+    """Twice the signed area of the closed ring, as an integer numerator
+    over a positive integer denominator (the squared lcm of the weights)."""
+    den = lcm(*(w for _, _, w in homs))
+    total = 0
+    n = len(homs)
     for i in range(n):
-        p = verts[i]
-        q = verts[(i + 1) % n]
-        total += p.x * q.y - q.x * p.y
-    return total
+        px, py, pw = homs[i]
+        qx, qy, qw = homs[(i + 1) % n]
+        total += (px * qy - qx * py) * (den // pw) * (den // qw)
+    return total, den * den
 
 
-def _normalize_ring(verts: tuple[Point, ...]) -> tuple[Point, ...]:
+def _normalize_ring(
+    verts: tuple[Point, ...],
+) -> tuple[tuple[Point, ...], list[Homogeneous]]:
+    """The ring without duplicate or collinear vertices, rotated to start at
+    its smallest vertex, and the homogeneous form of each vertex."""
     vs = list(verts)
+    hs = [_hom(v) for v in vs]
     changed = True
     while changed and len(vs) >= 3:
         changed = False
         for i in range(len(vs)):
-            prev = vs[i - 1]
-            cur = vs[i]
-            nxt = vs[(i + 1) % len(vs)]
-            if cur == prev or _cross(prev, cur, nxt) == 0:
+            prev = hs[i - 1]
+            cur = hs[i]
+            if cur == prev or _det3(prev, cur, hs[(i + 1) % len(hs)]) == 0:
                 del vs[i]
+                del hs[i]
                 changed = True
                 break
     if len(vs) < 3:
-        return tuple(vs)
+        return tuple(vs), hs
     start = min(range(len(vs)), key=lambda i: vs[i].key())
-    return tuple(vs[start:] + vs[:start])
+    return tuple(vs[start:] + vs[:start]), hs[start:] + hs[:start]
 
 
-def _ring_is_strictly_convex(verts: tuple[Point, ...]) -> bool:
+def _ring_is_strictly_convex(homs: list[Homogeneous]) -> bool:
     """Strictly convex rings are simple; lets validation skip the O(n^2)
     self-intersection scan for the common case.
 
     Requires every turn strictly CCW and the edge direction to wrap the
     full circle exactly once (rules out doubly-wound star rings).
     """
-    n = len(verts)
+    n = len(homs)
     dirs = []
     for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        dirs.append((b.x - a.x, b.y - a.y))
+        ax, ay, aw = homs[i]
+        bx, by, bw = homs[(i + 1) % n]
+        dirs.append((bx * aw - ax * bw, by * aw - ay * bw))  # W_a W_b (b - a)
     wraps = 0
     for i in range(n):
         dx1, dy1 = dirs[i]
@@ -315,8 +421,8 @@ def _ring_is_strictly_convex(verts: tuple[Point, ...]) -> bool:
     return wraps == 1
 
 
-def _check_simple(verts: tuple[Point, ...]) -> None:
-    if _ring_is_strictly_convex(verts):
+def _check_simple(verts: tuple[Point, ...], homs: list[Homogeneous]) -> None:
+    if _ring_is_strictly_convex(homs):
         return
     n = len(verts)
     edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
@@ -337,10 +443,10 @@ def _check_simple(verts: tuple[Point, ...]) -> None:
 
 def is_convex_polygon(p: Polygon) -> bool:
     """True when no boundary turn is clockwise (no reflex vertex)."""
-    v = p.vertices
-    n = len(v)
+    hs = [_hom(v) for v in p.vertices]
+    n = len(hs)
     for i in range(n):
-        if _cross(v[i], v[(i + 1) % n], v[(i + 2) % n]) < 0:
+        if _det3(hs[i], hs[(i + 1) % n], hs[(i + 2) % n]) < 0:
             return False
     return True
 
@@ -354,20 +460,20 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     pts = sorted(set(points), key=Point.key)
     if len(pts) <= 2:
         return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
+    hs = [_hom(p) for p in pts]
+
+    def chain(order: Iterable[int]) -> list[int]:
+        out: list[int] = []
+        for i in order:
+            while len(out) >= 2 and _det3(hs[out[-2]], hs[out[-1]], hs[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    hull = chain(range(len(pts)))[:-1] + chain(reversed(range(len(pts))))[:-1]
     if len(hull) < 3:  # all input points collinear
         return [pts[0], pts[-1]]
-    return hull
+    return [pts[i] for i in hull]
 
 
 def locate_point(p: Point, g: Union[Segment, Polygon]) -> PointLocation:
@@ -382,20 +488,21 @@ def locate_point(p: Point, g: Union[Segment, Polygon]) -> PointLocation:
         if _on_segment(p, g.a, g.b):
             return PointLocation.INTERIOR
         return PointLocation.EXTERIOR
-    verts = g.vertices
-    n = len(verts)
+    hp = _hom(p)
+    py, pw = hp[1], hp[2]
+    hs = [_hom(v) for v in g.vertices]
+    above = [y * pw > py * w for _, y, w in hs]  # vertex strictly above p
+    n = len(hs)
     inside = False
     for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        if _on_segment(p, a, b):
+        j = (i + 1) % n
+        side = _det3(hs[i], hs[j], hp)
+        if side == 0 and _between(hp, hs[i], hs[j]):
             return PointLocation.BOUNDARY
-        if (a.y > p.y) != (b.y > p.y):
-            # Edge crosses the horizontal through p; exact side test,
-            # normalized so the edge points upward.
-            side = _cross(a, b, p) if a.y < b.y else _cross(b, a, p)
-            if side > 0:
-                inside = not inside
+        # An edge crossing the horizontal through p toggles when p lies
+        # left of it, taken with the edge pointing upward.
+        if above[i] != above[j] and (side > 0 if above[j] else side < 0):
+            inside = not inside
     return PointLocation.INTERIOR if inside else PointLocation.EXTERIOR
 
 

@@ -14,8 +14,8 @@ import json
 from fractions import Fraction
 from typing import Union
 
-from .delaunay import ConstraintSet, SiteSet, TriMesh
-from .errors import ParseError
+from .delaunay import ConstraintSet, SiteSet, TriMesh, _orient
+from .errors import GeometryError, NotCCW, ParseError
 from .geometry import Point, Polygon, Rect, Segment
 
 SITES_HEADER = "proxitri-sites 1"
@@ -193,10 +193,24 @@ def document_for_mesh(mesh: TriMesh, locally_delaunay: dict) -> dict:
 
 
 def mesh_from_document(model: dict) -> TriMesh:
+    """Rebuild a mesh, rejecting triangles that name a missing site
+    (IndexOutOfRange), do not turn counterclockwise (NotCCW), or repeat a
+    directed edge (GeometryError)."""
     sites = SiteSet(
         tuple(Point(Fraction(x), Fraction(y)) for x, y in model["sites"])
     )
     triangles = tuple(tuple(t) for t in model.get("triangles", []))
+    directed: set[tuple[int, int]] = set()
+    for t, tri in enumerate(triangles):
+        for i in tri:
+            sites.check_index(i)
+        i, j, k = tri
+        if _orient(sites.scaled, sites.weights, i, j, k) <= 0:
+            raise NotCCW(f"triangle {t} ({i}, {j}, {k}) is not counterclockwise")
+        for edge in ((i, j), (j, k), (k, i)):
+            if edge in directed:
+                raise GeometryError(f"directed edge {edge[0]}->{edge[1]} appears twice")
+            directed.add(edge)
     constrained = frozenset(
         (e["a"], e["b"]) if e["a"] < e["b"] else (e["b"], e["a"])
         for e in model.get("edges", [])

@@ -27,7 +27,8 @@ from .geometry import (
     Polygon,
     Rect,
     Segment,
-    distance_sq,
+    _hom,
+    _line_point,
     locate_point,
     segment_intersection,
 )
@@ -256,25 +257,27 @@ def voronoi_diagram(sites: SiteSet, frame: Optional[Rect] = None) -> VoronoiDiag
 
 
 def _polygon_line_slice(
-    poly: Polygon, fa: Fraction, fb: Fraction, fc: Fraction
+    poly: Polygon, fa: int, fb: int, fc: int
 ) -> Optional[tuple[Point, Point]]:
-    """Intersection of a convex polygon with the line fa*x + fb*y + fc = 0.
+    """Intersection of a convex polygon with the line fa*x + fb*y + fc = 0
+    (integer coefficients).
 
     Returns the extreme contact points ordered along the line (equal for a
     single-point touch), or None when the line misses the polygon.
     """
     verts = poly.vertices
     n = len(verts)
-    vals = [fa * v.x + fb * v.y + fc for v in verts]
+    homs = [_hom(v) for v in verts]
+    # W times the line's value at each vertex: the same sign.
+    vals = [fa * x + fb * y + fc * w for x, y, w in homs]
     hits: list[Point] = []
     for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        va, vb = vals[i], vals[(i + 1) % n]
+        j = (i + 1) % n
+        va, vb = vals[i], vals[j]
         if va == 0:
-            hits.append(a)
+            hits.append(verts[i])
         if (va > 0 > vb) or (va < 0 < vb):
-            t = va / (va - vb)
-            hits.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+            hits.append(_line_point(va, vb, homs[i], homs[j]))
     if not hits:
         return None
     lo = min(hits, key=Point.key)
@@ -290,12 +293,13 @@ def closed_cell_intersection(diagram: VoronoiDiagram, p: int, q: int):
     by that line and overlapping the two slices gives the answer in linear
     time. Returns None, a Point, or a Segment.
     """
-    sp = diagram.sites[p]
-    sq = diagram.sites[q]
-    # Bisector: 2(q - p) . x = |q|^2 - |p|^2
-    fa = 2 * (sq.x - sp.x)
-    fb = 2 * (sq.y - sp.y)
-    fc = sp.x * sp.x + sp.y * sp.y - sq.x * sq.x - sq.y * sq.y
+    sites = diagram.sites
+    (px, py), pw = sites.scaled[p], sites.weights[p]
+    (qx, qy), qw = sites.scaled[q], sites.weights[q]
+    # Bisector 2(q - p) . x = |q|^2 - |p|^2, times W_p^2 W_q^2.
+    fa = 2 * pw * qw * (qx * pw - px * qw)
+    fb = 2 * pw * qw * (qy * pw - py * qw)
+    fc = (px * px + py * py) * qw * qw - (qx * qx + qy * qy) * pw * pw
     sl_p = _polygon_line_slice(diagram.cells[p].polygon, fa, fb, fc)
     if sl_p is None:
         return None
@@ -351,13 +355,34 @@ def common_vertex(diagram: VoronoiDiagram, p: int, q: int, r: int) -> Optional[P
             f"cells {p}, {q}, {r} share more than a point: {result}"
         )
     u = result
-    d_min = distance_sq(u, diagram.sites[p])
-    tied = sum(1 for s in diagram.sites.points if distance_sq(u, s) == d_min)
+    tied = _equidistant_sites(diagram.sites, u, p)
     if tied > 3:
         raise DegenerateIntersection(
             f"{tied} cocircular cells meet at {u}; no three-cell vertex"
         )
     return u
+
+
+def _equidistant_sites(sites: SiteSet, u: Point, p: int) -> int:
+    """Number of sites exactly as far from u as site p.
+
+    Site i is at squared distance d_i = N_i / (W_u^2 W_i^2) with the integer
+    N_i = |W_u (X_i, Y_i) - W_i (X_u, Y_u)|^2, so d_i = d_p exactly when
+    N_i W_p^2 = N_p W_i^2.
+    """
+    ux, uy, uw = _hom(u)
+
+    def scaled_dist(i: int) -> int:
+        (x, y), w = sites.scaled[i], sites.weights[i]
+        dx = x * uw - ux * w
+        dy = y * uw - uy * w
+        return dx * dx + dy * dy
+
+    n_p = scaled_dist(p)
+    w_p2 = sites.weights[p] ** 2
+    return sum(
+        1 for i, w in enumerate(sites.weights) if scaled_dist(i) * w_p2 == n_p * w * w
+    )
 
 
 def _segment_polygon_closed(seg: Segment, poly: Polygon):

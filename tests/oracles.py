@@ -5,7 +5,8 @@ verifies: circumcenters come from a linear solve rather than an in-circle
 determinant, cells come from half-plane clipping rather than the Delaunay
 dual walk, cell edge owners from distance matching rather than fan
 spokes, and visibility from parametric intersection rather than
-point-location classification.
+point-location classification. The fraction_* references are the plain
+Fraction formulas that geometry's integer sign kernel replaces.
 """
 
 from __future__ import annotations
@@ -15,7 +16,17 @@ from itertools import combinations
 from math import lcm
 
 from proxitri.delaunay import ConstraintSet, SiteSet
-from proxitri.geometry import Point, Polygon, Rect, distance_sq
+from proxitri.errors import CollinearInput, NotCCW
+from proxitri.geometry import (
+    CircumCircle,
+    CirclePosition,
+    Orientation,
+    Point,
+    Polygon,
+    Rect,
+    Segment,
+    distance_sq,
+)
 from proxitri.voronoi import CellEdge
 
 
@@ -61,6 +72,95 @@ def brute_delaunay_triangles(sites: SiteSet) -> set[tuple[int, int, int]]:
             tri = (i, j, k) if turn > 0 else (i, k, j)
             out.add(tri)
     return out
+
+
+def _fraction_cross(o: Point, a: Point, b: Point) -> Fraction:
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def fraction_orientation(a: Point, b: Point, c: Point) -> Orientation:
+    d = _fraction_cross(a, b, c)
+    if d > 0:
+        return Orientation.CCW
+    if d < 0:
+        return Orientation.CW
+    return Orientation.COLLINEAR
+
+
+def fraction_circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
+    d = 2 * _fraction_cross(a, b, c)
+    if d == 0:
+        raise CollinearInput("collinear")
+    sa = a.x * a.x + a.y * a.y
+    sb = b.x * b.x + b.y * b.y
+    sc = c.x * c.x + c.y * c.y
+    ux = (sa * (b.y - c.y) + sb * (c.y - a.y) + sc * (a.y - b.y)) / d
+    uy = (sa * (c.x - b.x) + sb * (a.x - c.x) + sc * (b.x - a.x)) / d
+    return CircumCircle(Point(ux, uy), (a.x - ux) ** 2 + (a.y - uy) ** 2)
+
+
+def fraction_in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
+    if fraction_orientation(a, b, c) is not Orientation.CCW:
+        raise NotCCW("not counterclockwise")
+    adx, ady = a.x - d.x, a.y - d.y
+    bdx, bdy = b.x - d.x, b.y - d.y
+    cdx, cdy = c.x - d.x, c.y - d.y
+    det = (
+        (adx * adx + ady * ady) * (bdx * cdy - bdy * cdx)
+        - (bdx * bdx + bdy * bdy) * (adx * cdy - ady * cdx)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - ady * bdx)
+    )
+    if det > 0:
+        return CirclePosition.INSIDE
+    if det < 0:
+        return CirclePosition.OUTSIDE
+    return CirclePosition.ON
+
+
+def fraction_segment_intersection(s: Segment, t: Segment):
+    """None, the Point of a single contact, or the Segment of an overlap,
+    from the parametric solve of the two carrier lines."""
+    r_x, r_y = s.b.x - s.a.x, s.b.y - s.a.y
+    q_x, q_y = t.b.x - t.a.x, t.b.y - t.a.y
+    denom = r_x * q_y - r_y * q_x
+    if denom == 0:
+        if _fraction_cross(s.a, s.b, t.a) != 0:
+            return None
+        pts = sorted([s.a, s.b], key=Point.key)
+        qts = sorted([t.a, t.b], key=Point.key)
+        lo = max(pts[0], qts[0], key=Point.key)
+        hi = min(pts[1], qts[1], key=Point.key)
+        if lo.key() > hi.key():
+            return None
+        if lo == hi:
+            return lo
+        return Segment(lo, hi)
+    w_x, w_y = t.a.x - s.a.x, t.a.y - s.a.y
+    t_par = (w_x * q_y - w_y * q_x) / denom
+    u_par = (w_x * r_y - w_y * r_x) / denom
+    if 0 <= t_par <= 1 and 0 <= u_par <= 1:
+        return Point(s.a.x + t_par * r_x, s.a.y + t_par * r_y)
+    return None
+
+
+def fraction_line_slice(poly: Polygon, fa, fb, fc):
+    """Extreme points of a convex polygon on the line fa*x + fb*y + fc = 0,
+    ordered along the line, or None when the line misses it."""
+    verts = poly.vertices
+    n = len(verts)
+    vals = [fa * v.x + fb * v.y + fc for v in verts]
+    hits = []
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        va, vb = vals[i], vals[(i + 1) % n]
+        if va == 0:
+            hits.append(a)
+        if (va > 0 > vb) or (va < 0 < vb):
+            t = va / (va - vb)
+            hits.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    if not hits:
+        return None
+    return (min(hits, key=Point.key), max(hits, key=Point.key))
 
 
 def mesh_triangle_set(mesh) -> set[tuple[int, int, int]]:

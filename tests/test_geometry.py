@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxitri.errors import CollinearInput, NonConvexInput, NotCCW
@@ -13,6 +14,7 @@ from proxitri.geometry import (
     Polygon,
     Segment,
     circumcircle,
+    collinear,
     convex_closed_intersection,
     convex_hull,
     convex_polygon_intersection,
@@ -24,7 +26,16 @@ from proxitri.geometry import (
     segment_intersection,
 )
 
-from oracles import clip_convex_intersection
+from proxitri.voronoi import _polygon_line_slice
+
+from oracles import (
+    clip_convex_intersection,
+    fraction_circumcircle,
+    fraction_in_circumcircle,
+    fraction_line_slice,
+    fraction_orientation,
+    fraction_segment_intersection,
+)
 
 coords = st.fractions(
     min_value=-20, max_value=20, max_denominator=8
@@ -278,3 +289,171 @@ class TestLocatePoint:
         if locate_point(x, seg) is PointLocation.INTERIOR:
             assert x not in (a, b)
             assert orientation(a, b, x) is Orientation.COLLINEAR
+
+
+# Rationals whose denominators differ from coordinate to coordinate, so the
+# homogeneous weight of a point is usually the product of two denominators.
+mixed = st.fractions(min_value=-30, max_value=30, max_denominator=60)
+mixed_points = st.builds(Point, mixed, mixed)
+
+
+@st.composite
+def points_on_a_line(draw, count: int) -> list[Point]:
+    """`count` distinct points a + t*d on one line."""
+    a = draw(mixed_points)
+    d = draw(mixed_points.filter(lambda p: p != Point(0, 0)))
+    ts = draw(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=12),
+            min_size=count,
+            max_size=count,
+            unique=True,
+        )
+    )
+    return [Point(a.x + t * d.x, a.y + t * d.y) for t in ts]
+
+
+@st.composite
+def triples(draw) -> tuple[Point, Point, Point]:
+    if draw(st.booleans()):
+        a, b, c = draw(points_on_a_line(3))
+    else:
+        a, b, c = draw(st.tuples(mixed_points, mixed_points, mixed_points))
+    return a, b, c
+
+
+@st.composite
+def cocircular_quadruple(draw) -> list[Point]:
+    """Four distinct points exactly on one circle (stereographic form)."""
+    cx, cy = draw(mixed), draw(mixed)
+    r = draw(st.fractions(min_value=Fraction(1, 10), max_value=30, max_denominator=60))
+    ts = draw(
+        st.lists(
+            st.fractions(min_value=-12, max_value=12, max_denominator=40),
+            min_size=4,
+            max_size=4,
+            unique=True,
+        )
+    )
+    return [Point(cx + r * (1 - t * t) / (1 + t * t), cy + 2 * r * t / (1 + t * t)) for t in ts]
+
+
+@st.composite
+def segment_pairs(draw) -> tuple[Segment, Segment]:
+    kind = draw(st.sampled_from(("random", "collinear", "touch", "parallel")))
+    if kind == "random":
+        a, b, c, d = draw(st.lists(mixed_points, min_size=4, max_size=4, unique=True))
+        s, t = Segment(a, b), Segment(c, d)
+    elif kind == "collinear":
+        # Overlap, containment, end-to-end touch or disjoint on one line.
+        pts = draw(points_on_a_line(4))
+        i, j = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+        s, t = Segment(pts[0], pts[1]), Segment(pts[i], pts[j])
+    elif kind == "touch":
+        # t starts on s: at an endpoint or inside it.
+        a, b, c = draw(st.lists(mixed_points, min_size=3, max_size=3, unique=True))
+        u = draw(st.sampled_from((Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7))))
+        x = Point(a.x + u * (b.x - a.x), a.y + u * (b.y - a.y))
+        if c == x:
+            c = Point(c.x + 1, c.y)
+        s, t = Segment(a, b), Segment(x, c)
+    else:
+        a, b, c, d = draw(points_on_a_line(4))
+        off = draw(mixed_points.filter(lambda p: p != Point(0, 0)))
+        s = Segment(a, b)
+        t = Segment(Point(c.x + off.x, c.y + off.y), Point(d.x + off.x, d.y + off.y))
+    if draw(st.booleans()):
+        t = t.reversed()
+    if draw(st.booleans()):
+        s, t = t, s
+    return s, t
+
+
+@st.composite
+def polygon_and_line(draw) -> tuple[Polygon, int, int, int]:
+    """A convex polygon and integer coefficients of a line fa*x + fb*y + fc = 0
+    that misses it, crosses it, passes through a vertex or carries an edge."""
+    hull = convex_hull(draw(st.lists(mixed_points, min_size=3, max_size=8)))
+    assume(len(hull) >= 3)
+    poly = Polygon(tuple(hull))
+    verts = poly.vertices
+    kind = draw(st.sampled_from(("random", "vertex", "edge")))
+    if kind == "random":
+        fa, fb, fc = (draw(st.integers(-60, 60)) for _ in range(3))
+        assume(fa or fb)
+        return poly, fa, fb, fc
+    i = draw(st.integers(0, len(verts) - 1))
+    a = verts[i]
+    if kind == "vertex":
+        fa, fb = Fraction(draw(st.integers(-9, 9))), Fraction(draw(st.integers(-9, 9)))
+        assume(fa or fb)
+    else:
+        b = verts[(i + 1) % len(verts)]
+        fa, fb = b.y - a.y, a.x - b.x
+    fc = -(fa * a.x + fb * a.y)
+    scale = lcm(fa.denominator, fb.denominator, fc.denominator)
+    return poly, int(fa * scale), int(fb * scale), int(fc * scale)
+
+
+class TestIntegerKernel:
+    """The integer predicates agree with the plain Fraction formulas."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(triples())
+    def test_orientation_matches_reference(self, abc):
+        a, b, c = abc
+        expected = fraction_orientation(a, b, c)
+        assert orientation(a, b, c) is expected
+        assert collinear(a, b, c) == (expected is Orientation.COLLINEAR)
+
+    @settings(max_examples=200, deadline=None)
+    @given(triples())
+    def test_circumcircle_matches_reference(self, abc):
+        a, b, c = abc
+        if fraction_orientation(a, b, c) is Orientation.COLLINEAR:
+            with pytest.raises(CollinearInput):
+                circumcircle(a, b, c)
+            return
+        assert circumcircle(a, b, c) == fraction_circumcircle(a, b, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(mixed_points, min_size=4, max_size=4, unique=True),
+            cocircular_quadruple(),
+        ),
+        st.permutations(range(4)),
+    )
+    def test_in_circumcircle_matches_reference(self, pts, order):
+        a, b, c, d = (pts[i] for i in order)
+        if fraction_orientation(a, b, c) is not Orientation.CCW:
+            with pytest.raises(NotCCW):
+                in_circumcircle(a, b, c, d)
+            return
+        assert in_circumcircle(a, b, c, d) is fraction_in_circumcircle(a, b, c, d)
+        assert circumcircle(a, b, c).position_of(d) is fraction_in_circumcircle(a, b, c, d)
+
+    def test_cocircular_mixed_denominators_are_on(self):
+        # (3/5, 4/5), (5/13, 12/13), (-8/17, 15/17) and (-7/25, -24/25) lie on
+        # the unit circle, and every coordinate pair has unrelated denominators.
+        a, b, c, d = P("3/5", "4/5"), P("5/13", "12/13"), P("-8/17", "15/17"), P("-7/25", "-24/25")
+        assert in_circumcircle(a, b, c, d) is CirclePosition.ON
+        assert in_circumcircle(a, b, c, P("-7/25", "-23/25")) is CirclePosition.INSIDE
+
+    @settings(max_examples=300, deadline=None)
+    @given(segment_pairs())
+    def test_segment_intersection_matches_reference(self, st_pair):
+        s, t = st_pair
+        assert segment_intersection(s, t) == fraction_segment_intersection(s, t)
+
+    def test_touch_returns_the_touching_endpoint(self):
+        s = Segment(P("1/3", "1/7"), P("7/3", "15/7"))
+        assert segment_intersection(s, Segment(P("4/3", "8/7"), P(5, -1))) == P("4/3", "8/7")
+        assert segment_intersection(s, Segment(P(5, -1), P("7/3", "15/7"))) == P("7/3", "15/7")
+        assert segment_intersection(Segment(P(0, 2), P(4, 0)), s) == P("92/63", "80/63")
+
+    @settings(max_examples=200, deadline=None)
+    @given(polygon_and_line())
+    def test_line_slice_matches_reference(self, case):
+        poly, fa, fb, fc = case
+        assert _polygon_line_slice(poly, fa, fb, fc) == fraction_line_slice(poly, fa, fb, fc)

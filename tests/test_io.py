@@ -5,7 +5,7 @@ import pytest
 
 from proxitri.checks import _check_lemma2, _check_regions
 from proxitri.delaunay import SiteSet, TriMesh, is_locally_delaunay, triangulate
-from proxitri.errors import ParseError
+from proxitri.errors import GeometryError, IndexOutOfRange, NotCCW, ParseError
 from proxitri.generate import generate_sites
 from proxitri.geometry import Point, Polygon, Segment, distance_sq
 from proxitri.io import (
@@ -147,6 +147,29 @@ class TestDocuments:
         assert rebuilt == mesh
         assert rebuilt.is_constrained(1, 3)
 
+    def test_out_of_range_site_index_rejected(self):
+        _, model = self.build_model()
+        model["triangles"][0] = [0, 1, 4]
+        with pytest.raises(IndexOutOfRange):
+            mesh_from_document(model)
+        model["triangles"][0] = [-1, 0, 1]
+        with pytest.raises(IndexOutOfRange):
+            mesh_from_document(model)
+
+    def test_clockwise_triangle_rejected(self):
+        _, model = self.build_model()
+        i, j, k = model["triangles"][0]
+        model["triangles"][0] = [i, k, j]
+        with pytest.raises(NotCCW):
+            mesh_from_document(parse_document(render_document(model)))
+
+    def test_repeated_directed_edge_rejected(self):
+        _, model = self.build_model()
+        # Both triangles turn counterclockwise but overlap along 0->1.
+        model["triangles"] = [[0, 1, 2], [0, 1, 3]]
+        with pytest.raises(GeometryError, match="appears twice"):
+            mesh_from_document(model)
+
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ParseError):
             parse_document('{"schema": "other/9"}')
@@ -185,6 +208,21 @@ class TestCheckWitnesses:
         results, _ = _check_regions(fan_mesh)
         cover = [r for r in results if r.name == "regions/cover"]
         assert cover[0].status == "fail" and cover[0].witness == "missing-1,2"
+        self.round_trip(results)
+
+    @pytest.mark.parametrize(
+        ("kept", "witness"),
+        [({0}, "region-0:not-maximal:misses-1"), ({1, 2}, "region-0:not-maximal:misses-0")],
+    )
+    def test_regions_maximality_failure(self, fan_mesh, monkeypatch, kept, witness):
+        # the fan's three triangles share edges pairwise, so any smaller
+        # region misses a triangle; the witness names the lowest one
+        monkeypatch.setattr(
+            "proxitri.checks.extract_regions", lambda mesh: [Region(mesh, kept)]
+        )
+        results, _ = _check_regions(fan_mesh)
+        maximal = [r for r in results if r.name == "regions/maximal-cliques"]
+        assert maximal[0].status == "fail" and maximal[0].witness == witness
         self.round_trip(results)
 
     @pytest.mark.parametrize(

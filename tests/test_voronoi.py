@@ -132,6 +132,18 @@ class TestCommonVertex:
             with pytest.raises(DegenerateIntersection):
                 common_vertex(diagram, *trio)
 
+    def test_cocircular_mixed_denominators_degenerate(self):
+        # four points of the unit circle, each with its own denominator, plus
+        # one outside site: the cells of the four meet at the origin
+        diagram = voronoi_diagram(
+            sites_of(("3/5", "4/5"), ("5/13", "12/13"), ("-8/17", "15/17"), ("-7/25", "-24/25"), (3, 3))
+        )
+        on_circle = [tri for tri in diagram.mesh.triangles if 4 not in tri]
+        assert on_circle
+        for trio in on_circle:
+            with pytest.raises(DegenerateIntersection):
+                common_vertex(diagram, *trio)
+
     def test_distinct_indices_required(self, fan_sites):
         diagram = voronoi_diagram(fan_sites)
         with pytest.raises(IndexOutOfRange):
