@@ -333,20 +333,20 @@ class Polygon:
     vertices: tuple[Point, ...]
 
     def __post_init__(self):
-        verts, homs = _normalize_ring(tuple(self.vertices))
+        verts = _normalize_ring(tuple(self.vertices))
         if len(verts) < 3:
             raise CollinearInput("polygon degenerates to fewer than 3 vertices")
         object.__setattr__(self, "vertices", verts)
-        if _area2(homs)[0] <= 0:
+        if _area2(verts)[0] <= 0:
             raise ValueError("polygon boundary must be counterclockwise")
-        _check_simple(verts, homs)
+        _check_simple(verts)
 
     def edges(self) -> list[Segment]:
         v = self.vertices
         return [Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def area(self) -> Fraction:
-        num, den = _area2([_hom(v) for v in self.vertices])
+        num, den = _area2(self.vertices)
         return Fraction(num, 2 * den)
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -358,9 +358,10 @@ class Polygon:
         return "[" + ", ".join(str(p) for p in self.vertices) + "]"
 
 
-def _area2(homs: list[Homogeneous]) -> tuple[int, int]:
+def _area2(verts: tuple[Point, ...]) -> tuple[int, int]:
     """Twice the signed area of the closed ring, as an integer numerator
     over a positive integer denominator (the squared lcm of the weights)."""
+    homs = [_hom(v) for v in verts]
     den = lcm(*(w for _, _, w in homs))
     total = 0
     n = len(homs)
@@ -371,37 +372,33 @@ def _area2(homs: list[Homogeneous]) -> tuple[int, int]:
     return total, den * den
 
 
-def _normalize_ring(
-    verts: tuple[Point, ...],
-) -> tuple[tuple[Point, ...], list[Homogeneous]]:
-    """The ring without duplicate or collinear vertices, rotated to start at
-    its smallest vertex, and the homogeneous form of each vertex."""
+def _normalize_ring(verts: tuple[Point, ...]) -> tuple[Point, ...]:
     vs = list(verts)
-    hs = [_hom(v) for v in vs]
     changed = True
     while changed and len(vs) >= 3:
         changed = False
         for i in range(len(vs)):
-            prev = hs[i - 1]
-            cur = hs[i]
-            if cur == prev or _det3(prev, cur, hs[(i + 1) % len(hs)]) == 0:
+            prev = vs[i - 1]
+            cur = vs[i]
+            nxt = vs[(i + 1) % len(vs)]
+            if cur == prev or _turn(prev, cur, nxt) == 0:
                 del vs[i]
-                del hs[i]
                 changed = True
                 break
     if len(vs) < 3:
-        return tuple(vs), hs
+        return tuple(vs)
     start = min(range(len(vs)), key=lambda i: vs[i].key())
-    return tuple(vs[start:] + vs[:start]), hs[start:] + hs[:start]
+    return tuple(vs[start:] + vs[:start])
 
 
-def _ring_is_strictly_convex(homs: list[Homogeneous]) -> bool:
+def _ring_is_strictly_convex(verts: tuple[Point, ...]) -> bool:
     """Strictly convex rings are simple; lets validation skip the O(n^2)
     self-intersection scan for the common case.
 
     Requires every turn strictly CCW and the edge direction to wrap the
     full circle exactly once (rules out doubly-wound star rings).
     """
+    homs = [_hom(v) for v in verts]
     n = len(homs)
     dirs = []
     for i in range(n):
@@ -421,8 +418,8 @@ def _ring_is_strictly_convex(homs: list[Homogeneous]) -> bool:
     return wraps == 1
 
 
-def _check_simple(verts: tuple[Point, ...], homs: list[Homogeneous]) -> None:
-    if _ring_is_strictly_convex(homs):
+def _check_simple(verts: tuple[Point, ...]) -> None:
+    if _ring_is_strictly_convex(verts):
         return
     n = len(verts)
     edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
@@ -443,10 +440,10 @@ def _check_simple(verts: tuple[Point, ...], homs: list[Homogeneous]) -> None:
 
 def is_convex_polygon(p: Polygon) -> bool:
     """True when no boundary turn is clockwise (no reflex vertex)."""
-    hs = [_hom(v) for v in p.vertices]
-    n = len(hs)
+    v = p.vertices
+    n = len(v)
     for i in range(n):
-        if _det3(hs[i], hs[(i + 1) % n], hs[(i + 2) % n]) < 0:
+        if _turn(v[i], v[(i + 1) % n], v[(i + 2) % n]) < 0:
             return False
     return True
 
@@ -460,20 +457,20 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     pts = sorted(set(points), key=Point.key)
     if len(pts) <= 2:
         return pts
-    hs = [_hom(p) for p in pts]
-
-    def chain(order: Iterable[int]) -> list[int]:
-        out: list[int] = []
-        for i in order:
-            while len(out) >= 2 and _det3(hs[out[-2]], hs[out[-1]], hs[i]) <= 0:
-                out.pop()
-            out.append(i)
-        return out
-
-    hull = chain(range(len(pts)))[:-1] + chain(reversed(range(len(pts))))[:-1]
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and _turn(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _turn(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:  # all input points collinear
         return [pts[0], pts[-1]]
-    return [pts[i] for i in hull]
+    return hull
 
 
 def locate_point(p: Point, g: Union[Segment, Polygon]) -> PointLocation:
