@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .delaunay import SiteSet, TriMesh, adjacency
 from .errors import DegenerateIntersection
-from .geometry import CirclePosition, Point, Rect, in_circumcircle, is_convex_polygon
+from .geometry import CirclePosition, Point, Rect, Segment, in_circumcircle, is_convex_polygon
 from .io import geometry_literal
 from .proximity import near, triangles_near
 from .regions import (
@@ -147,7 +147,7 @@ def _check_dual(diagram: VoronoiDiagram) -> list[CheckResult]:
     for p, q in combinations(range(n), 2):
         in_mesh = mesh.has_edge(p, q)
         contact = closed_cell_intersection(diagram, p, q)
-        strong = cells_strongly_near(diagram, p, q)
+        strong = isinstance(contact, Segment)
         if in_mesh == strong:
             continue
         if isinstance(contact, Point) and _degenerate_point(diagram, contact):

@@ -208,14 +208,16 @@ def cmd_query(args) -> int:
 
     witness = None
     if args.relation == "strong":
-        if kind_a == kind_b == "t":
-            verdict = strongly_near_triangles(mesh, ref_a, ref_b)
-        elif kind_a == kind_b == "v":
-            verdict = cells_strongly_near(diagram, ref_a, ref_b)
-        else:
+        if kind_a != kind_b or kind_a == "e":
             raise UnknownSelector(
                 "strong proximity is defined for triangle or cell pairs only"
             )
+        if ref_a == ref_b:
+            raise UnknownSelector("strong proximity needs two distinct triangles or cells")
+        if kind_a == "t":
+            verdict = strongly_near_triangles(mesh, ref_a, ref_b)
+        else:
+            verdict = cells_strongly_near(diagram, ref_a, ref_b)
         if verdict:
             shared = near(geom_a, geom_b)
             witness = shared.witness

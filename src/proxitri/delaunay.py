@@ -7,10 +7,11 @@ exactly cocircular quadruples are resolved by a symbolic perturbation that
 favors the lower site index, so the produced mesh is canonical and
 identical runs are bit-for-bit reproducible.
 
-The predicates work on integer homogeneous coordinates: site i is
-(X_i, Y_i, W_i) with W_i the lcm of its own two denominators, so operand
-sizes stay those of the individual sites instead of growing with the lcm
-of every denominator in the set.
+The predicates are geometry's determinants on its one integer form of a
+point: site i is the row `_hom(site)` = (X_i, Y_i, W_i), W_i the lcm of
+the site's own two denominators, so operand sizes stay those of the
+individual sites instead of growing with the lcm of every denominator in
+the set.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -40,16 +40,13 @@ from .geometry import (
     Polygon,
     Segment,
     _det3,
+    _hom,
     _incircle_det,
     _sign,
     circumcircle,
     locate_point,
     segment_intersection,
 )
-
-ScaledCoords = tuple[tuple[int, int], ...]
-Weights = tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class SiteSet:
@@ -60,8 +57,6 @@ class SiteSet:
     """
 
     points: tuple[Point, ...]
-    scaled: ScaledCoords = field(init=False, repr=False, compare=False)
-    weights: Weights = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -73,18 +68,12 @@ class SiteSet:
             if p in seen:
                 raise DuplicateSite(f"site {p} appears at #{seen[p]} and #{i}")
             seen[p] = i
-        # Per-site homogeneous integer coordinates: site i is
-        # (scaled[i][0] / weights[i], scaled[i][1] / weights[i]).
-        weights = tuple(lcm(p.x.denominator, p.y.denominator) for p in pts)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(
-            self,
-            "scaled",
-            tuple(
-                (p.x.numerator * (w // p.x.denominator), p.y.numerator * (w // p.y.denominator))
-                for p, w in zip(pts, weights)
-            ),
-        )
+
+    @property
+    def scaled(self) -> tuple[tuple[int, int], ...]:
+        """Each site's integer numerators (X_i, Y_i) over its W_i, read off
+        geometry's homogeneous form."""
+        return tuple(_hom(p)[:2] for p in self.points)
 
     @classmethod
     def of(cls, coords: Iterable[tuple]) -> "SiteSet":
@@ -127,30 +116,8 @@ class ConstraintSet:
         return len(self.segments)
 
 
-
 # ---------------------------------------------------------------------------
-# Integer predicates over per-site homogeneous coordinates: site i is the
-# determinant row (X_i, Y_i, W_i), and the determinants are geometry's.
-# _orient and _incircle read the rows off a SiteSet's scaled coordinates
-# and weights; the construction builds the rows once and calls the
-# determinants directly.
-
-
-def _rows(sites: SiteSet) -> list[Homogeneous]:
-    return [(x, y, w) for (x, y), w in zip(sites.scaled, sites.weights)]
-
-
-def _orient(sc: ScaledCoords, w: Weights, i: int, j: int, k: int) -> int:
-    """Sign of the turn (i, j, k)."""
-    return _sign(_det3((*sc[i], w[i]), (*sc[j], w[j]), (*sc[k], w[k])))
-
-
-def _incircle(sc: ScaledCoords, w: Weights, i: int, j: int, k: int, l: int) -> int:
-    """Sign of the in-circle determinant; positive when site l is strictly
-    inside the circle through the CCW triple (i, j, k)."""
-    return _sign(
-        _incircle_det((*sc[i], w[i]), (*sc[j], w[j]), (*sc[k], w[k]), (*sc[l], w[l]))
-    )
+# Symbolically perturbed in-circle test over the site rows.
 
 
 def _incircle_perturbed(rows: list[Homogeneous], i: int, j: int, k: int, l: int) -> int:
@@ -181,7 +148,7 @@ def _incircle_perturbed(rows: list[Homogeneous], i: int, j: int, k: int, l: int)
 
 class _MeshBuilder:
     def __init__(self, sites: SiteSet):
-        self.rows = _rows(sites)
+        self.rows = [_hom(p) for p in sites.points]
         self.tris: dict[int, tuple[int, int, int]] = {}
         self.edge: dict[tuple[int, int], int] = {}  # directed edge -> tid
         self.constrained: set[tuple[int, int]] = set()
@@ -631,12 +598,13 @@ def is_locally_delaunay(mesh: TriMesh, edge: tuple[int, int]) -> bool:
         return True
     c = mesh.opposite_vertex(i, j)
     d = mesh.opposite_vertex(j, i)
-    sc, w = mesh.sites.scaled, mesh.sites.weights
+    pts = mesh.sites.points
+    hi, hj, hc, hd = (_hom(pts[v]) for v in (i, j, c, d))
     # The in-circle sign is meaningless unless (i, j, c) turns left, which a
     # hand-built or ingested mesh does not guarantee.
-    if _orient(sc, w, i, j, c) <= 0:
+    if _det3(hi, hj, hc) <= 0:
         raise NotCCW(f"triangle {i}, {j}, {c} is not counterclockwise")
-    return _incircle(sc, w, i, j, c, d) <= 0
+    return _incircle_det(hi, hj, hc, hd) <= 0
 
 
 def is_visible(

@@ -4,13 +4,16 @@ Coordinates are arbitrary-precision rationals (`fractions.Fraction`).
 Floats are rejected at the boundary so binary rounding error can never
 leak into a construction.
 
-Every sign test is decided on integers, with no tolerance anywhere. A
-point x/d_x, y/d_y is taken in homogeneous form (X, Y, W) with W > 0,
-and each predicate is a determinant whose rows are scaled by positive
-weights, which leaves its sign unchanged. The orientation and in-circle
-determinants here are the ones the Delaunay construction uses as well.
-Fractions are built only for constructed points (segment crossings,
-circumcenters), with one division per coordinate.
+Every sign test is decided on integers, with no tolerance anywhere. This
+module owns the one integer form of a point: `_hom` reads x/d_x, y/d_y
+as homogeneous (X, Y, W) with W = lcm(d_x, d_y) > 0, cached on the Point.
+Each predicate is a determinant whose rows are scaled by positive
+weights, which leaves its sign unchanged; the Delaunay construction uses
+the same orientation and in-circle determinants on the same rows. A line
+is an integer triple (a, b, c) whose value at (X, Y, W) is aX + bY + cW,
+W times the affine value, so it has the same sign. Fractions are built
+only for constructed points (segment crossings, circumcenters, line
+slices), with one division per coordinate.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CollinearInput, NonConvexInput, NotCCW
 
@@ -117,7 +120,7 @@ Homogeneous = tuple[int, int, int]
 
 
 def _hom(p: Point) -> Homogeneous:
-    """Integer (X, Y, W) with W > 0 and p = (X / W, Y / W)."""
+    """Integer (X, Y, W) with W = lcm(den x, den y) and p = (X / W, Y / W)."""
     h = p._homogeneous
     if h is None:
         x = p.x
@@ -127,7 +130,8 @@ def _hom(p: Point) -> Homogeneous:
         if xd == yd:
             h = (x.numerator, y.numerator, xd)
         else:
-            h = (x.numerator * yd, y.numerator * xd, xd * yd)
+            w = lcm(xd, yd)
+            h = (x.numerator * (w // xd), y.numerator * (w // yd), w)
         object.__setattr__(p, "_homogeneous", h)
     return h
 
@@ -291,16 +295,7 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
     d1 = _det3(sa, sb, ta)
     d2 = _det3(sa, sb, tb)
     if d1 == 0 and d2 == 0:
-        # Collinear: overlap interval along the dominant axis.
-        pts = sorted([s.a, s.b], key=Point.key)
-        qts = sorted([t.a, t.b], key=Point.key)
-        lo = max(pts[0], qts[0], key=Point.key)
-        hi = min(pts[1], qts[1], key=Point.key)
-        if lo.key() > hi.key():
-            return None
-        if lo == hi:
-            return lo
-        return Segment(lo, hi)
+        return _overlap((_interval(s), _interval(t)))  # collinear
     if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
         return None  # t strictly on one side of s's carrier line
     d3 = _det3(ta, tb, sa)
@@ -350,9 +345,7 @@ class Polygon:
         return Fraction(num, 2 * den)
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
+        return bounding_box(self.vertices)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.vertices) + "]"
@@ -503,6 +496,79 @@ def locate_point(p: Point, g: Union[Segment, Polygon]) -> PointLocation:
     return PointLocation.INTERIOR if inside else PointLocation.EXTERIOR
 
 
+# ---------------------------------------------------------------------------
+# Lines (integer triples, valued on the rows as the module docstring says)
+# and closed intersections along them.
+
+Line = tuple[int, int, int]
+Interval = tuple[Point, Point]  # closed; ends ordered by Point.key
+
+
+def _line_through(a: Point, b: Point) -> Line:
+    """The line through a and b: the cross product of their rows, so its
+    value at v is _det3(_hom(a), _hom(b), _hom(v))."""
+    ax, ay, aw = _hom(a)
+    bx, by, bw = _hom(b)
+    return (ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx)
+
+
+def _bisector(p: Point, q: Point) -> Line:
+    """The bisector 2(q - p) . x = |q|^2 - |p|^2 of p and q, times
+    W_p^2 W_q^2; positive on q's side."""
+    px, py, pw = _hom(p)
+    qx, qy, qw = _hom(q)
+    return (
+        2 * pw * qw * (qx * pw - px * qw),
+        2 * pw * qw * (qy * pw - py * qw),
+        (px * px + py * py) * qw * qw - (qx * qx + qy * qy) * pw * pw,
+    )
+
+
+def _line_slice(poly: Polygon, line: Line) -> Optional[Interval]:
+    """Closed intersection of a convex polygon with a line: its extreme
+    contact points (equal for a single-point touch), or None when the line
+    misses the polygon."""
+    fa, fb, fc = line
+    verts = poly.vertices
+    n = len(verts)
+    homs = [_hom(v) for v in verts]
+    vals = [fa * x + fb * y + fc * w for x, y, w in homs]
+    hits: list[Point] = []
+    for i in range(n):
+        j = (i + 1) % n
+        va, vb = vals[i], vals[j]
+        if va == 0:
+            hits.append(verts[i])
+        if (va > 0 > vb) or (va < 0 < vb):
+            hits.append(_line_point(va, vb, homs[i], homs[j]))
+    if not hits:
+        return None
+    return (min(hits, key=Point.key), max(hits, key=Point.key))
+
+
+def _interval(s: Segment) -> Interval:
+    return (s.a, s.b) if s.a.key() < s.b.key() else (s.b, s.a)
+
+
+def _overlap(intervals: Iterable[Optional[Interval]]) -> Union[None, Point, Segment]:
+    """Common part of closed intervals on one line (None for an empty
+    one, which ends the scan): None, a Point or a Segment."""
+    lo = hi = None
+    for interval in intervals:
+        if interval is None:
+            return None
+        a, b = interval
+        if lo is None or a.key() > lo.key():
+            lo = a
+        if hi is None or b.key() < hi.key():
+            hi = b
+    if lo.key() > hi.key():
+        return None
+    if lo == hi:
+        return lo
+    return Segment(lo, hi)
+
+
 ClosedIntersection = Union[None, Point, Segment, Polygon]
 
 
@@ -592,6 +658,13 @@ class Rect:
         on_x = p.x in (self.x0, self.x1) and self.y0 <= p.y <= self.y1
         on_y = p.y in (self.y0, self.y1) and self.x0 <= p.x <= self.x1
         return on_x or on_y
+
+
+def bounding_box(points: Sequence[Point]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(min x, min y, max x, max y) of a nonempty point collection."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    return (min(xs), min(ys), max(xs), max(ys))
 
 
 def midpoint(a: Point, b: Point) -> Point:

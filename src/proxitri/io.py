@@ -14,9 +14,9 @@ import json
 from fractions import Fraction
 from typing import Union
 
-from .delaunay import ConstraintSet, SiteSet, TriMesh, _orient
+from .delaunay import ConstraintSet, SiteSet, TriMesh
 from .errors import GeometryError, NotCCW, ParseError
-from .geometry import Point, Polygon, Rect, Segment
+from .geometry import Point, Polygon, Rect, Segment, _det3, _hom
 
 SITES_HEADER = "proxitri-sites 1"
 DOCUMENT_HEADER = "proxitri-document 1"
@@ -205,7 +205,7 @@ def mesh_from_document(model: dict) -> TriMesh:
         for i in tri:
             sites.check_index(i)
         i, j, k = tri
-        if _orient(sites.scaled, sites.weights, i, j, k) <= 0:
+        if _det3(_hom(sites[i]), _hom(sites[j]), _hom(sites[k])) <= 0:
             raise NotCCW(f"triangle {t} ({i}, {j}, {k}) is not counterclockwise")
         for edge in ((i, j), (j, k), (k, i)):
             if edge in directed:
@@ -252,7 +252,10 @@ def render_document(model: dict, fmt: str = "document") -> str:
 def parse_document(text: str, path: str = "") -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        model = json.loads(text)
+        try:
+            model = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed JSON: {exc.msg}", path, exc.lineno) from None
         if model.get("schema") != SCHEMA:
             raise ParseError(f"unsupported schema {model.get('schema')!r}", path)
         return model

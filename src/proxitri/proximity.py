@@ -20,6 +20,7 @@ from .geometry import (
     PointLocation,
     Polygon,
     Segment,
+    bounding_box,
     convex_closed_intersection,
     is_convex_polygon,
     locate_point,
@@ -69,14 +70,10 @@ def _as_points(g) -> Optional[tuple[Point, ...]]:
 
 def _bbox(g) -> tuple:
     if isinstance(g, Segment):
-        xs = (g.a.x, g.b.x)
-        ys = (g.a.y, g.b.y)
-    elif isinstance(g, Polygon):
+        return bounding_box((g.a, g.b))
+    if isinstance(g, Polygon):
         return g.bounding_box()
-    else:  # point tuple
-        xs = tuple(p.x for p in g)
-        ys = tuple(p.y for p in g)
-    return (min(xs), min(ys), max(xs), max(ys))
+    return bounding_box(g)  # point tuple
 
 
 def _boxes_disjoint(a, b) -> bool:

@@ -182,7 +182,7 @@ def region_common_intersection(region: Region):
     Returns a Polygon, Segment, Point, or None.
     """
     from .geometry import Point, Segment, convex_closed_intersection, locate_point
-    from .geometry import PointLocation, segment_intersection
+    from .geometry import PointLocation, _interval, _line_slice, _line_through, _overlap
 
     mesh = region.mesh
     members = region.members()
@@ -195,20 +195,8 @@ def region_common_intersection(region: Region):
             if locate_point(acc, poly) is PointLocation.EXTERIOR:
                 return None
         elif isinstance(acc, Segment):
-            hits = []
-            for end in (acc.a, acc.b):
-                if locate_point(end, poly) is not PointLocation.EXTERIOR:
-                    hits.append(end)
-            for edge in poly.edges():
-                hit = segment_intersection(acc, edge)
-                if isinstance(hit, Point):
-                    hits.append(hit)
-                elif isinstance(hit, Segment):
-                    hits.extend((hit.a, hit.b))
-            if not hits:
-                return None
-            ordered = sorted(set(hits), key=Point.key)
-            acc = ordered[0] if ordered[0] == ordered[-1] else Segment(ordered[0], ordered[-1])
+            carrier = _line_through(acc.a, acc.b)
+            acc = _overlap((_interval(acc), _line_slice(poly, carrier)))
         else:
             acc = convex_closed_intersection(acc, poly)
     return acc

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .delaunay import TriMesh
-from .geometry import Polygon
+from .geometry import Polygon, bounding_box
 from .regions import extract_regions, region_union_polygon
 from .voronoi import VoronoiDiagram
 
@@ -82,12 +82,6 @@ class _Mapper:
         sx = self.margin + (p.x - self.x0) * self.scale
         sy = self.margin + (self.y1 - p.y) * self.scale
         return (_quantize(sx), _quantize(sy))
-
-
-def _bounds(points) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return (min(xs), min(ys), max(xs), max(ys))
 
 
 def _line(m: _Mapper, a, b, color, width, dash: str = "") -> str:
@@ -210,7 +204,7 @@ def render_svg(
             raise ValueError(f"{what} rendering needs a Voronoi diagram")
         # View covers sites and Voronoi vertices; cell edges that run to the
         # clip frame leave the canvas, which reads as unbounded rays.
-        x0, y0, x1, y1 = _bounds(list(mesh.sites.points) + list(diagram.vertices))
+        x0, y0, x1, y1 = bounding_box(mesh.sites.points + diagram.vertices)
         pad = max(x1 - x0, y1 - y0, Fraction(1)) * Fraction(3, 20)
         m = _Mapper(x0 - pad, y0 - pad, x1 + pad, y1 + pad)
         frame_el = _polygon_el(
@@ -221,7 +215,7 @@ def render_svg(
             STYLE["frame_width"],
         )
     else:
-        x0, y0, x1, y1 = _bounds(mesh.sites.points)
+        x0, y0, x1, y1 = bounding_box(mesh.sites.points)
         pad = max(x1 - x0, y1 - y0, Fraction(1)) / 20
         m = _Mapper(x0 - pad, y0 - pad, x1 + pad, y1 + pad)
         frame_el = None

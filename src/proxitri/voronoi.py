@@ -23,14 +23,14 @@ from .delaunay import SiteSet, TriMesh, triangulate
 from .errors import DegenerateIntersection, FrameTooSmall, GeometryError, IndexOutOfRange
 from .geometry import (
     Point,
-    PointLocation,
     Polygon,
     Rect,
     Segment,
+    _bisector,
     _hom,
-    _line_point,
-    locate_point,
-    segment_intersection,
+    _line_slice,
+    _overlap,
+    bounding_box,
 )
 
 
@@ -68,10 +68,7 @@ def default_frame(sites: SiteSet, centers: list[Point]) -> Rect:
     """Bounding box of sites and circumcenters, inflated by twice the sum
     of its side lengths (a rational upper bound on twice the diagonal) so
     clipping never disturbs a bounded intersection."""
-    xs = [p.x for p in sites.points] + [c.x for c in centers]
-    ys = [p.y for p in sites.points] + [c.y for c in centers]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, y0, x1, y1 = bounding_box([*sites.points, *centers])
     pad = 2 * ((x1 - x0) + (y1 - y0))
     if pad == 0:
         pad = Fraction(1)
@@ -256,35 +253,6 @@ def voronoi_diagram(sites: SiteSet, frame: Optional[Rect] = None) -> VoronoiDiag
     )
 
 
-def _polygon_line_slice(
-    poly: Polygon, fa: int, fb: int, fc: int
-) -> Optional[tuple[Point, Point]]:
-    """Intersection of a convex polygon with the line fa*x + fb*y + fc = 0
-    (integer coefficients).
-
-    Returns the extreme contact points ordered along the line (equal for a
-    single-point touch), or None when the line misses the polygon.
-    """
-    verts = poly.vertices
-    n = len(verts)
-    homs = [_hom(v) for v in verts]
-    # W times the line's value at each vertex: the same sign.
-    vals = [fa * x + fb * y + fc * w for x, y, w in homs]
-    hits: list[Point] = []
-    for i in range(n):
-        j = (i + 1) % n
-        va, vb = vals[i], vals[j]
-        if va == 0:
-            hits.append(verts[i])
-        if (va > 0 > vb) or (va < 0 < vb):
-            hits.append(_line_point(va, vb, homs[i], homs[j]))
-    if not hits:
-        return None
-    lo = min(hits, key=Point.key)
-    hi = max(hits, key=Point.key)
-    return (lo, hi)
-
-
 def closed_cell_intersection(diagram: VoronoiDiagram, p: int, q: int):
     """Exact cl(cell p) * cl(cell q) as a closed set.
 
@@ -293,26 +261,13 @@ def closed_cell_intersection(diagram: VoronoiDiagram, p: int, q: int):
     by that line and overlapping the two slices gives the answer in linear
     time. Returns None, a Point, or a Segment.
     """
-    sites = diagram.sites
-    (px, py), pw = sites.scaled[p], sites.weights[p]
-    (qx, qy), qw = sites.scaled[q], sites.weights[q]
-    # Bisector 2(q - p) . x = |q|^2 - |p|^2, times W_p^2 W_q^2.
-    fa = 2 * pw * qw * (qx * pw - px * qw)
-    fb = 2 * pw * qw * (qy * pw - py * qw)
-    fc = (px * px + py * py) * qw * qw - (qx * qx + qy * qy) * pw * pw
-    sl_p = _polygon_line_slice(diagram.cells[p].polygon, fa, fb, fc)
-    if sl_p is None:
-        return None
-    sl_q = _polygon_line_slice(diagram.cells[q].polygon, fa, fb, fc)
-    if sl_q is None:
-        return None
-    lo = max(sl_p[0], sl_q[0], key=Point.key)
-    hi = min(sl_p[1], sl_q[1], key=Point.key)
-    if lo.key() > hi.key():
-        return None
-    if lo == hi:
-        return lo
-    return Segment(lo, hi)
+    return _bisector_overlap(diagram, p, q)
+
+
+def _bisector_overlap(diagram: VoronoiDiagram, p: int, q: int, *more: int):
+    """Common part of the closed cells of p, q and more on the p/q bisector."""
+    line = _bisector(diagram.sites[p], diagram.sites[q])
+    return _overlap(_line_slice(diagram.cells[c].polygon, line) for c in (p, q, *more))
 
 
 def cells_strongly_near(diagram: VoronoiDiagram, p: int, q: int) -> bool:
@@ -340,21 +295,15 @@ def common_vertex(diagram: VoronoiDiagram, p: int, q: int, r: int) -> Optional[P
         diagram.sites.check_index(idx)
     if len({p, q, r}) != 3:
         raise IndexOutOfRange("common vertex query needs three distinct cells")
-    first = closed_cell_intersection(diagram, p, q)
-    if first is None:
+    # cl(p) * cl(q) lies on the p/q bisector, so slicing all three cells by
+    # that line loses nothing.
+    u = _bisector_overlap(diagram, p, q, r)
+    if u is None:
         return None
-    third = diagram.cells[r].polygon
-    if isinstance(first, Point):
-        result = first if locate_point(first, third) is not PointLocation.EXTERIOR else None
-    else:
-        result = _segment_polygon_closed(first, third)
-    if result is None:
-        return None
-    if not isinstance(result, Point):
+    if not isinstance(u, Point):
         raise DegenerateIntersection(
-            f"cells {p}, {q}, {r} share more than a point: {result}"
+            f"cells {p}, {q}, {r} share more than a point: {u}"
         )
-    u = result
     tied = _equidistant_sites(diagram.sites, u, p)
     if tied > 3:
         raise DegenerateIntersection(
@@ -372,36 +321,12 @@ def _equidistant_sites(sites: SiteSet, u: Point, p: int) -> int:
     """
     ux, uy, uw = _hom(u)
 
-    def scaled_dist(i: int) -> int:
-        (x, y), w = sites.scaled[i], sites.weights[i]
+    def scaled_dist(site: Point) -> tuple[int, int]:
+        x, y, w = _hom(site)
         dx = x * uw - ux * w
         dy = y * uw - uy * w
-        return dx * dx + dy * dy
+        return dx * dx + dy * dy, w * w
 
-    n_p = scaled_dist(p)
-    w_p2 = sites.weights[p] ** 2
-    return sum(
-        1 for i, w in enumerate(sites.weights) if scaled_dist(i) * w_p2 == n_p * w * w
-    )
+    n_p, w_p2 = scaled_dist(sites[p])
+    return sum(1 for n_i, w_i2 in map(scaled_dist, sites.points) if n_i * w_p2 == n_p * w_i2)
 
-
-def _segment_polygon_closed(seg: Segment, poly: Polygon):
-    """Closed intersection of a segment with a convex polygon."""
-    candidates: set[Point] = set()
-    for end in (seg.a, seg.b):
-        if locate_point(end, poly) is not PointLocation.EXTERIOR:
-            candidates.add(end)
-    for edge in poly.edges():
-        hit = segment_intersection(seg, edge)
-        if isinstance(hit, Point):
-            candidates.add(hit)
-        elif isinstance(hit, Segment):
-            candidates.add(hit.a)
-            candidates.add(hit.b)
-    if not candidates:
-        return None
-    ordered = sorted(candidates, key=Point.key)
-    lo, hi = ordered[0], ordered[-1]
-    if lo == hi:
-        return lo
-    return Segment(lo, hi)

@@ -6,7 +6,9 @@ determinant, cells come from half-plane clipping rather than the Delaunay
 dual walk, cell edge owners from distance matching rather than fan
 spokes, and visibility from parametric intersection rather than
 point-location classification. The fraction_* references are the plain
-Fraction formulas that geometry's integer sign kernel replaces.
+Fraction formulas that geometry's integer sign kernel replaces, and the
+composed_* references build three-cell and region intersections edge by
+edge instead of slicing along one line.
 """
 
 from __future__ import annotations
@@ -16,18 +18,22 @@ from itertools import combinations
 from math import lcm
 
 from proxitri.delaunay import ConstraintSet, SiteSet
-from proxitri.errors import CollinearInput, NotCCW
+from proxitri.errors import CollinearInput, DegenerateIntersection, NotCCW
 from proxitri.geometry import (
     CircumCircle,
     CirclePosition,
     Orientation,
     Point,
+    PointLocation,
     Polygon,
     Rect,
     Segment,
+    convex_closed_intersection,
     distance_sq,
+    locate_point,
+    segment_intersection,
 )
-from proxitri.voronoi import CellEdge
+from proxitri.voronoi import CellEdge, closed_cell_intersection
 
 
 def brute_delaunay_triangles(sites: SiteSet) -> set[tuple[int, int, int]]:
@@ -161,6 +167,71 @@ def fraction_line_slice(poly: Polygon, fa, fb, fc):
     if not hits:
         return None
     return (min(hits, key=Point.key), max(hits, key=Point.key))
+
+
+def segment_polygon_closed(seg: Segment, poly: Polygon):
+    """Closed intersection of a segment with a convex polygon, from the
+    segment's ends inside it and its contacts with every polygon edge."""
+    candidates: set[Point] = set()
+    for end in (seg.a, seg.b):
+        if locate_point(end, poly) is not PointLocation.EXTERIOR:
+            candidates.add(end)
+    for edge in poly.edges():
+        hit = segment_intersection(seg, edge)
+        if isinstance(hit, Point):
+            candidates.add(hit)
+        elif isinstance(hit, Segment):
+            candidates.add(hit.a)
+            candidates.add(hit.b)
+    if not candidates:
+        return None
+    ordered = sorted(candidates, key=Point.key)
+    lo, hi = ordered[0], ordered[-1]
+    if lo == hi:
+        return lo
+    return Segment(lo, hi)
+
+
+def composed_common_vertex(diagram, p: int, q: int, r: int):
+    """common_vertex as the closed p/q contact met with cell r (a point
+    contact located in it, a segment contact cut by its edges), with the
+    cocircular tie counted on Fraction distances."""
+    first = closed_cell_intersection(diagram, p, q)
+    if first is None:
+        return None
+    third = diagram.cells[r].polygon
+    if isinstance(first, Point):
+        result = first if locate_point(first, third) is not PointLocation.EXTERIOR else None
+    else:
+        result = segment_polygon_closed(first, third)
+    if result is None:
+        return None
+    if not isinstance(result, Point):
+        raise DegenerateIntersection(f"cells {p}, {q}, {r} share {result}")
+    d = distance_sq(result, diagram.sites[p])
+    if sum(distance_sq(result, s) == d for s in diagram.sites.points) > 3:
+        raise DegenerateIntersection(f"cocircular cells meet at {result}")
+    return result
+
+
+def composed_region_common_intersection(region):
+    """Intersection of a region's closed triangles, folded pairwise with
+    convex_closed_intersection, locate_point and segment_polygon_closed."""
+    mesh = region.mesh
+    members = region.members()
+    acc = mesh.triangle_polygon(members[0])
+    for t in members[1:]:
+        poly = mesh.triangle_polygon(t)
+        if acc is None:
+            return None
+        if isinstance(acc, Point):
+            if locate_point(acc, poly) is PointLocation.EXTERIOR:
+                return None
+        elif isinstance(acc, Segment):
+            acc = segment_polygon_closed(acc, poly)
+        else:
+            acc = convex_closed_intersection(acc, poly)
+    return acc
 
 
 def mesh_triangle_set(mesh) -> set[tuple[int, int, int]]:

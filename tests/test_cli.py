@@ -229,6 +229,12 @@ class TestQuery:
         code, _, err = run_cli("query", fan_file, "strong", "t:0", "v:1")
         assert code == 2
         assert "triangle or cell" in err
+        # one triangle or one cell twice is a usage error as well
+        for selector in ("t:1", "v:2"):
+            code, out, err = run_cli("query", fan_file, "strong", selector, selector)
+            assert code == 2
+            assert out == ""
+            assert "two distinct triangles or cells" in err
 
 
 class TestGlobalFlags:

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from proxitri.delaunay import (
     ConstraintSet,
     SiteSet,
-    _incircle,
-    _orient,
     adjacency,
     constrained_triangulate,
     is_constrained_delaunay_edge,
@@ -28,11 +26,21 @@ from proxitri.errors import (
     UnknownEdge,
 )
 from proxitri.generate import generate_sites
-from proxitri.geometry import CirclePosition, Point, in_circumcircle, orientation
+from proxitri.geometry import (
+    CirclePosition,
+    Point,
+    _det3,
+    _hom,
+    _incircle_det,
+    _sign,
+    in_circumcircle,
+)
 from proxitri.voronoi import voronoi_diagram
 
 from oracles import (
     brute_delaunay_triangles,
+    fraction_in_circumcircle,
+    fraction_orientation,
     mesh_triangle_set,
     visibility_oracle,
 )
@@ -81,18 +89,17 @@ def cocircular_quadruples(draw):
     return [Point(cx + r * (1 - t * t) / (1 + t * t), cy + 2 * r * t / (1 + t * t)) for t in ts]
 
 
-def assert_kernel_matches_geometry(pts):
-    sites = SiteSet(tuple(pts))
-    sc, w = sites.scaled, sites.weights
+def assert_kernel_matches_fractions(pts):
+    rows = [_hom(p) for p in pts]
     a, b, c, d = pts
-    turn = orientation(a, b, c).value
-    assert _orient(sc, w, 0, 1, 2) == turn
-    assert _orient(sc, w, 0, 2, 1) == -turn
+    turn = fraction_orientation(a, b, c).value
+    assert _sign(_det3(rows[0], rows[1], rows[2])) == turn
+    assert _sign(_det3(rows[0], rows[2], rows[1])) == -turn
     if turn == 0:
         return None
     i, j, k = (0, 1, 2) if turn > 0 else (0, 2, 1)
-    expected = in_circumcircle(pts[i], pts[j], pts[k], d).value
-    assert _incircle(sc, w, i, j, k, 3) == expected
+    expected = fraction_in_circumcircle(pts[i], pts[j], pts[k], d).value
+    assert _sign(_incircle_det(rows[i], rows[j], rows[k], rows[3])) == expected
     return expected
 
 
@@ -100,19 +107,24 @@ class TestKernel:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(kernel_points, min_size=4, max_size=4, unique=True))
     def test_signs_match_fraction_predicates(self, pts):
-        assert_kernel_matches_geometry(pts)
+        assert_kernel_matches_fractions(pts)
 
     @settings(max_examples=100, deadline=None)
     @given(cocircular_quadruples())
     def test_cocircular_quadruples_are_on(self, pts):
-        assert assert_kernel_matches_geometry(pts) == CirclePosition.ON.value
+        assert assert_kernel_matches_fractions(pts) == CirclePosition.ON.value
+
+    def test_homogeneous_form_uses_the_lcm_weight(self):
+        # W = lcm(4, 6) = 12, not the product 24; SiteSet.scaled reads the same form
+        assert _hom(Point("3/4", "-1/6")) == (9, -2, 12)
+        assert _hom(Point("2/3", 5)) == (2, 15, 3)
+        assert sites_of(("3/4", "-1/6"), ("2/3", 5), (1, 2)).scaled == ((9, -2), (2, 15), (1, 2))
 
     def test_per_site_operands_stay_small(self):
         # a common denominator of these sets would exceed 3000 bits
         for seed in (0, 1):
-            sites = SiteSet(tuple(generate_sites(1000, seed, "cocircular")))
-            assert max(w.bit_length() for w in sites.weights) <= 64
-            assert max(max(abs(x).bit_length(), abs(y).bit_length()) for x, y in sites.scaled) <= 64
+            rows = [_hom(p) for p in generate_sites(1000, seed, "cocircular")]
+            assert max(abs(v).bit_length() for row in rows for v in row) <= 64
 
 
 class TestTriangulate:

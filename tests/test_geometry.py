@@ -23,10 +23,9 @@ from proxitri.geometry import (
     is_convex_polygon,
     locate_point,
     orientation,
+    _line_slice,
     segment_intersection,
 )
-
-from proxitri.voronoi import _polygon_line_slice
 
 from oracles import (
     clip_convex_intersection,
@@ -456,4 +455,4 @@ class TestIntegerKernel:
     @given(polygon_and_line())
     def test_line_slice_matches_reference(self, case):
         poly, fa, fb, fc = case
-        assert _polygon_line_slice(poly, fa, fb, fc) == fraction_line_slice(poly, fa, fb, fc)
+        assert _line_slice(poly, (fa, fb, fc)) == fraction_line_slice(poly, fa, fb, fc)

@@ -170,6 +170,12 @@ class TestDocuments:
         with pytest.raises(GeometryError, match="appears twice"):
             mesh_from_document(model)
 
+    def test_malformed_json_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse_document('{"schema": "proxitri-document/1",\n "sites": [}', "doc.json")
+        assert info.value.path == "doc.json"
+        assert info.value.line == 2
+
     def test_schema_mismatch_rejected(self):
         with pytest.raises(ParseError):
             parse_document('{"schema": "other/9"}')

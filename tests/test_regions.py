@@ -17,7 +17,7 @@ from proxitri.regions import (
     region_union_polygon,
 )
 
-from oracles import brute_maximal_cliques
+from oracles import brute_maximal_cliques, composed_region_common_intersection
 
 
 def strip_mesh() -> TriMesh:
@@ -150,6 +150,12 @@ class TestCommonIntersection:
     def test_fan_clique_is_apex(self, fan_mesh):
         region = Region(fan_mesh, frozenset({0, 1, 2}))
         assert region_common_intersection(region) == Point(1, 1)
+
+    def test_matches_composed_reference(self, corpus, degenerate_corpus):
+        for entry in corpus + degenerate_corpus:
+            for region in extract_regions(entry.mesh):
+                expected = composed_region_common_intersection(region)
+                assert region_common_intersection(region) == expected
 
 
 class TestLeaderNeighborhoods:

@@ -21,7 +21,15 @@ from proxitri.voronoi import (
     voronoi_diagram,
 )
 
-from oracles import distance_matching_edges, halfplane_cell
+from oracles import composed_common_vertex, distance_matching_edges, halfplane_cell
+
+
+def outcome(f, *args):
+    """f's result, or DegenerateIntersection when f raises it."""
+    try:
+        return f(*args)
+    except DegenerateIntersection:
+        return DegenerateIntersection
 
 
 def sites_of(*coords) -> SiteSet:
@@ -148,6 +156,24 @@ class TestCommonVertex:
         diagram = voronoi_diagram(fan_sites)
         with pytest.raises(IndexOutOfRange):
             common_vertex(diagram, 0, 0, 1)
+
+    def test_matches_composed_reference(self, corpus, degenerate_corpus):
+        # Each triangle in one of its rotations (so every bisector of it is
+        # sliced somewhere), plus a triple whose third cell lies elsewhere:
+        # point and segment contacts, the empty answer and both raises.
+        kinds = set()
+        for entry in corpus + degenerate_corpus:
+            diagram = entry.diagram
+            n = len(entry.sites)
+            for t, (i, j, k) in enumerate(diagram.mesh.triangles):
+                trios = [((i, j, k), (j, k, i), (k, i, j))[t % 3]]
+                if n > 3:
+                    trios.append((i, j, next(s for s in range(n) if s not in (i, j, k))))
+                for trio in trios:
+                    expected = outcome(composed_common_vertex, diagram, *trio)
+                    assert outcome(common_vertex, diagram, *trio) == expected
+                    kinds.add(expected if expected is DegenerateIntersection else type(expected))
+        assert kinds == {Point, type(None), DegenerateIntersection}
 
     def test_matches_circumcenters_on_corpus(self, corpus):
         for entry in corpus[:8]:
