@@ -58,7 +58,6 @@ from .geometry import (
     in_circumcircle,
     is_convex_polygon,
     locate_point,
-    midpoint,
     orientation,
     segment_intersection,
 )

@@ -104,11 +104,6 @@ class Segment:
     def reversed(self) -> "Segment":
         return Segment(self.b, self.a)
 
-    def length_sq(self) -> Fraction:
-        dx = self.b.x - self.a.x
-        dy = self.b.y - self.a.y
-        return dx * dx + dy * dy
-
     def __str__(self) -> str:
         return f"[{self.a} - {self.b}]"
 
@@ -326,6 +321,10 @@ class Polygon:
     """
 
     vertices: tuple[Point, ...]
+    # Bounding box, filled in by the first call of bounding_box().
+    _box: Optional[tuple[Fraction, Fraction, Fraction, Fraction]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         verts = _normalize_ring(tuple(self.vertices))
@@ -345,7 +344,11 @@ class Polygon:
         return Fraction(num, 2 * den)
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return bounding_box(self.vertices)
+        box = self._box
+        if box is None:
+            box = bounding_box(self.vertices)
+            object.__setattr__(self, "_box", box)
+        return box
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.vertices) + "]"
@@ -365,22 +368,32 @@ def _area2(verts: tuple[Point, ...]) -> tuple[int, int]:
     return total, den * den
 
 
+def _lex_less(a: Homogeneous, b: Homogeneous) -> bool:
+    """Lexicographic (x, y) order of two rows, the order of Point.key."""
+    ax, ay, aw = a
+    bx, by, bw = b
+    left = ax * bw
+    right = bx * aw
+    return left < right or (left == right and ay * bw < by * aw)
+
+
 def _normalize_ring(verts: tuple[Point, ...]) -> tuple[Point, ...]:
     vs = list(verts)
     changed = True
     while changed and len(vs) >= 3:
         changed = False
         for i in range(len(vs)):
-            prev = vs[i - 1]
-            cur = vs[i]
-            nxt = vs[(i + 1) % len(vs)]
-            if cur == prev or _turn(prev, cur, nxt) == 0:
+            # A vertex equal to its predecessor is a zero turn as well.
+            if _turn(vs[i - 1], vs[i], vs[(i + 1) % len(vs)]) == 0:
                 del vs[i]
                 changed = True
                 break
     if len(vs) < 3:
         return tuple(vs)
-    start = min(range(len(vs)), key=lambda i: vs[i].key())
+    start = 0
+    for i in range(1, len(vs)):
+        if _lex_less(_hom(vs[i]), _hom(vs[start])):
+            start = i
     return tuple(vs[start:] + vs[:start])
 
 
@@ -651,9 +664,6 @@ class Rect:
             Point(self.x0, self.y1),
         )
 
-    def as_polygon(self) -> Polygon:
-        return Polygon(self.corners())
-
     def on_boundary(self, p: Point) -> bool:
         on_x = p.x in (self.x0, self.x1) and self.y0 <= p.y <= self.y1
         on_y = p.y in (self.y0, self.y1) and self.x0 <= p.x <= self.x1
@@ -665,10 +675,6 @@ def bounding_box(points: Sequence[Point]) -> tuple[Fraction, Fraction, Fraction,
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     return (min(xs), min(ys), max(xs), max(ys))
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
 
 
 def distance_sq(a: Point, b: Point) -> Fraction:

@@ -195,7 +195,8 @@ def document_for_mesh(mesh: TriMesh, locally_delaunay: dict) -> dict:
 def mesh_from_document(model: dict) -> TriMesh:
     """Rebuild a mesh, rejecting triangles that name a missing site
     (IndexOutOfRange), do not turn counterclockwise (NotCCW), or repeat a
-    directed edge (GeometryError)."""
+    directed edge (GeometryError), and a boundary that cannot be the
+    convex hull of a triangulated site set (GeometryError)."""
     sites = SiteSet(
         tuple(Point(Fraction(x), Fraction(y)) for x, y in model["sites"])
     )
@@ -211,6 +212,7 @@ def mesh_from_document(model: dict) -> TriMesh:
             if edge in directed:
                 raise GeometryError(f"directed edge {edge[0]}->{edge[1]} appears twice")
             directed.add(edge)
+    _check_boundary(sites, triangles, directed)
     constrained = frozenset(
         (e["a"], e["b"]) if e["a"] < e["b"] else (e["b"], e["a"])
         for e in model.get("edges", [])
@@ -219,6 +221,28 @@ def mesh_from_document(model: dict) -> TriMesh:
     if not constrained and "constraints" in model:
         constrained = frozenset(tuple(sorted(c)) for c in model["constraints"])
     return TriMesh(sites, triangles, constrained)
+
+
+def _check_boundary(sites: SiteSet, triangles: tuple, directed: set) -> None:
+    """A triangulation of n sites whose boundary (its unmated directed
+    edges) has b edges has T = 2n - b - 2 triangles (Euler), and its
+    boundary is the convex hull, so no boundary vertex turns right;
+    collinear boundary sites are allowed."""
+    outgoing: dict[int, list[int]] = {}
+    for u, v in directed:
+        if (v, u) not in directed:
+            outgoing.setdefault(u, []).append(v)
+    b = sum(map(len, outgoing.values()))
+    if len(triangles) != 2 * len(sites) - b - 2:
+        raise GeometryError(
+            f"{len(triangles)} triangles with {b} boundary edges on {len(sites)} sites; "
+            f"a triangulation has {2 * len(sites) - b - 2}"
+        )
+    for u, vs in outgoing.items():
+        for v in vs:
+            for w in outgoing.get(v, ()):
+                if _det3(_hom(sites[u]), _hom(sites[v]), _hom(sites[w])) < 0:
+                    raise GeometryError(f"boundary turns right at site {v} ({u}, {v}, {w})")
 
 
 def render_document(model: dict, fmt: str = "document") -> str:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .delaunay import TriMesh
-from .geometry import Polygon, bounding_box
+from .geometry import Homogeneous, _hom, _lex_less, bounding_box
 from .regions import extract_regions, region_union_polygon
 from .voronoi import VoronoiDiagram
 
@@ -46,14 +46,11 @@ STYLE = {
 WHAT_CHOICES = ("delaunay", "voronoi", "overlay", "regions")
 
 
-def _quantize(value: Fraction) -> str:
-    """Fixed two-decimal rendering via exact integer rounding."""
-    scaled = value * 100
-    n = scaled.numerator
-    d = scaled.denominator
-    q, r = divmod(n, d)
-    # round half to even on the exact remainder
-    if 2 * r > d or (2 * r == d and q % 2):
+def _two_decimals(num: int, den: int) -> str:
+    """num / den (den > 0) rounded half to even on the exact remainder,
+    printed as hundredths."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2):
         q += 1
     sign = "-" if q < 0 else ""
     q = abs(q)
@@ -61,27 +58,40 @@ def _quantize(value: Fraction) -> str:
 
 
 class _Mapper:
-    """World to screen transform with y flip."""
+    """World to screen transform with y flip.
+
+    For a point with integer row (X, Y, W), 100 times its screen x is
+    (kx X + cx W) / (dx W) and 100 times its screen y is
+    (cy W - ky Y) / (dy W), so each coordinate is one integer rounding with
+    no gcd. Each distinct row is mapped once per transform.
+    """
 
     def __init__(self, x0, y0, x1, y1):
-        margin = Fraction(STYLE["margin"])
-        width = Fraction(STYLE["width"]) - 2 * margin
-        height = Fraction(STYLE["height"]) - 2 * margin
-        span_x = x1 - x0
-        span_y = y1 - y0
-        if span_x == 0:
-            span_x = Fraction(1)
-        if span_y == 0:
-            span_y = Fraction(1)
-        self.scale = min(width / span_x, height / span_y)
-        self.x0 = x0
-        self.y1 = y1
-        self.margin = margin
+        margin = STYLE["margin"]
+        span_x = x1 - x0 or Fraction(1)
+        span_y = y1 - y0 or Fraction(1)
+        scale = 100 * min(
+            (STYLE["width"] - 2 * margin) / span_x, (STYLE["height"] - 2 * margin) / span_y
+        )
+        off_x = 100 * margin - x0 * scale
+        off_y = 100 * margin + y1 * scale
+        k, kd = scale.numerator, scale.denominator
+        self._x = (k * off_x.denominator, off_x.numerator * kd, kd * off_x.denominator)
+        self._y = (k * off_y.denominator, off_y.numerator * kd, kd * off_y.denominator)
+        self._mapped: dict[Homogeneous, tuple[str, str]] = {}
 
     def point(self, p) -> tuple[str, str]:
-        sx = self.margin + (p.x - self.x0) * self.scale
-        sy = self.margin + (self.y1 - p.y) * self.scale
-        return (_quantize(sx), _quantize(sy))
+        h = _hom(p)
+        xy = self._mapped.get(h)
+        if xy is None:
+            x, y, w = h
+            kx, cx, dx = self._x
+            ky, cy, dy = self._y
+            xy = self._mapped[h] = (
+                _two_decimals(kx * x + cx * w, dx * w),
+                _two_decimals(cy * w - ky * y, dy * w),
+            )
+        return xy
 
 
 def _line(m: _Mapper, a, b, color, width, dash: str = "") -> str:
@@ -94,8 +104,8 @@ def _line(m: _Mapper, a, b, color, width, dash: str = "") -> str:
     )
 
 
-def _polygon_el(m: _Mapper, poly, fill, stroke, width, dash: str = "") -> str:
-    pts = " ".join(",".join(m.point(v)) for v in poly.vertices)
+def _polygon_el(m: _Mapper, vertices, fill, stroke, width, dash: str = "") -> str:
+    pts = " ".join(",".join(m.point(v)) for v in vertices)
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
         f'<polygon points="{pts}" fill="{fill}" stroke="{stroke}" '
@@ -123,17 +133,17 @@ def _svg(body: list[str]) -> str:
 
 
 def _mesh_elements(m: _Mapper, mesh: TriMesh) -> list[str]:
+    pts = mesh.sites.points
     body = []
-    for t in range(len(mesh)):
-        body.append(
-            _polygon_el(
-                m,
-                mesh.triangle_polygon(t),
-                "none",
-                STYLE["edge_color"],
-                STYLE["edge_width"],
-            )
-        )
+    for tri in mesh.triangles:
+        # Start at the lexicographically smallest corner, where a Polygon's
+        # canonical ring starts.
+        first = 0
+        for r in (1, 2):
+            if _lex_less(_hom(pts[tri[r]]), _hom(pts[tri[first]])):
+                first = r
+        ring = [pts[tri[(first + r) % 3]] for r in range(3)]
+        body.append(_polygon_el(m, ring, "none", STYLE["edge_color"], STYLE["edge_width"]))
     for a, b in mesh.edges():
         if mesh.is_constrained(a, b):
             body.append(
@@ -157,12 +167,14 @@ def _site_elements(m: _Mapper, mesh: TriMesh) -> list[str]:
 
 def _voronoi_elements(m: _Mapper, diagram: VoronoiDiagram) -> list[str]:
     body = []
-    seen: set[tuple] = set()
+    # Cells p and q draw their shared edge p|q from the same two corners, so
+    # the site pair identifies it; the first cell to reach it sets its direction.
+    seen: set[tuple[int, int]] = set()
     for cell in diagram.cells:
         for edge in cell.edges:
             if edge.neighbor is None:
                 continue
-            key = tuple(sorted((edge.segment.a.key(), edge.segment.b.key())))
+            key = (min(cell.site, edge.neighbor), max(cell.site, edge.neighbor))
             if key in seen:
                 continue
             seen.add(key)
@@ -176,13 +188,12 @@ def _voronoi_elements(m: _Mapper, diagram: VoronoiDiagram) -> list[str]:
                     STYLE["voronoi_dash"],
                 )
             )
-    vertex_points = []
-    vseen: set[tuple] = set()
+    # Reduced coordinates make the row of a point unique.
+    vseen: set[Homogeneous] = set()
     for v in diagram.vertices:
-        if v.key() not in vseen:
-            vseen.add(v.key())
-            vertex_points.append(v)
-    for v in vertex_points:
+        if _hom(v) in vseen:
+            continue
+        vseen.add(_hom(v))
         body.append(
             _circle(
                 m, v, STYLE["vertex_radius"], STYLE["vertex_fill"], STYLE["vertex_stroke"]
@@ -207,9 +218,10 @@ def render_svg(
         x0, y0, x1, y1 = bounding_box(mesh.sites.points + diagram.vertices)
         pad = max(x1 - x0, y1 - y0, Fraction(1)) * Fraction(3, 20)
         m = _Mapper(x0 - pad, y0 - pad, x1 + pad, y1 + pad)
+        # corners() already runs CCW from the lexicographically smallest corner.
         frame_el = _polygon_el(
             m,
-            Polygon(diagram.frame.corners()),
+            diagram.frame.corners(),
             "none",
             STYLE["frame_color"],
             STYLE["frame_width"],
@@ -239,7 +251,7 @@ def render_svg(
             body.append(
                 _polygon_el(
                     m,
-                    region_union_polygon(region),
+                    region_union_polygon(region).vertices,
                     palette[idx % len(palette)],
                     STYLE["region_stroke"],
                     "1",

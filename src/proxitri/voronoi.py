@@ -15,9 +15,10 @@ queries can tell genuine bisector contact from clipping artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cache, partial
+from typing import Callable, Optional, Sequence
 
 from .delaunay import SiteSet, TriMesh, triangulate
 from .errors import DegenerateIntersection, FrameTooSmall, GeometryError, IndexOutOfRange
@@ -53,15 +54,25 @@ class VoronoiCell:
 
 @dataclass(frozen=True)
 class VoronoiDiagram:
+    """The dual of a Delaunay mesh. Cells are built on first use and
+    cached, so a query that reads two cells builds two."""
+
     sites: SiteSet
     mesh: TriMesh
     frame: Rect
     vertices: tuple[Point, ...]  # circumcenter of triangle t at index t
-    cells: tuple[VoronoiCell, ...]
+    # Cell of a site, built once from the mesh, circumcenters and frame
+    # that voronoi_diagram made the diagram with.
+    _cell_of: Callable[[int], VoronoiCell] = field(repr=False, compare=False)
 
     def cell(self, site: int) -> VoronoiCell:
         self.sites.check_index(site)
-        return self.cells[site]
+        return self._cell_of(site)
+
+    @property
+    def cells(self) -> tuple[VoronoiCell, ...]:
+        """Every cell in site order (builds those not built yet)."""
+        return tuple(map(self.cell, range(len(self.sites))))
 
 
 def default_frame(sites: SiteSet, centers: list[Point]) -> Rect:
@@ -185,7 +196,7 @@ def _cell_ring(mesh: TriMesh, site: int) -> tuple[list[int], list[int]]:
 
 def _build_cell(
     mesh: TriMesh,
-    centers: list[Point],
+    centers: Sequence[Point],
     frame: Rect,
     site: int,
 ) -> VoronoiCell:
@@ -211,17 +222,20 @@ def _build_cell(
         corners = [entry] + chain + [exit_pt] + walk
         labels = spokes + [None] * (len(walk) + 1)
         unbounded = True
+    # Keyed by integer rows: equal rows are equal points, and tuples of
+    # ints hash without the modular inverse a Fraction hash costs. Every
+    # polygon edge joins two consecutive corners: deduplication drops only
+    # zero-length edges, and no three consecutive corners are collinear.
+    rows = [_hom(c) for c in corners]
     n = len(corners)
-    owner = {(corners[i], corners[(i + 1) % n]): labels[i] for i in range(n)}
+    owner = {(rows[i], rows[(i + 1) % n]): labels[i] for i in range(n)}
     polygon = Polygon(tuple(_dedupe_ring(corners)))
     edges = []
     for seg in polygon.edges():
-        neighbor = owner.get((seg.a, seg.b))
-        if neighbor is None and not (frame.on_boundary(seg.a) and frame.on_boundary(seg.b)):
-            raise GeometryError(
-                f"cell edge {seg} of site {site} is neither bisector nor frame"
-            )
-        edges.append(CellEdge(segment=seg, neighbor=neighbor))
+        key = (_hom(seg.a), _hom(seg.b))
+        if key not in owner:
+            raise GeometryError(f"cell edge {seg} of site {site} joins no two consecutive corners")
+        edges.append(CellEdge(segment=seg, neighbor=owner[key]))
     return VoronoiCell(site=site, polygon=polygon, unbounded=unbounded, edges=tuple(edges))
 
 
@@ -241,15 +255,13 @@ def voronoi_diagram(sites: SiteSet, frame: Optional[Rect] = None) -> VoronoiDiag
     for c in centers:
         if not frame.contains_strict(c):
             raise FrameTooSmall(f"circumcenter {c} not strictly inside frame")
-    cells = tuple(
-        _build_cell(mesh, centers, frame, site) for site in range(len(sites))
-    )
+    centers = tuple(centers)
     return VoronoiDiagram(
         sites=sites,
         mesh=mesh,
         frame=frame,
-        vertices=tuple(centers),
-        cells=cells,
+        vertices=centers,
+        _cell_of=cache(partial(_build_cell, mesh, centers, frame)),
     )
 
 
@@ -267,7 +279,7 @@ def closed_cell_intersection(diagram: VoronoiDiagram, p: int, q: int):
 def _bisector_overlap(diagram: VoronoiDiagram, p: int, q: int, *more: int):
     """Common part of the closed cells of p, q and more on the p/q bisector."""
     line = _bisector(diagram.sites[p], diagram.sites[q])
-    return _overlap(_line_slice(diagram.cells[c].polygon, line) for c in (p, q, *more))
+    return _overlap(_line_slice(diagram.cell(c).polygon, line) for c in (p, q, *more))
 
 
 def cells_strongly_near(diagram: VoronoiDiagram, p: int, q: int) -> bool:

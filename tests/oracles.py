@@ -8,7 +8,8 @@ spokes, and visibility from parametric intersection rather than
 point-location classification. The fraction_* references are the plain
 Fraction formulas that geometry's integer sign kernel replaces, and the
 composed_* references build three-cell and region intersections edge by
-edge instead of slicing along one line.
+edge instead of slicing along one line. FractionMapper is render's screen
+transform on Fractions, which the integer-row mapper replaces.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from proxitri.geometry import (
     locate_point,
     segment_intersection,
 )
+from proxitri.render import STYLE
 from proxitri.voronoi import CellEdge, closed_cell_intersection
 
 
@@ -199,7 +201,7 @@ def composed_common_vertex(diagram, p: int, q: int, r: int):
     first = closed_cell_intersection(diagram, p, q)
     if first is None:
         return None
-    third = diagram.cells[r].polygon
+    third = diagram.cell(r).polygon
     if isinstance(first, Point):
         result = first if locate_point(first, third) is not PointLocation.EXTERIOR else None
     else:
@@ -232,6 +234,45 @@ def composed_region_common_intersection(region):
         else:
             acc = convex_closed_intersection(acc, poly)
     return acc
+
+
+def fraction_quantize(value: Fraction) -> str:
+    """Two-decimal rendering of a Fraction, rounded half to even on the
+    reduced quotient."""
+    scaled = value * 100
+    n = scaled.numerator
+    d = scaled.denominator
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q % 2):
+        q += 1
+    sign = "-" if q < 0 else ""
+    q = abs(q)
+    return f"{sign}{q // 100}.{q % 100:02d}"
+
+
+class FractionMapper:
+    """render's world to screen transform evaluated on Fractions, point by
+    point (the integer-row mapper must agree with it)."""
+
+    def __init__(self, x0, y0, x1, y1):
+        margin = Fraction(STYLE["margin"])
+        width = Fraction(STYLE["width"]) - 2 * margin
+        height = Fraction(STYLE["height"]) - 2 * margin
+        span_x = x1 - x0
+        span_y = y1 - y0
+        if span_x == 0:
+            span_x = Fraction(1)
+        if span_y == 0:
+            span_y = Fraction(1)
+        self.scale = min(width / span_x, height / span_y)
+        self.x0 = x0
+        self.y1 = y1
+        self.margin = margin
+
+    def point(self, p) -> tuple[str, str]:
+        sx = self.margin + (p.x - self.x0) * self.scale
+        sy = self.margin + (self.y1 - p.y) * self.scale
+        return (fraction_quantize(sx), fraction_quantize(sy))
 
 
 def mesh_triangle_set(mesh) -> set[tuple[int, int, int]]:

@@ -197,6 +197,21 @@ class TestQuery:
         assert code == 0
         assert parse_document(out)["queries"][0]["verdict"] is True
 
+    def test_cell_pair_builds_only_its_cells(self, fan_file, monkeypatch):
+        import proxitri.voronoi
+
+        built = []
+        build = proxitri.voronoi._build_cell
+
+        def counting_build(mesh, centers, frame, site):
+            built.append(site)
+            return build(mesh, centers, frame, site)
+
+        monkeypatch.setattr(proxitri.voronoi, "_build_cell", counting_build)
+        code, _, _ = run_cli("query", fan_file, "strong", "v:0", "v:3")
+        assert code == 0
+        assert sorted(built) == [0, 3]
+
     def test_unknown_selector(self, fan_file):
         code, _, err = run_cli("query", fan_file, "near", "t:99", "t:0")
         assert code == 2

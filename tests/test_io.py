@@ -170,6 +170,37 @@ class TestDocuments:
         with pytest.raises(GeometryError, match="appears twice"):
             mesh_from_document(model)
 
+    def test_missing_triangle_fails_euler_count(self):
+        # Two triangles cover the square but leave site 4 out: T = 2 while
+        # 2n - b - 2 = 4 for n = 5 sites and b = 4 boundary edges.
+        model = {
+            "schema": SCHEMA,
+            "sites": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"], ["1", "1"]],
+            "triangles": [[0, 1, 2], [0, 2, 3]],
+        }
+        with pytest.raises(GeometryError, match="boundary edges"):
+            mesh_from_document(model)
+
+    def test_reflex_boundary_vertex_rejected(self):
+        # A square plus its centre with 3 of the 4 fan triangles satisfies
+        # the Euler count, but the boundary turns right at the centre.
+        model = {
+            "schema": SCHEMA,
+            "sites": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"], ["1", "1"]],
+            "triangles": [[0, 1, 4], [1, 2, 4], [2, 3, 4]],
+        }
+        with pytest.raises(GeometryError, match="turns right at site 4"):
+            mesh_from_document(model)
+        model["triangles"].append([0, 4, 3])
+        assert mesh_from_document(model).hull() == [0, 1, 2, 3]
+
+    def test_every_triangulation_round_trips(self, corpus, degenerate_corpus):
+        # Includes collinear hull runs (collinear-heavy) and cocircular sets.
+        for entry in corpus + degenerate_corpus:
+            flags = {e: is_locally_delaunay(entry.mesh, e) for e in entry.mesh.edges()}
+            text = render_document(document_for_mesh(entry.mesh, flags))
+            assert mesh_from_document(parse_document(text)) == entry.mesh
+
     def test_malformed_json_rejected(self):
         with pytest.raises(ParseError) as info:
             parse_document('{"schema": "proxitri-document/1",\n "sites": [}', "doc.json")

@@ -105,6 +105,14 @@ class TestConstruction:
                 expected = halfplane_cell(entry.sites, cell.site, diagram.frame)
                 assert cell.polygon == expected
 
+    def test_lazy_cell_matches_full_build(self, corpus, degenerate_corpus):
+        for entry in corpus + degenerate_corpus:
+            full = entry.diagram.cells
+            lazy = voronoi_diagram(entry.sites)
+            for site in reversed(range(len(entry.sites))):
+                assert lazy.cell(site) == full[site]
+            assert lazy.cells == full
+
     def test_edge_labels_match_distance_reference(self, corpus, degenerate_corpus):
         for entry in corpus + degenerate_corpus:
             for cell in entry.diagram.cells:
