@@ -75,7 +75,7 @@ class VoronoiDiagram:
         return tuple(map(self.cell, range(len(self.sites))))
 
 
-def default_frame(sites: SiteSet, centers: list[Point]) -> Rect:
+def default_frame(sites: SiteSet, centers: Sequence[Point]) -> Rect:
     """Bounding box of sites and circumcenters, inflated by twice the sum
     of its side lengths (a rational upper bound on twice the diagonal) so
     clipping never disturbs a bounded intersection."""
@@ -246,7 +246,7 @@ def voronoi_diagram(sites: SiteSet, frame: Optional[Rect] = None) -> VoronoiDiag
     omitted it is derived from their bounding box.
     """
     mesh = triangulate(sites)
-    centers = [mesh.circumcenter(t) for t in range(len(mesh))]
+    centers = tuple(mesh.circumcenter(t) for t in range(len(mesh)))
     if frame is None:
         frame = default_frame(sites, centers)
     for p in sites.points:
@@ -255,7 +255,6 @@ def voronoi_diagram(sites: SiteSet, frame: Optional[Rect] = None) -> VoronoiDiag
     for c in centers:
         if not frame.contains_strict(c):
             raise FrameTooSmall(f"circumcenter {c} not strictly inside frame")
-    centers = tuple(centers)
     return VoronoiDiagram(
         sites=sites,
         mesh=mesh,
