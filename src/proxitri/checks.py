@@ -15,6 +15,7 @@ from functools import cache, partial
 from itertools import combinations
 from typing import Callable, Optional
 
+from .choices import SUITES
 from .delaunay import SiteSet, TriMesh, adjacency
 from .errors import DegenerateIntersection
 from .geometry import CirclePosition, Point, Rect, Segment, in_circumcircle, is_convex_polygon
@@ -32,8 +33,6 @@ from .voronoi import (
     common_vertex,
     voronoi_diagram,
 )
-
-SUITES = ("delaunay", "dual", "lemma2", "theorem-equivalence", "regions", "leader", "all")
 
 
 @dataclass

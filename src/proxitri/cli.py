@@ -4,37 +4,24 @@ Subcommands: gen | triangulate | check | render | query. Exit status is 0
 for success / all checks passing, 1 for geometry or property failures,
 and 2 for usage or I/O problems. All output is a deterministic function
 of the input bytes, flags and seed.
+
+Building the parser loads no computational module: each command imports
+the modules it runs in its own body, so a short job does not pay to load
+(and, without cached bytecode, compile) the ones it never calls.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .checks import SUITES, run_checks
-from .delaunay import (
-    constrained_triangulate,
-    is_locally_delaunay,
-    triangulate,
-)
+from .choices import DISTRIBUTIONS, SUITES, WHAT_CHOICES
 from .errors import GeometryError, InputError, UnknownSelector, UnwritablePath
-from .generate import DISTRIBUTIONS, generate_sites
-from .geometry import Rect, Segment
-from .io import (
-    document_for_mesh,
-    format_site_file,
-    geometry_literal,
-    parse_constraint_file,
-    parse_frame,
-    parse_site_file,
-    render_document,
-    SCHEMA,
-)
-from .proximity import near, strongly_near_triangles
-from .render import WHAT_CHOICES, render_svg
-from .voronoi import cells_strongly_near, voronoi_diagram
+
+if TYPE_CHECKING:
+    from .geometry import Rect
 
 
 def _add_global_options(parser, suppress: bool) -> None:
@@ -121,10 +108,15 @@ def _write_output(path: Optional[str], text: str, quiet: bool) -> None:
 
 
 def _frame_from_args(args) -> Optional[Rect]:
+    from .io import parse_frame
+
     return parse_frame(args.frame) if args.frame else None
 
 
 def cmd_gen(args) -> int:
+    from .generate import generate_sites
+    from .io import format_site_file
+
     points = generate_sites(args.count, args.seed, args.distribution)
     comment = f"gen n={args.count} seed={args.seed} distribution={args.distribution}"
     _write_output(args.out, format_site_file(points, comment), args.quiet)
@@ -132,6 +124,9 @@ def cmd_gen(args) -> int:
 
 
 def _load_mesh(args):
+    from .delaunay import constrained_triangulate, triangulate
+    from .io import parse_constraint_file, parse_site_file
+
     sites = parse_site_file(_read_text(args.input), args.input)
     constraints_path = getattr(args, "constraints", None)
     if constraints_path:
@@ -141,6 +136,9 @@ def _load_mesh(args):
 
 
 def cmd_triangulate(args) -> int:
+    from .delaunay import is_locally_delaunay
+    from .io import document_for_mesh, render_document
+
     mesh = _load_mesh(args)
     flags = {e: is_locally_delaunay(mesh, e) for e in mesh.edges()}
     model = document_for_mesh(mesh, flags)
@@ -149,6 +147,9 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import run_checks
+    from .io import SCHEMA, parse_site_file, render_document
+
     sites = parse_site_file(_read_text(args.input), args.input)
     results, stats = run_checks(args.suite, sites, _frame_from_args(args))
     model = {
@@ -164,8 +165,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .delaunay import triangulate
+    from .io import parse_site_file
+    from .render import render_svg
+
     sites = parse_site_file(_read_text(args.input), args.input)
     if args.what in ("voronoi", "overlay"):
+        from .voronoi import voronoi_diagram
+
         diagram = voronoi_diagram(sites, _frame_from_args(args))
         svg = render_svg(args.what, diagram.mesh, diagram)
     else:
@@ -175,6 +182,8 @@ def cmd_render(args) -> int:
 
 
 def _resolve_selector(selector: str, mesh, diagram):
+    from .geometry import Segment
+
     kind, _, rest = selector.partition(":")
     try:
         if kind == "t":
@@ -194,10 +203,16 @@ def _resolve_selector(selector: str, mesh, diagram):
 
 
 def cmd_query(args) -> int:
+    from .delaunay import triangulate
+    from .io import SCHEMA, geometry_literal, parse_site_file, render_document
+    from .proximity import near, strongly_near_triangles
+
     sites = parse_site_file(_read_text(args.input), args.input)
     # Only cell selectors read the Voronoi diagram; triangle and edge
     # selectors need the mesh alone.
     if any(sel.partition(":")[0] == "v" for sel in (args.a, args.b)):
+        from .voronoi import voronoi_diagram
+
         diagram = voronoi_diagram(sites, _frame_from_args(args))
         mesh = diagram.mesh
     else:
@@ -217,6 +232,8 @@ def cmd_query(args) -> int:
         if kind_a == "t":
             verdict = strongly_near_triangles(mesh, ref_a, ref_b)
         else:
+            from .voronoi import cells_strongly_near
+
             verdict = cells_strongly_near(diagram, ref_a, ref_b)
         if verdict:
             shared = near(geom_a, geom_b)

@@ -33,17 +33,16 @@ from .errors import (
     UnknownEdge,
 )
 from .geometry import (
-    CircumCircle,
     Homogeneous,
     Point,
     PointLocation,
     Polygon,
     Segment,
+    _circumcenter,
     _det3,
     _hom,
     _incircle_det,
     _sign,
-    circumcircle,
     locate_point,
     segment_intersection,
 )
@@ -341,11 +340,7 @@ class TriMesh:
         return Polygon(self.triangle_points(t))
 
     def circumcenter(self, t: int) -> Point:
-        return self.circumscribed(t).center
-
-    def circumscribed(self, t: int) -> CircumCircle:
-        a, b, c = self.triangle_points(t)
-        return circumcircle(a, b, c)
+        return _circumcenter(*self.triangle_points(t))[0]
 
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._edge_tris)
@@ -398,14 +393,6 @@ class TriMesh:
             cycle.append(cur)
             cur = outgoing[cur]
         return cycle
-
-    def serialize_key(self) -> tuple:
-        """Value identity used by determinism checks."""
-        return (
-            tuple((str(p.x), str(p.y)) for p in self.sites.points),
-            self.triangles,
-            tuple(sorted(self.constrained)),
-        )
 
 
 def adjacency(mesh: TriMesh, t: int) -> set[int]:

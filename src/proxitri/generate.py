@@ -12,10 +12,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from .choices import DISTRIBUTIONS
 from .errors import BadCount
 from .geometry import Point
-
-DISTRIBUTIONS = ("uniform", "clustered", "cocircular", "collinear-heavy")
 
 # Cocircular mode puts points exactly on this circle, at the parameters
 # t = k / 100 for integer k in _CIRCLE_K.
@@ -86,6 +85,8 @@ def _cocircular(rng: random.Random, n: int) -> list[Point]:
     parametrization x = r(1-t^2)/(1+t^2), y = 2rt/(1+t^2), which is
     injective over rational t.
     """
+    if n < 4:
+        raise BadCount(f"cocircular mode draws at least 4 sites, requested {n}")
     on_circle = max(4, n // 2)
     if on_circle > len(_CIRCLE_K):
         raise BadCount(

@@ -237,6 +237,14 @@ def circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
 
     Raises CollinearInput when no finite circle exists.
     """
+    center, nx, ny, den = _circumcenter(a, b, c)
+    return CircumCircle(center, Fraction(nx * nx + ny * ny, den * den))
+
+
+def _circumcenter(a: Point, b: Point, c: Point) -> tuple[Point, int, int, int]:
+    """Center of the circle through a, b, c, and integers (nx, ny, den)
+    with center - a = (nx, ny) / den, so a caller that needs no radius
+    builds no radius Fraction."""
     ax, ay, aw = _hom(a)
     bx, by, bw = _hom(b)
     cx, cy, cw = _hom(c)
@@ -256,7 +264,7 @@ def circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
     e = 2 * bw * cw * k
     den = aw * e
     center = Point(Fraction(ax * e + nx, den), Fraction(ay * e + ny, den))
-    return CircumCircle(center, Fraction(nx * nx + ny * ny, den * den))
+    return center, nx, ny, den
 
 
 def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
@@ -663,11 +671,6 @@ class Rect:
             Point(self.x1, self.y1),
             Point(self.x0, self.y1),
         )
-
-    def on_boundary(self, p: Point) -> bool:
-        on_x = p.x in (self.x0, self.x1) and self.y0 <= p.y <= self.y1
-        on_y = p.y in (self.y0, self.y1) and self.x0 <= p.x <= self.x1
-        return on_x or on_y
 
 
 def bounding_box(points: Sequence[Point]) -> tuple[Fraction, Fraction, Fraction, Fraction]:

@@ -10,7 +10,6 @@ model is available behind the --format flag.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Union
 
@@ -247,6 +246,8 @@ def _check_boundary(sites: SiteSet, triangles: tuple, directed: set) -> None:
 
 def render_document(model: dict, fmt: str = "document") -> str:
     if fmt == "json-like":
+        import json
+
         return json.dumps(model, indent=2, sort_keys=True) + "\n"
     if fmt != "document":
         raise ValueError(f"unknown format {fmt!r}")
@@ -276,6 +277,8 @@ def render_document(model: dict, fmt: str = "document") -> str:
 def parse_document(text: str, path: str = "") -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json
+
         try:
             model = json.loads(text)
         except json.JSONDecodeError as exc:

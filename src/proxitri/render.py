@@ -10,12 +10,14 @@ bytes on every run.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from .choices import WHAT_CHOICES
 from .delaunay import TriMesh
 from .geometry import Homogeneous, _hom, _lex_less, bounding_box
-from .regions import extract_regions, region_union_polygon
-from .voronoi import VoronoiDiagram
+
+if TYPE_CHECKING:
+    from .voronoi import VoronoiDiagram
 
 STYLE = {
     "width": 640,
@@ -42,8 +44,6 @@ STYLE = {
     ),
     "region_stroke": "#555555",
 }
-
-WHAT_CHOICES = ("delaunay", "voronoi", "overlay", "regions")
 
 
 def _two_decimals(num: int, den: int) -> str:
@@ -246,6 +246,8 @@ def render_svg(
         body += _voronoi_elements(m, diagram)
         body += _site_elements(m, mesh)
     elif what == "regions":
+        from .regions import extract_regions, region_union_polygon
+
         palette = STYLE["region_palette"]
         for idx, region in enumerate(extract_regions(mesh)):
             body.append(

@@ -287,6 +287,13 @@ def edges_of_triangles(triangles) -> set[tuple[int, int]]:
     return out
 
 
+def on_frame_boundary(frame: Rect, p: Point) -> bool:
+    """Whether p lies on one of the frame's four sides."""
+    on_x = p.x in (frame.x0, frame.x1) and frame.y0 <= p.y <= frame.y1
+    on_y = p.y in (frame.y0, frame.y1) and frame.x0 <= p.x <= frame.x1
+    return on_x or on_y
+
+
 def halfplane_cell(sites: SiteSet, i: int, frame: Rect) -> Polygon:
     """Voronoi cell as the frame clipped by every bisector half-plane
     (Sutherland-Hodgman), the defining formula with no mesh involved."""

@@ -1,8 +1,14 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
+import proxitri
 from proxitri.cli import main
 from proxitri.io import parse_document, parse_site_file
 
@@ -230,12 +236,12 @@ class TestQuery:
             assert "v:-1" in err
 
     def test_triangle_selectors_build_no_voronoi_diagram(self, fan_file, monkeypatch):
-        import proxitri.cli
+        import proxitri.voronoi
 
         def no_diagram(*args, **kwargs):
             raise AssertionError("voronoi_diagram called for t: selectors")
 
-        monkeypatch.setattr(proxitri.cli, "voronoi_diagram", no_diagram)
+        monkeypatch.setattr(proxitri.voronoi, "voronoi_diagram", no_diagram)
         code, out, _ = run_cli("query", fan_file, "near", "t:0", "t:1")
         assert code == 0
         assert out == "proxitri-document 1\nquery near t:0 t:1 true segment(0,0;1,1)\n"
@@ -269,3 +275,138 @@ class TestGlobalFlags:
     def test_seed_range_enforced(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("--seed", "-1", "gen", "5", "--out", str(tmp_path / "x"))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs `main` on argv[2:] in a fresh interpreter, then writes its exit code
+# and the names in sys.modules, one a line, to the file argv[1].
+_FOOTPRINT = """
+import sys
+from proxitri.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+with open(sys.argv[1], "w") as fh:
+    fh.write("\\n".join([str(code), *sys.modules]))
+"""
+
+
+def fresh_python(tmp_path, *args) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+
+
+def footprint(tmp_path, *argv) -> tuple[int, set[str]]:
+    """Exit code of one CLI run in a fresh interpreter, and the proxitri
+    submodules (short names) plus json that it loaded."""
+    listing = tmp_path / "modules.txt"
+    fresh_python(tmp_path, "-c", _FOOTPRINT, str(listing), *argv)
+    code, *modules = listing.read_text().split("\n")
+    return int(code), {
+        m.removeprefix("proxitri.") for m in modules if m.startswith("proxitri.") or m == "json"
+    }
+
+
+COMPUTATIONAL = {
+    "checks", "delaunay", "generate", "geometry", "io", "proximity", "regions", "render", "voronoi",
+}
+
+# The names `proxitri` exported when its __init__ imported every submodule.
+EXPORTS = {
+    "delaunay": (
+        "ConstraintSet SiteSet TriMesh adjacency constrained_triangulate "
+        "is_constrained_delaunay_edge is_delaunay_edge is_delaunay_triangle "
+        "is_locally_delaunay is_visible triangulate"
+    ),
+    "errors": (
+        "AllCollinear BadCount CollinearInput ConstraintThroughSite CrossingConstraints "
+        "DegenerateIntersection DuplicateSite FrameTooSmall GeometryError IndexOutOfRange "
+        "InputError MixedMeshes NonConvexInput NotCCW ParseError TooFewSites UnionHasHole "
+        "UnknownEdge UnknownSelector UnwritablePath"
+    ),
+    "geometry": (
+        "CirclePosition CircumCircle Orientation Point PointLocation Polygon Rect Segment "
+        "circumcircle convex_closed_intersection convex_hull convex_polygon_intersection "
+        "distance_sq in_circumcircle is_convex_polygon locate_point orientation "
+        "segment_intersection"
+    ),
+    "proximity": "ProximityVerdict Relation far near strongly_near_triangles triangles_near",
+    "regions": (
+        "LeaderNeighborhood Region connected_components extract_regions is_region_convex "
+        "leader_neighborhoods proximal_region_pairs region_common_intersection "
+        "region_union_polygon"
+    ),
+    "voronoi": (
+        "CellEdge VoronoiCell VoronoiDiagram cells_strongly_near common_vertex "
+        "default_frame voronoi_diagram"
+    ),
+}
+SUBMODULES = COMPUTATIONAL | {"choices", "cli", "errors"}
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize(
+        "argv,unloaded",
+        [
+            (["--version"], COMPUTATIONAL),
+            (["gen", "24", "--out", "g.sites"], {"checks", "proximity", "regions", "voronoi", "render"}),
+            (["triangulate", "{sites}"], {"checks", "proximity", "regions", "voronoi", "render"}),
+            (
+                ["query", "{sites}", "near", "t:0", "t:1"],
+                {"voronoi", "regions", "checks", "render", "generate"},
+            ),
+            (
+                ["query", "{sites}", "far", "e:0-1", "e:1-3"],
+                {"voronoi", "regions", "checks", "render", "generate"},
+            ),
+            (
+                ["render", "{sites}", "--what", "delaunay", "--out", "d.svg"],
+                {"regions", "proximity", "voronoi", "checks", "generate"},
+            ),
+        ],
+        ids=["version", "gen", "triangulate", "query-t", "query-e", "render-delaunay"],
+    )
+    def test_command_leaves_modules_unloaded(self, tmp_path, fan_file, argv, unloaded):
+        code, loaded = footprint(tmp_path, *(a.format(sites=fan_file) for a in argv))
+        assert code == 0
+        assert not loaded & (unloaded | {"json"})
+
+    def test_json_and_every_module_load_when_used(self, tmp_path, fan_file):
+        # the probe sees what a command loads: check runs every module
+        code, loaded = footprint(tmp_path, "--format", "json-like", "check", fan_file)
+        assert code == 0
+        assert loaded >= (COMPUTATIONAL - {"generate", "render"}) | {"json"}
+
+    def test_import_proxitri_loads_no_submodule(self, tmp_path):
+        done = fresh_python(
+            tmp_path,
+            "-c",
+            "import sys, proxitri; print(sorted(m for m in sys.modules if m.startswith('proxitri.')))",
+        )
+        assert done.stdout == "[]\n"
+
+    def test_every_old_export_resolves(self):
+        for module, names in EXPORTS.items():
+            for name in names.split():
+                assert getattr(proxitri, name) is getattr(import_module(f"proxitri.{module}"), name)
+                assert name in proxitri.__all__ and name in dir(proxitri)
+        for module in SUBMODULES:
+            assert getattr(proxitri, module) is import_module(f"proxitri.{module}")
+        with pytest.raises(AttributeError):
+            proxitri.no_such_name
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from proxitri import *", namespace)
+        for names in EXPORTS.values():
+            for name in names.split():
+                assert namespace[name] is getattr(proxitri, name)

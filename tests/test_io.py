@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from proxitri.checks import _check_lemma2, _check_regions
+from proxitri.choices import DISTRIBUTIONS
+from proxitri.cli import main
 from proxitri.delaunay import SiteSet, TriMesh, is_locally_delaunay, triangulate
 from proxitri.errors import GeometryError, IndexOutOfRange, NotCCW, ParseError
 from proxitri.generate import generate_sites
@@ -318,6 +320,19 @@ class TestGenerator:
         # three lines of 10001 grid points each, plus the apex
         with pytest.raises(BadCount):
             generate_sites(3 * 10_001 + 2, 0, "collinear-heavy")
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    def test_small_counts_write_exactly_n_sites(self, distribution, capsys):
+        # cocircular promises four sites on its circle, so three is a usage
+        # error with no output rather than a fourth site
+        for n in range(3, 13):
+            code = main(["gen", str(n), "--distribution", distribution, "--out", "-"])
+            out = capsys.readouterr().out
+            if distribution == "cocircular" and n < 4:
+                assert (code, out) == (2, "")
+            else:
+                assert code == 0
+                assert len(parse_site_file(out)) == n
 
     def test_collinear_heavy_capacity_counts_shared_points_once(self):
         from proxitri.generate import _grid_points_on_lines
