@@ -9,16 +9,28 @@ and general-position duals.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations
-from typing import Callable, Optional
+from math import lcm
+from typing import Callable, Optional, Sequence
 
 from .choices import SUITES
 from .delaunay import SiteSet, TriMesh, adjacency
-from .errors import DegenerateIntersection
-from .geometry import CirclePosition, Point, Rect, Segment, in_circumcircle, is_convex_polygon
+from .errors import DegenerateIntersection, NotCCW
+from .geometry import (
+    Orientation,
+    Point,
+    Rect,
+    Segment,
+    _circumcenter,
+    _hom,
+    _incircle_det,
+    _ring_area2,
+    is_convex_polygon,
+    orientation,
+)
 from .io import geometry_literal
 from .proximity import near, triangles_near
 from .regions import (
@@ -28,7 +40,7 @@ from .regions import (
 )
 from .voronoi import (
     VoronoiDiagram,
-    cells_strongly_near,
+    _equidistant_sites,
     closed_cell_intersection,
     common_vertex,
     voronoi_diagram,
@@ -59,17 +71,19 @@ def run_checks(
     mesh = diagram.mesh
     results: list[CheckResult] = []
     stats: dict = {}
-    # Per-triangle results that two suites read, computed once per run.
-    intruder = cache(partial(_site_inside_circumdisk, mesh))
+    # Per-triangle and per-site-pair results that two suites read, computed
+    # once per run. Cell contacts are keyed by the ordered pair (p < q).
+    intruder = cache(_circumdisk_scan(mesh))
     vertex = cache(partial(_triangle_vertex, diagram))
+    contact = cache(partial(closed_cell_intersection, diagram))
     if "delaunay" in wanted:
         results.extend(_check_delaunay(mesh, intruder))
     if "dual" in wanted:
-        results.extend(_check_dual(diagram))
+        results.extend(_check_dual(diagram, contact))
     if "lemma2" in wanted:
         results.extend(_check_lemma2(diagram, vertex))
     if "theorem-equivalence" in wanted:
-        results.extend(_check_theorem_equivalence(diagram, intruder, vertex))
+        results.extend(_check_theorem_equivalence(diagram, intruder, vertex, contact))
     if "regions" in wanted:
         region_results, region_stats = _check_regions(mesh)
         results.extend(region_results)
@@ -79,16 +93,78 @@ def run_checks(
     return results, stats
 
 
-def _site_inside_circumdisk(mesh: TriMesh, t: int) -> Optional[int]:
-    """The first site strictly inside triangle t's circumdisk, if any."""
-    i, j, k = mesh.triangles[t]
+def _overlapping_boxes(boxes: Sequence[tuple]) -> set[tuple[int, int]]:
+    """Index pairs (i < j) whose closed boxes (x0, y0, x1, y1) meet.
+
+    One sort-and-sweep over the x-intervals (Baraff 1992; Cohen et al.
+    1995): a box is compared only with the boxes still open at its left
+    end, and those pairs are kept when their y-intervals meet too. The
+    coordinates are first replaced by their ranks among the distinct
+    values on their axis, which keeps every order and tie, so the sweep
+    compares small ints and loses no meeting pair.
+    """
+    x_rank = _ranks([v for box in boxes for v in (box[0], box[2])])
+    y_rank = _ranks([v for box in boxes for v in (box[1], box[3])])
+    ranked = [(x_rank[x0], y_rank[y0], x_rank[x1], y_rank[y1]) for x0, y0, x1, y1 in boxes]
+    pairs: set[tuple[int, int]] = set()
+    active: list[tuple[int, int, int, int]] = []  # (x1, y0, y1, index) of the boxes still open
+    for i in sorted(range(len(ranked)), key=lambda i: ranked[i][0]):
+        x0, y0, x1, y1 = ranked[i]
+        active = [box for box in active if box[0] >= x0]
+        for _, by0, by1, j in active:
+            if by0 <= y1 and y0 <= by1:
+                pairs.add((j, i) if j < i else (i, j))
+        active.append((x1, y0, y1, i))
+    return pairs
+
+
+def _ranks(values: list) -> dict:
+    """Each value's position among the distinct values, in increasing order."""
+    return {v: r for r, v in enumerate(sorted(set(values)))}
+
+
+def _circumdisk_scan(mesh: TriMesh) -> Callable[[int], Optional[int]]:
+    """The function giving, for triangle t, the smallest index of a site
+    strictly inside its circumdisk (None when the open disk is empty).
+
+    A site inside the disk has (x - c_x)^2 < r^2. With the sites sorted by
+    x, those with (x - c_x)^2 <= r^2 form one run: the test is monotone on
+    each side of c_x, so a bisection on each side finds an end of the run.
+    Only the run is scanned, with the in-circle determinant on integer rows.
+    """
     pts = mesh.sites.points
-    for d in range(len(pts)):
-        if d in (i, j, k):
-            continue
-        if in_circumcircle(pts[i], pts[j], pts[k], pts[d]) is CirclePosition.INSIDE:
-            return d
-    return None
+    rows = [_hom(p) for p in pts]
+    by_x = sorted(range(len(pts)), key=lambda i: pts[i].x)
+    xs = [pts[i].x for i in by_x]
+    positions = range(len(by_x))
+
+    def scan(t: int) -> Optional[int]:
+        i, j, k = mesh.triangles[t]
+        if orientation(pts[i], pts[j], pts[k]) is not Orientation.CCW:
+            raise NotCCW(f"triangle {t} is not counterclockwise")
+        a, b, c = rows[i], rows[j], rows[k]
+        center, nx, ny, den = _circumcenter(pts[i], pts[j], pts[k])
+        # With c_x = cx / cw and r^2 = (nx^2 + ny^2) / den^2, a site X / W
+        # is in the run when (X cw - cx W)^2 den^2 <= (nx^2 + ny^2) cw^2 W^2.
+        cx, cw = center.x.numerator, center.x.denominator
+        lift = (nx * nx + ny * ny) * cw * cw
+        den2 = den * den
+
+        def in_run(pos: int) -> bool:
+            x, _, w = rows[by_x[pos]]
+            d = x * cw - cx * w
+            return d * d * den2 <= lift * w * w
+
+        # Bisections on a boolean key: the first position where it is True.
+        mid = bisect_left(xs, center.x)
+        lo = bisect_left(positions, True, 0, mid, key=in_run)
+        hi = bisect_left(positions, True, mid, key=lambda pos: not in_run(pos))
+        for d in sorted(by_x[lo:hi]):
+            if d not in (i, j, k) and _incircle_det(a, b, c, rows[d]) > 0:
+                return d
+        return None
+
+    return scan
 
 
 # common_vertex verdict for a triangle whose cells meet four or more at once.
@@ -130,26 +206,25 @@ def _check_delaunay(mesh: TriMesh, intruder: Callable[[int], Optional[int]]) -> 
     return results
 
 
-def _degenerate_point(diagram: VoronoiDiagram, u: Point) -> bool:
-    """True when four or more sites are jointly nearest to u."""
-    dists = sorted(
-        Fraction((u.x - s.x) ** 2 + (u.y - s.y) ** 2) for s in diagram.sites.points
-    )
-    return len(dists) >= 4 and dists[0] == dists[3]
-
-
-def _check_dual(diagram: VoronoiDiagram) -> list[CheckResult]:
+def _check_dual(diagram: VoronoiDiagram, contact: Optional[Callable] = None) -> list[CheckResult]:
+    contact = contact or partial(closed_cell_intersection, diagram)
     mesh = diagram.mesh
     n = len(diagram.sites)
     bad = None
     degenerate = None
-    for p, q in combinations(range(n), 2):
+    # Closed cells with disjoint boxes do not meet, so a pair that is
+    # neither a box pair nor a mesh edge agrees (no edge, no contact).
+    pairs = _overlapping_boxes([diagram.cell(i).polygon.bounding_box() for i in range(n)])
+    pairs.update(mesh.edges())
+    for p, q in sorted(pairs):
         in_mesh = mesh.has_edge(p, q)
-        contact = closed_cell_intersection(diagram, p, q)
-        strong = isinstance(contact, Segment)
+        shared = contact(p, q)
+        strong = isinstance(shared, Segment)
         if in_mesh == strong:
             continue
-        if isinstance(contact, Point) and _degenerate_point(diagram, contact):
+        # shared lies in closed cell p, so the sites as far from it as p
+        # are its nearest sites.
+        if isinstance(shared, Point) and _equidistant_sites(diagram.sites, shared, p) >= 4:
             degenerate = f"pair-{p}-{q}:cocircular-contact"
             continue
         bad = f"pair-{p}-{q}:mesh={in_mesh},voronoi={strong}"
@@ -186,7 +261,10 @@ def _check_lemma2(diagram: VoronoiDiagram, vertex: Optional[Callable] = None) ->
 
 
 def _check_theorem_equivalence(
-    diagram: VoronoiDiagram, intruder: Callable[[int], Optional[int]], vertex: Callable
+    diagram: VoronoiDiagram,
+    intruder: Callable[[int], Optional[int]],
+    vertex: Callable,
+    contact: Callable,
 ) -> list[CheckResult]:
     mesh = diagram.mesh
     results = []
@@ -200,7 +278,8 @@ def _check_theorem_equivalence(
             continue
         center_is_vertex = shared is not None and shared == diagram.vertices[t]
         pairwise_strong = all(
-            cells_strongly_near(diagram, a, b) for a, b in ((i, j), (j, k), (k, i))
+            isinstance(contact(min(a, b), max(a, b)), Segment)
+            for a, b in ((i, j), (j, k), (k, i))
         )
         if empty_disk == center_is_vertex == pairwise_strong:
             results.append(CheckResult(name, "pass"))
@@ -251,10 +330,14 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
     area_ok = True
     area_witness = "-"
     convex = 0
+    rows = [_hom(p) for p in mesh.sites.points]
     for idx, region in enumerate(regions):
         poly = region_union_polygon(region)
-        total = sum((_triangle_area(mesh, t) for t in region.members()), start=Fraction(0))
-        if poly.area() != total:
+        # Twice each area times scale^2, on one scale for the whole region.
+        corners = [[rows[v] for v in mesh.triangles[t]] for t in region.members()]
+        scale = lcm(*(w for tri in corners for _, _, w in tri))
+        total = sum(_ring_area2(tri, scale) for tri in corners)
+        if _ring_area2([_hom(v) for v in poly.vertices], scale) != total:
             area_ok = False
             area_witness = f"region-{idx}:union-area-mismatch"
         if is_convex_polygon(poly):
@@ -268,22 +351,20 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
     return results, stats
 
 
-def _triangle_area(mesh: TriMesh, t: int) -> Fraction:
-    """Area of a (counterclockwise) mesh triangle, from its three corners."""
-    a, b, c = mesh.triangle_points(t)
-    return ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2
-
-
 def _check_leader(mesh: TriMesh) -> list[CheckResult]:
     hoods = {h.anchor: h.neighbors for h in leader_neighborhoods(mesh)}
-    sym_ok = all(
-        (a in hoods[b]) == (b in hoods[a])
-        for a, b in combinations(range(len(mesh)), 2)
-    )
+    # (a, b) for every family member b of anchor a; a pair that neither
+    # family claims is symmetric.
+    claimed = {(a, b) for a, family in hoods.items() for b in family if b != a and b in hoods}
+    sym_ok = all((b, a) in claimed for a, b in claimed)
     results = [CheckResult("leader/symmetry", "pass" if sym_ok else "fail")]
     bad = None
     polys = [mesh.triangle_polygon(t) for t in range(len(mesh))]
-    for a, b in combinations(range(len(mesh)), 2):
+    # Triangles with disjoint boxes share no point and so no vertex: a pair
+    # outside the box pairs and the family pairs is false on all three sides.
+    pairs = _overlapping_boxes([poly.bounding_box() for poly in polys])
+    pairs.update((a, b) if a < b else (b, a) for a, b in claimed)
+    for a, b in sorted(pairs):
         combinatorial = b in hoods[a]
         geometric = near(polys[a], polys[b]).is_near
         index_near = triangles_near(mesh, a, b)

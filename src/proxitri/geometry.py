@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -333,6 +334,8 @@ class Polygon:
     _box: Optional[tuple[Fraction, Fraction, Fraction, Fraction]] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Verdict of is_convex_polygon(), filled in by its first call.
+    _convex: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = _normalize_ring(tuple(self.vertices))
@@ -367,13 +370,19 @@ def _area2(verts: tuple[Point, ...]) -> tuple[int, int]:
     over a positive integer denominator (the squared lcm of the weights)."""
     homs = [_hom(v) for v in verts]
     den = lcm(*(w for _, _, w in homs))
+    return _ring_area2(homs, den), den * den
+
+
+def _ring_area2(rows: Sequence[Homogeneous], scale: int) -> int:
+    """Twice the signed area of the closed ring of rows, times scale^2;
+    every weight must divide scale."""
     total = 0
-    n = len(homs)
+    n = len(rows)
     for i in range(n):
-        px, py, pw = homs[i]
-        qx, qy, qw = homs[(i + 1) % n]
-        total += (px * qy - qx * py) * (den // pw) * (den // qw)
-    return total, den * den
+        px, py, pw = rows[i]
+        qx, qy, qw = rows[(i + 1) % n]
+        total += (px * qy - qx * py) * (scale // pw) * (scale // qw)
+    return total
 
 
 def _lex_less(a: Homogeneous, b: Homogeneous) -> bool:
@@ -453,13 +462,19 @@ def _check_simple(verts: tuple[Point, ...]) -> None:
 
 
 def is_convex_polygon(p: Polygon) -> bool:
-    """True when no boundary turn is clockwise (no reflex vertex)."""
-    v = p.vertices
-    n = len(v)
-    for i in range(n):
-        if _turn(v[i], v[(i + 1) % n], v[(i + 2) % n]) < 0:
-            return False
-    return True
+    """True when no boundary turn is clockwise (no reflex vertex). The
+    verdict is cached on the polygon."""
+    convex = p._convex
+    if convex is None:
+        homs = [_hom(v) for v in p.vertices]
+        n = len(homs)
+        convex = all(_det3(homs[i - 2], homs[i - 1], homs[i]) >= 0 for i in range(n))
+        object.__setattr__(p, "_convex", convex)
+    return convex
+
+
+# Sort key for distinct rows; equal rows never meet, since they are equal points.
+_row_order = cmp_to_key(lambda a, b: -1 if _lex_less(a, b) else 1)
 
 
 def convex_hull(points: Iterable[Point]) -> list[Point]:
@@ -468,23 +483,25 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     Collinear boundary points are dropped. Returns fewer than 3 points for
     degenerate inputs.
     """
-    pts = sorted(set(points), key=Point.key)
-    if len(pts) <= 2:
-        return pts
-    lower: list[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _turn(lower[-2], lower[-1], p) <= 0:
+    # Rows are canonical, so equal rows are equal points.
+    by_row = {_hom(p): p for p in points}
+    rows = sorted(by_row, key=_row_order)
+    if len(rows) <= 2:
+        return [by_row[r] for r in rows]
+    lower: list[Homogeneous] = []
+    for r in rows:
+        while len(lower) >= 2 and _det3(lower[-2], lower[-1], r) <= 0:
             lower.pop()
-        lower.append(p)
-    upper: list[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _turn(upper[-2], upper[-1], p) <= 0:
+        lower.append(r)
+    upper: list[Homogeneous] = []
+    for r in reversed(rows):
+        while len(upper) >= 2 and _det3(upper[-2], upper[-1], r) <= 0:
             upper.pop()
-        upper.append(p)
+        upper.append(r)
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:  # all input points collinear
-        return [pts[0], pts[-1]]
-    return hull
+        hull = [rows[0], rows[-1]]
+    return [by_row[r] for r in hull]
 
 
 def locate_point(p: Point, g: Union[Segment, Polygon]) -> PointLocation:
@@ -522,7 +539,7 @@ def locate_point(p: Point, g: Union[Segment, Polygon]) -> PointLocation:
 # and closed intersections along them.
 
 Line = tuple[int, int, int]
-Interval = tuple[Point, Point]  # closed; ends ordered by Point.key
+Interval = tuple[Point, Point]  # closed; ends in _lex_less order
 
 
 def _line_through(a: Point, b: Point) -> Line:
@@ -554,21 +571,30 @@ def _line_slice(poly: Polygon, line: Line) -> Optional[Interval]:
     n = len(verts)
     homs = [_hom(v) for v in verts]
     vals = [fa * x + fb * y + fc * w for x, y, w in homs]
-    hits: list[Point] = []
+    lo = hi = None
     for i in range(n):
         j = (i + 1) % n
         va, vb = vals[i], vals[j]
         if va == 0:
-            hits.append(verts[i])
-        if (va > 0 > vb) or (va < 0 < vb):
-            hits.append(_line_point(va, vb, homs[i], homs[j]))
-    if not hits:
+            hit = verts[i]
+        elif (va > 0 > vb) or (va < 0 < vb):
+            hit = _line_point(va, vb, homs[i], homs[j])
+        else:
+            continue
+        row = _hom(hit)
+        if lo is None:
+            lo, lo_row, hi, hi_row = hit, row, hit, row
+        elif _lex_less(row, lo_row):
+            lo, lo_row = hit, row
+        elif _lex_less(hi_row, row):
+            hi, hi_row = hit, row
+    if lo is None:
         return None
-    return (min(hits, key=Point.key), max(hits, key=Point.key))
+    return (lo, hi)
 
 
 def _interval(s: Segment) -> Interval:
-    return (s.a, s.b) if s.a.key() < s.b.key() else (s.b, s.a)
+    return (s.a, s.b) if _lex_less(_hom(s.a), _hom(s.b)) else (s.b, s.a)
 
 
 def _overlap(intervals: Iterable[Optional[Interval]]) -> Union[None, Point, Segment]:
@@ -579,13 +605,15 @@ def _overlap(intervals: Iterable[Optional[Interval]]) -> Union[None, Point, Segm
         if interval is None:
             return None
         a, b = interval
-        if lo is None or a.key() > lo.key():
+        if lo is None or _lex_less(_hom(lo), _hom(a)):
             lo = a
-        if hi is None or b.key() < hi.key():
+        if hi is None or _lex_less(_hom(b), _hom(hi)):
             hi = b
-    if lo.key() > hi.key():
+    lo_row = _hom(lo)
+    hi_row = _hom(hi)
+    if _lex_less(hi_row, lo_row):
         return None
-    if lo == hi:
+    if lo_row == hi_row:
         return lo
     return Segment(lo, hi)
 
@@ -608,21 +636,28 @@ def convex_closed_intersection(p: Polygon, q: Polygon) -> ClosedIntersection:
     qx0, qy0, qx1, qy1 = q.bounding_box()
     if px1 < qx0 or qx1 < px0 or py1 < qy0 or qy1 < py0:
         return None
-    candidates: set[Point] = set()
-    for v in p.vertices:
-        if locate_point(v, q) is not PointLocation.EXTERIOR:
-            candidates.add(v)
-    for v in q.vertices:
-        if locate_point(v, p) is not PointLocation.EXTERIOR:
-            candidates.add(v)
-    for e in p.edges():
-        for f in q.edges():
-            hit = segment_intersection(e, f)
-            if isinstance(hit, Point):
-                candidates.add(hit)
-            elif isinstance(hit, Segment):
-                candidates.add(hit.a)
-                candidates.add(hit.b)
+    p_rows = [_hom(v) for v in p.vertices]
+    q_rows = [_hom(v) for v in q.vertices]
+    p_edges = list(zip(p_rows, p_rows[1:] + p_rows[:1]))
+    q_edges = list(zip(q_rows, q_rows[1:] + q_rows[:1]))
+    # The corners of the intersection: each ring's vertices that lie in the
+    # other closed ring (left of or on every edge), and proper crossings of
+    # two edges. A touch or collinear overlap of two edges ends at a vertex
+    # lying on the other edge, which the vertex loop keeps.
+    candidates: list[Point] = []
+    for verts, rows, edges in ((p.vertices, p_rows, q_edges), (q.vertices, q_rows, p_edges)):
+        for v, r in zip(verts, rows):
+            if all(_det3(a, b, r) >= 0 for a, b in edges):
+                candidates.append(v)
+    for ea, eb in p_edges:
+        for fa, fb in q_edges:
+            d1 = _det3(ea, eb, fa)
+            d2 = _det3(ea, eb, fb)
+            if (d1 > 0 > d2) or (d1 < 0 < d2):
+                d3 = _det3(fa, fb, ea)
+                d4 = _det3(fa, fb, eb)
+                if (d3 > 0 > d4) or (d3 < 0 < d4):
+                    candidates.append(_line_point(d3, d4, ea, eb))
     if not candidates:
         return None
     hull = convex_hull(candidates)

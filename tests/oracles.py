@@ -9,7 +9,11 @@ point-location classification. The fraction_* references are the plain
 Fraction formulas that geometry's integer sign kernel replaces, and the
 composed_* references build three-cell and region intersections edge by
 edge instead of slicing along one line. FractionMapper is render's screen
-transform on Fractions, which the integer-row mapper replaces.
+transform on Fractions, which the integer-row mapper replaces. The
+all_pairs_* checks are the `check` suite bodies that visit every pair,
+which the sort-and-sweep broad phase replaces; they reach the library
+through the `proxitri.checks` module, so a fault patched into it reaches
+them as well.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from proxitri import checks
+from proxitri.checks import CheckResult
 from proxitri.delaunay import ConstraintSet, SiteSet
-from proxitri.errors import CollinearInput, DegenerateIntersection, NotCCW
+from proxitri.errors import CollinearInput, DegenerateIntersection, NonConvexInput, NotCCW
 from proxitri.geometry import (
     CircumCircle,
     CirclePosition,
@@ -31,6 +37,8 @@ from proxitri.geometry import (
     Segment,
     convex_closed_intersection,
     distance_sq,
+    in_circumcircle,
+    is_convex_polygon,
     locate_point,
     segment_intersection,
 )
@@ -452,3 +460,128 @@ def brute_maximal_cliques(adjacency: dict[int, set[int]]) -> set[frozenset[int]]
         every |= grown
         frontier = grown
     return {c for c in every if not any(c < other for other in every)}
+
+
+def fraction_convex_hull(points) -> list[Point]:
+    """Monotone chain over the points sorted by their Fraction keys."""
+    pts = sorted(set(points), key=Point.key)
+    if len(pts) <= 2:
+        return pts
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and fraction_orientation(lower[-2], lower[-1], p) is not Orientation.CCW:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and fraction_orientation(upper[-2], upper[-1], p) is not Orientation.CCW:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        return [pts[0], pts[-1]]
+    return hull
+
+
+def candidate_hull_intersection(p: Polygon, q: Polygon):
+    """Closed intersection of two convex polygons as the hull of every
+    vertex located in the other polygon and every edge-edge contact."""
+    if not is_convex_polygon(p) or not is_convex_polygon(q):
+        raise NonConvexInput("not convex")
+    px0, py0, px1, py1 = p.bounding_box()
+    qx0, qy0, qx1, qy1 = q.bounding_box()
+    if px1 < qx0 or qx1 < px0 or py1 < qy0 or qy1 < py0:
+        return None
+    candidates: set[Point] = set()
+    for v in p.vertices:
+        if locate_point(v, q) is not PointLocation.EXTERIOR:
+            candidates.add(v)
+    for v in q.vertices:
+        if locate_point(v, p) is not PointLocation.EXTERIOR:
+            candidates.add(v)
+    for e in p.edges():
+        for f in q.edges():
+            hit = segment_intersection(e, f)
+            if isinstance(hit, Point):
+                candidates.add(hit)
+            elif isinstance(hit, Segment):
+                candidates.add(hit.a)
+                candidates.add(hit.b)
+    if not candidates:
+        return None
+    hull = fraction_convex_hull(candidates)
+    if len(hull) == 1:
+        return hull[0]
+    if len(hull) == 2:
+        return Segment(hull[0], hull[1])
+    return Polygon(tuple(hull))
+
+
+def scan_site_inside_circumdisk(mesh, t: int):
+    """The first site, in index order over every site, strictly inside
+    triangle t's circumdisk, or None."""
+    i, j, k = mesh.triangles[t]
+    pts = mesh.sites.points
+    for d in range(len(pts)):
+        if d in (i, j, k):
+            continue
+        if in_circumcircle(pts[i], pts[j], pts[k], pts[d]) is CirclePosition.INSIDE:
+            return d
+    return None
+
+
+def _nearest_tied(diagram, u: Point) -> bool:
+    """Four or more sites jointly nearest to u, on sorted Fraction distances."""
+    dists = sorted(distance_sq(u, s) for s in diagram.sites.points)
+    return len(dists) >= 4 and dists[0] == dists[3]
+
+
+def all_pairs_check_dual(diagram) -> list[CheckResult]:
+    """dual/edge-definition over every site pair."""
+    mesh = diagram.mesh
+    bad = None
+    degenerate = None
+    for p, q in combinations(range(len(diagram.sites)), 2):
+        in_mesh = mesh.has_edge(p, q)
+        contact = checks.closed_cell_intersection(diagram, p, q)
+        strong = isinstance(contact, Segment)
+        if in_mesh == strong:
+            continue
+        if isinstance(contact, Point) and _nearest_tied(diagram, contact):
+            degenerate = f"pair-{p}-{q}:cocircular-contact"
+            continue
+        bad = f"pair-{p}-{q}:mesh={in_mesh},voronoi={strong}"
+        break
+    if bad:
+        return [CheckResult("dual/edge-definition", "fail", bad)]
+    if degenerate:
+        return [CheckResult("dual/edge-definition", "degenerate-skip", degenerate)]
+    return [CheckResult("dual/edge-definition", "pass")]
+
+
+def all_pairs_check_leader(mesh) -> list[CheckResult]:
+    """leader/symmetry and leader/geometric-agreement over every triangle pair."""
+    hoods = {h.anchor: h.neighbors for h in checks.leader_neighborhoods(mesh)}
+    sym_ok = all(
+        (a in hoods[b]) == (b in hoods[a]) for a, b in combinations(range(len(mesh)), 2)
+    )
+    results = [CheckResult("leader/symmetry", "pass" if sym_ok else "fail")]
+    bad = None
+    polys = [mesh.triangle_polygon(t) for t in range(len(mesh))]
+    for a, b in combinations(range(len(mesh)), 2):
+        combinatorial = b in hoods[a]
+        geometric = checks.near(polys[a], polys[b]).is_near
+        index_near = checks.triangles_near(mesh, a, b)
+        if not (combinatorial == geometric == index_near):
+            bad = f"pair-{a}-{b}:family={combinatorial},geometric={geometric},indices={index_near}"
+            break
+    results.append(
+        CheckResult("leader/geometric-agreement", "fail" if bad else "pass", bad or "-")
+    )
+    return results
+
+
+def fraction_triangle_area(mesh, t: int) -> Fraction:
+    """Area of a counterclockwise mesh triangle on Fractions."""
+    a, b, c = mesh.triangle_points(t)
+    return ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2

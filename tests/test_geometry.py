@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 
 import pytest
@@ -28,7 +30,9 @@ from proxitri.geometry import (
 )
 
 from oracles import (
+    candidate_hull_intersection,
     clip_convex_intersection,
+    fraction_convex_hull,
     fraction_circumcircle,
     fraction_in_circumcircle,
     fraction_line_slice,
@@ -40,6 +44,7 @@ coords = st.fractions(
     min_value=-20, max_value=20, max_denominator=8
 )
 points = st.builds(Point, coords, coords)
+grid_points = st.builds(Point, st.integers(0, 4), st.integers(0, 4))
 
 
 def P(x, y) -> Point:
@@ -265,6 +270,42 @@ class TestConvexIntersection:
         assert got == expected
         if got is not None:
             assert is_convex_polygon(got)
+
+    def test_mesh_triangle_pairs_match_oracles(self, corpus, degenerate_corpus):
+        """Every triangle pair of the corpus meshes: shared vertices, shared
+        edges and collinear hull runs, contacts that random hulls rarely make.
+        Only a triangle with itself has a positive-area intersection, which
+        the clipping oracle checks; the small-grid property checks it on
+        touching pairs."""
+        kinds = Counter()
+        for entry in corpus + degenerate_corpus:
+            polys = [entry.mesh.triangle_polygon(t) for t in range(len(entry.mesh))]
+            for a, b in combinations_with_replacement(range(len(polys)), 2):
+                got = convex_closed_intersection(polys[a], polys[b])
+                assert got == candidate_hull_intersection(polys[a], polys[b])
+                if a == b:
+                    assert got == clip_convex_intersection(polys[a], polys[b]) == polys[a]
+                kinds[type(got).__name__] += 1
+        assert kinds["Point"] > 0 and kinds["Segment"] > 0 and kinds["Polygon"] > 0
+
+    @given(st.lists(grid_points, min_size=3, max_size=7), st.lists(grid_points, min_size=3, max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_small_grid_matches_oracles(self, pts_a, pts_b):
+        # A 5 x 5 grid makes shared vertices, touching edges and collinear
+        # overlaps common.
+        hull_a = fraction_convex_hull(pts_a)
+        hull_b = fraction_convex_hull(pts_b)
+        assume(len(hull_a) >= 3 and len(hull_b) >= 3)
+        pa, pb = Polygon(tuple(hull_a)), Polygon(tuple(hull_b))
+        got = convex_closed_intersection(pa, pb)
+        assert got == candidate_hull_intersection(pa, pb)
+        assert convex_closed_intersection(pb, pa) == got
+        assert (got if isinstance(got, Polygon) else None) == clip_convex_intersection(pa, pb)
+
+    @given(st.lists(st.one_of(grid_points, points), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_hull_matches_fraction_hull(self, pts):
+        assert convex_hull(pts) == fraction_convex_hull(pts)
 
 
 class TestLocatePoint:
