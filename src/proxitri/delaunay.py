@@ -35,15 +35,17 @@ from .errors import (
 from .geometry import (
     Homogeneous,
     Point,
-    PointLocation,
     Polygon,
     Segment,
+    _between,
     _circumcenter,
     _det3,
     _hom,
     _incircle_det,
+    _lex_less,
+    _line_point,
+    _row_order,
     _sign,
-    locate_point,
     segment_intersection,
 )
 
@@ -207,10 +209,9 @@ def _build_delaunay(sites: SiteSet) -> _MeshBuilder:
     n = len(sites)
     if n < 3:
         raise TooFewSites(f"need at least 3 sites, got {n}")
-    pts = sites.points
-    order = sorted(range(n), key=lambda i: pts[i].key())
     builder = _MeshBuilder(sites)
     rows = builder.rows
+    order = sorted(range(n), key=lambda i: _row_order(rows[i]))
 
     chain = [order[0], order[1]]
     k = 2
@@ -427,6 +428,47 @@ def triangulate(sites: SiteSet) -> TriMesh:
 # ---------------------------------------------------------------------------
 # Constrained triangulation.
 
+_Ends = tuple[Homogeneous, Homogeneous]
+
+
+def _in_open_segment(s: Homogeneous, a: Homogeneous, b: Homogeneous) -> bool:
+    """Row s lies on the segment ab strictly between its ends (rows are
+    canonical, so equal rows are equal points)."""
+    return s != a and s != b and _det3(a, b, s) == 0 and _between(s, a, b)
+
+
+def _open_segments_meet(a: Homogeneous, b: Homogeneous, c: Homogeneous, d: Homogeneous) -> bool:
+    """The open segments ab and cd share a point: they cross properly, or
+    they lie on one line and overlap along a positive length."""
+    d1 = _det3(a, b, c)
+    d2 = _det3(a, b, d)
+    if d1 == 0 and d2 == 0:
+        if _lex_less(b, a):
+            a, b = b, a
+        if _lex_less(d, c):
+            c, d = d, c
+        return _lex_less(a, d) and _lex_less(c, b)
+    if not (d1 > 0 > d2 or d1 < 0 < d2):
+        return False
+    d3 = _det3(c, d, a)
+    d4 = _det3(c, d, b)
+    return d3 > 0 > d4 or d3 < 0 < d4
+
+
+def _blocked(
+    a: Homogeneous, b: Homogeneous, rows: Sequence[Homogeneous], ends: Sequence[_Ends]
+) -> Optional[int]:
+    """Position of the first blocker of the open segment ab, counting rows
+    and then ends, or None: a row inside the open segment, or an end pair
+    whose open segment shares a point with it."""
+    for k, s in enumerate(rows):
+        if _in_open_segment(s, a, b):
+            return k
+    for k, (c, d) in enumerate(ends, len(rows)):
+        if _open_segments_meet(a, b, c, d):
+            return k
+    return None
+
 
 def _resolve_constraints(
     sites: SiteSet, constraints: ConstraintSet
@@ -445,29 +487,19 @@ def _validate_constraints(
     sites: SiteSet, constraints: ConstraintSet, pairs: Sequence[tuple[int, int]]
 ) -> None:
     segs = constraints.segments
-    for idx, seg in enumerate(segs):
-        for s, site in enumerate(sites.points):
-            if s in pairs[idx]:
-                continue
-            if locate_point(site, seg) is PointLocation.INTERIOR:
-                raise ConstraintThroughSite(
-                    f"constraint {seg} passes through site #{s} {site}"
-                )
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            hit = segment_intersection(segs[i], segs[j])
-            if hit is None:
-                continue
-            if isinstance(hit, Segment):
-                raise CrossingConstraints(
-                    f"constraints {segs[i]} and {segs[j]} overlap along {hit}"
-                )
-            interior_i = locate_point(hit, segs[i]) is PointLocation.INTERIOR
-            interior_j = locate_point(hit, segs[j]) is PointLocation.INTERIOR
-            if interior_i and interior_j:
-                raise CrossingConstraints(
-                    f"constraints {segs[i]} and {segs[j]} cross at {hit}"
-                )
+    rows = [_hom(p) for p in sites.points]
+    ends = [(rows[a], rows[b]) for a, b in pairs]
+    for seg, (a, b) in zip(segs, ends):
+        s = _blocked(a, b, rows, ())
+        if s is not None:
+            raise ConstraintThroughSite(f"constraint {seg} passes through site #{s} {sites[s]}")
+    for i, (a, b) in enumerate(ends):
+        j = _blocked(a, b, (), ends[i + 1 :])
+        if j is not None:
+            other = segs[i + 1 + j]
+            hit = segment_intersection(segs[i], other)
+            how = "overlap along" if isinstance(hit, Segment) else "cross at"
+            raise CrossingConstraints(f"constraints {segs[i]} and {other} {how} {hit}")
 
 
 def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
@@ -554,9 +586,6 @@ def constrained_triangulate(sites: SiteSet, constraints: ConstraintSet) -> TriMe
     cocircular tie-break as triangulate).
     """
     pairs = _resolve_constraints(sites, constraints)
-    for a, b in pairs:
-        if a == b:
-            raise GeometryError("constraint endpoints coincide")
     _validate_constraints(sites, constraints, pairs)
     builder = _build_delaunay(sites)
     for a, b in pairs:
@@ -606,105 +635,43 @@ def is_visible(
     sites.check_index(q)
     if p == q:
         raise IndexOutOfRange("visibility query needs two distinct sites")
-    seg = Segment(sites[p], sites[q])
-    for s, site in enumerate(sites.points):
-        if s in (p, q):
-            continue
-        if locate_point(site, seg) is PointLocation.INTERIOR:
-            return False
-    return not _constraint_blocked(seg, constraints, skip={_point_key(seg.a, seg.b)})
-
-
-def _point_key(a: Point, b: Point) -> frozenset:
-    return frozenset((a, b))
-
-
-def _constraint_blocked(seg: Segment, constraints: ConstraintSet, skip=frozenset()) -> bool:
-    for c in constraints.segments:
-        if _point_key(c.a, c.b) in skip:
-            continue
-        hit = segment_intersection(seg, c)
-        if hit is None:
-            continue
-        if isinstance(hit, Segment):
-            return True  # positive overlap always has shared interior points
-        if (
-            locate_point(hit, seg) is PointLocation.INTERIOR
-            and locate_point(hit, c) is PointLocation.INTERIOR
-        ):
-            return True
-    return False
-
-
-def _site_blocked(seg: Segment, sites: SiteSet, exclude: frozenset[int]) -> bool:
-    for s, site in enumerate(sites.points):
-        if s in exclude:
-            continue
-        if locate_point(site, seg) is PointLocation.INTERIOR:
-            return True
-    return False
+    rows = [_hom(s) for s in sites.points]
+    a, b = rows[p], rows[q]
+    ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
+    return _blocked(a, b, rows, [e for e in ends if e != (a, b) and e != (b, a)]) is None
 
 
 def _visible_from_open_edge(
-    sites: SiteSet, constraints: ConstraintSet, p: int, q: int, w: int
+    a: Homogeneous, b: Homogeneous, w: Homogeneous, rows: list[Homogeneous], ends: list[_Ends]
 ) -> bool:
-    """True when site w can be seen from at least one interior point of pq.
+    """True when the site row w, off the line ab, can be seen from at least
+    one point of the open segment ab.
 
-    The blocked parameter set along pq changes only at finitely many
-    critical parameters (alignments of the viewpoint with sites or
-    constraint endpoints, and crossings of constraint carrier lines), so
+    The blocked parameter set along ab changes only at finitely many
+    critical parameters (alignments of the viewpoint with w and a site or
+    constraint endpoint, and crossings of constraint carrier lines), so
     sampling one exact rational point inside each induced subinterval
-    decides the existential.
+    decides the existential. The line through g and h meets ab at the
+    parameter f(a) / (f(a) - f(b)), f the affine function that _det3(g, h, .)
+    takes times the row weight.
     """
-    a = sites[p]
-    b = sites[q]
-    wp = sites[w]
-    dx = b.x - a.x
-    dy = b.y - a.y
-
-    def line_param(g: Point, h: Point) -> Optional[Fraction]:
-        # Parameter t of line(g, h) meeting line(a, b), if unique.
-        gx = h.x - g.x
-        gy = h.y - g.y
-        denom = gx * dy - gy * dx
-        if denom == 0:
-            return None
-        t = ((a.y - g.y) * gx - (a.x - g.x) * gy) / -denom
-        return t
-
+    aw = a[2]
+    bw = b[2]
+    lines = [(w, s) for s in rows if s != w]
+    lines += [(w, e) for pair in ends for e in pair if e != w]
+    lines += ends
     crits = {Fraction(0), Fraction(1)}
-    for s, site in enumerate(sites.points):
-        if s in (p, q, w):
-            continue
-        t = line_param(wp, site)
-        if t is not None:
-            crits.add(t)
-    for c in constraints.segments:
-        for end in (c.a, c.b):
-            if end != wp:
-                t = line_param(wp, end)
-                if t is not None:
-                    crits.add(t)
-        t = line_param(c.a, c.b)
-        if t is not None:
-            crits.add(t)
-    ordered = sorted(t for t in crits if 0 <= t <= 1)
-    samples = [
-        (ordered[i] + ordered[i + 1]) / 2
-        for i in range(len(ordered) - 1)
-        if ordered[i] != ordered[i + 1]
-    ]
-    exclude = frozenset((p, q, w))
-    for t in samples:
-        x = Point(a.x + t * dx, a.y + t * dy)
-        if x == wp:
-            continue
-        ray = Segment(x, wp)
-        if _site_blocked(ray, sites, exclude):
-            continue
-        if _constraint_blocked(ray, constraints):
-            continue
-        return True
+    for g, h in lines:
+        fa = _det3(g, h, a) * bw  # f(a) and f(b) times one positive constant
+        fb = _det3(g, h, b) * aw
+        if fa != fb and (fa <= 0 <= fb or fb <= 0 <= fa):
+            crits.add(Fraction(fa, fa - fb))
+    ordered = sorted(crits)
+    for t0, t1 in zip(ordered, ordered[1:]):
+        t = (t0 + t1) / 2  # the viewpoint a + t (b - a)
+        x = _line_point(t.numerator * aw, (t.numerator - t.denominator) * bw, a, b)
+        if _blocked(_hom(x), w, rows, ends) is None:
+            return True
     return False
 
 
@@ -714,57 +681,35 @@ def is_constrained_delaunay_edge(
     """Membership of pq in the constrained Delaunay triangulation.
 
     Either pq is itself a constraint, or p and q see each other and some
-    circle through them has no visible site strictly inside. Each site
-    pins the admissible circle centers to a half-line along the bisector
-    of pq, so feasibility reduces to comparing two rational bounds; the
-    boundary circles are exactly those through p, q and one more site.
+    circle through them has no site strictly inside that is visible from
+    the open segment pq (sites on the line pq never are). On each side of
+    p->q, the visible site whose circle through p and q holds no other
+    visible site of that side bounds every such circle, so one exists
+    exactly when the right-side pick is not strictly inside the circle
+    through p, q and the left-side pick.
     """
     sites.check_index(p)
     sites.check_index(q)
     if p == q:
         raise IndexOutOfRange("edge query needs two distinct sites")
-    pk = _point_key(sites[p], sites[q])
-    if any(_point_key(c.a, c.b) == pk for c in constraints.segments):
+    rows = [_hom(s) for s in sites.points]
+    a, b = rows[p], rows[q]
+    ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
+    if (a, b) in ends or (b, a) in ends:
         return True
-    if not is_visible(sites, constraints, p, q):
+    if _blocked(a, b, rows, ends) is not None:
         return False
-
-    a = sites[p]
-    b = sites[q]
-    mx = (a.x + b.x) / 2
-    my = (a.y + b.y) / 2
-    nx = -(b.y - a.y)
-    ny = b.x - a.x
-    lower = None  # need center parameter >= lower
-    upper = None  # need center parameter <= upper
-    for w in range(len(sites)):
-        if w in (p, q):
+    left = right = None
+    for w in rows:
+        turn = _det3(a, b, w)
+        if turn == 0 or not _visible_from_open_edge(a, b, w, rows, ends):
             continue
-        wp = sites[w]
-        rel_x = a.x - wp.x
-        rel_y = a.y - wp.y
-        alpha = 2 * (nx * rel_x + ny * rel_y)
-        if alpha == 0:
-            # w on the carrier line of pq: outside every circle through p, q
-            # unless strictly between them, which visibility already rejected.
-            continue
-        if not _visible_from_open_edge(sites, constraints, p, q, w):
-            continue
-        beta = (
-            2 * (mx * rel_x + my * rel_y)
-            + wp.x * wp.x
-            + wp.y * wp.y
-            - a.x * a.x
-            - a.y * a.y
-        )
-        s_w = -beta / alpha
-        if alpha > 0:
-            lower = s_w if lower is None else max(lower, s_w)
-        else:
-            upper = s_w if upper is None else min(upper, s_w)
-    if lower is None or upper is None:
-        return True
-    return lower <= upper
+        if turn > 0:
+            if left is None or _incircle_det(a, b, left, w) > 0:
+                left = w
+        elif right is None or _incircle_det(b, a, right, w) > 0:
+            right = w
+    return left is None or right is None or _incircle_det(a, b, left, right) <= 0
 
 
 def is_delaunay_edge(diagram, p: int, q: int) -> bool:

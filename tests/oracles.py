@@ -6,7 +6,9 @@ determinant, cells come from half-plane clipping rather than the Delaunay
 dual walk, cell edge owners from distance matching rather than fan
 spokes, and visibility from parametric intersection rather than
 point-location classification. The fraction_* references are the plain
-Fraction formulas that geometry's integer sign kernel replaces, and the
+Fraction formulas that geometry's integer sign kernel replaces (for
+constrained Delaunay edges, bisector bounds rather than one in-circle
+sign per side), and the
 composed_* references build three-cell and region intersections edge by
 edge instead of slicing along one line. FractionMapper is render's screen
 transform on Fractions, which the integer-row mapper replaces. The
@@ -444,6 +446,121 @@ def visibility_oracle(
         if segments_cross_interiors(a, b, c.a, c.b):
             return False
     return True
+
+
+def fraction_visible_from_open_edge(
+    sites: SiteSet, constraints: ConstraintSet, p: int, q: int, w: int
+) -> bool:
+    """Site w seen from some interior point of pq, on Fractions: critical
+    parameters from a parametric line solve, one sampled viewpoint inside
+    each subinterval, each sight line tested by the parametric oracles."""
+    a = sites[p]
+    b = sites[q]
+    wp = sites[w]
+    dx = b.x - a.x
+    dy = b.y - a.y
+
+    def line_param(g: Point, h: Point):
+        # Parameter t of line(g, h) meeting line(a, b), if unique.
+        gx = h.x - g.x
+        gy = h.y - g.y
+        denom = gx * dy - gy * dx
+        if denom == 0:
+            return None
+        return ((a.y - g.y) * gx - (a.x - g.x) * gy) / -denom
+
+    lines = [(wp, site) for s, site in enumerate(sites.points) if s not in (p, q, w)]
+    lines += [(wp, end) for c in constraints.segments for end in (c.a, c.b) if end != wp]
+    lines += [(c.a, c.b) for c in constraints.segments]
+    crits = {Fraction(0), Fraction(1)}
+    for g, h in lines:
+        t = line_param(g, h)
+        if t is not None and 0 <= t <= 1:
+            crits.add(t)
+    ordered = sorted(crits)
+    others = [sites[s] for s in range(len(sites)) if s not in (p, q, w)]
+    for t0, t1 in zip(ordered, ordered[1:]):
+        t = (t0 + t1) / 2
+        x = Point(a.x + t * dx, a.y + t * dy)
+        if x == wp:
+            continue
+        if any(site_strictly_between(x, wp, site) for site in others):
+            continue
+        if any(segments_cross_interiors(x, wp, c.a, c.b) for c in constraints.segments):
+            continue
+        return True
+    return False
+
+
+def fraction_is_constrained_delaunay_edge(
+    sites: SiteSet, constraints: ConstraintSet, p: int, q: int
+) -> bool:
+    """Constrained Delaunay edge test on Fractions: each visible site off
+    the line pq bounds the centre of a circle through p and q to a
+    half-line of the bisector, and the edge exists when the bounds meet."""
+    a = sites[p]
+    b = sites[q]
+    if any(frozenset((c.a, c.b)) == frozenset((a, b)) for c in constraints.segments):
+        return True
+    if not visibility_oracle(sites, constraints, p, q):
+        return False
+    mx = (a.x + b.x) / 2
+    my = (a.y + b.y) / 2
+    nx = -(b.y - a.y)
+    ny = b.x - a.x
+    lower = None  # need center parameter >= lower
+    upper = None  # need center parameter <= upper
+    for w in range(len(sites)):
+        if w in (p, q):
+            continue
+        wp = sites[w]
+        rel_x = a.x - wp.x
+        rel_y = a.y - wp.y
+        alpha = 2 * (nx * rel_x + ny * rel_y)
+        if alpha == 0:
+            continue  # on the line pq: inside no circle through p and q unless between them
+        if not fraction_visible_from_open_edge(sites, constraints, p, q, w):
+            continue
+        beta = 2 * (mx * rel_x + my * rel_y) + wp.x * wp.x + wp.y * wp.y - a.x * a.x - a.y * a.y
+        s_w = -beta / alpha
+        if alpha > 0:
+            lower = s_w if lower is None else max(lower, s_w)
+        else:
+            upper = s_w if upper is None else min(upper, s_w)
+    return lower is None or upper is None or lower <= upper
+
+
+def random_constraints(rng, sites: SiteSet, most: int) -> ConstraintSet:
+    """Up to `most` random site-to-site constraints that pass through no
+    site, cross or overlap no earlier one and repeat none."""
+    chosen: list[Segment] = []
+    n = len(sites)
+    attempts = 0
+    while len(chosen) < most and attempts < 200:
+        attempts += 1
+        a, b = rng.sample(range(n), 2)
+        seg = Segment(sites[a], sites[b])
+        if any(
+            locate_point(sites[w], seg) is PointLocation.INTERIOR
+            for w in range(n)
+            if w not in (a, b)
+        ):
+            continue
+        crossing = False
+        for other in chosen:
+            hit = segment_intersection(seg, other)
+            if isinstance(hit, Segment):
+                crossing = True
+            elif isinstance(hit, Point):
+                if (
+                    locate_point(hit, seg) is PointLocation.INTERIOR
+                    and locate_point(hit, other) is PointLocation.INTERIOR
+                ):
+                    crossing = True
+        if crossing or any({seg.a, seg.b} == {o.a, o.b} for o in chosen):
+            continue
+        chosen.append(seg)
+    return ConstraintSet(tuple(chosen))
 
 
 def brute_maximal_cliques(adjacency: dict[int, set[int]]) -> set[frozenset[int]]:

@@ -46,6 +46,7 @@ from oracles import (
     brute_maximal_cliques,
     edges_of_triangles,
     mesh_triangle_set,
+    random_constraints,
     visibility_oracle,
 )
 
@@ -162,39 +163,6 @@ def test_criterion_05_convex_intersection_convexity():
     )
 
 
-def _random_constraints(rng, sites: SiteSet, most: int) -> ConstraintSet:
-    from proxitri.geometry import PointLocation, Segment, locate_point, segment_intersection
-
-    chosen: list[Segment] = []
-    n = len(sites)
-    attempts = 0
-    while len(chosen) < most and attempts < 200:
-        attempts += 1
-        a, b = rng.sample(range(n), 2)
-        seg = Segment(sites[a], sites[b])
-        if any(
-            locate_point(sites[w], seg) is PointLocation.INTERIOR
-            for w in range(n)
-            if w not in (a, b)
-        ):
-            continue
-        crossing = False
-        for other in chosen:
-            hit = segment_intersection(seg, other)
-            if isinstance(hit, Segment):
-                crossing = True
-            elif isinstance(hit, Point):
-                if (
-                    locate_point(hit, seg) is PointLocation.INTERIOR
-                    and locate_point(hit, other) is PointLocation.INTERIOR
-                ):
-                    crossing = True
-        if crossing or any({seg.a, seg.b} == {o.a, o.b} for o in chosen):
-            continue
-        chosen.append(seg)
-    return ConstraintSet(tuple(chosen))
-
-
 def test_criterion_06_constrained_triangulation():
     violations = 0
     instances = 0
@@ -202,7 +170,7 @@ def test_criterion_06_constrained_triangulation():
         rng = random.Random(60_000 + seed)
         n = rng.randint(8, 25)
         sites = SiteSet(tuple(generate_sites(n, 600 + seed, "uniform")))
-        constraints = _random_constraints(rng, sites, rng.randint(1, 5))
+        constraints = random_constraints(rng, sites, rng.randint(1, 5))
         mesh = constrained_triangulate(sites, constraints)
         instances += 1
         for seg in constraints.segments:
@@ -222,7 +190,7 @@ def test_criterion_07_visibility_vs_oracle():
     for _ in range(200):
         n = rng.randint(6, 20)
         sites = SiteSet(tuple(generate_sites(n, rng.randrange(10_000), "uniform")))
-        constraints = _random_constraints(rng, sites, rng.randint(0, 4))
+        constraints = random_constraints(rng, sites, rng.randint(0, 4))
         p, q = rng.sample(range(n), 2)
         if is_visible(sites, constraints, p, q) != visibility_oracle(
             sites, constraints, p, q

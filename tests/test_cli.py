@@ -91,6 +91,32 @@ class TestTriangulate:
         assert code == 1
         assert "not a site" in err
 
+    @pytest.mark.parametrize(
+        "site_lines, constraint_lines, expected",
+        [
+            (
+                "0 0\n4 0\n4 3\n0 3\n",
+                "0 0 4 3\n4 0 0 3\n",
+                "error: CrossingConstraints: constraints [(0, 0) - (4, 3)] and "
+                "[(4, 0) - (0, 3)] cross at (2, 3/2)\n",
+            ),
+            (
+                "0 0\n2 0\n4 0\n2 3\n",
+                "0 0 4 0\n",
+                "error: ConstraintThroughSite: constraint [(0, 0) - (4, 0)] passes "
+                "through site #1 (2, 0)\n",
+            ),
+        ],
+        ids=["crossing", "through-site"],
+    )
+    def test_invalid_constraints_exit_1(self, tmp_path, site_lines, constraint_lines, expected):
+        sites = tmp_path / "bad.sites"
+        sites.write_text("proxitri-sites 1\n" + site_lines)
+        cons = tmp_path / "bad.cons"
+        cons.write_text(constraint_lines)
+        code, out, err = run_cli("triangulate", str(sites), "--constraints", str(cons))
+        assert (code, out, err) == (1, "", expected)
+
     def test_collinear_exit_code(self, tmp_path):
         bad = tmp_path / "c.sites"
         bad.write_text(COLLINEAR)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -38,11 +40,14 @@ from proxitri.geometry import (
 )
 from proxitri.voronoi import voronoi_diagram
 
+from conftest import EXACTLY_COCIRCULAR
 from oracles import (
     brute_delaunay_triangles,
     fraction_in_circumcircle,
+    fraction_is_constrained_delaunay_edge,
     fraction_orientation,
     mesh_triangle_set,
+    random_constraints,
     visibility_oracle,
 )
 
@@ -382,6 +387,70 @@ class TestConstrainedDelaunayEdge:
                 assert is_constrained_delaunay_edge(sites, wall, a, b)
 
 
+def assert_pairs_match_references(sites, constraints):
+    n = len(sites)
+    for p in range(n):
+        for q in range(n):
+            if p == q:
+                continue
+            assert is_visible(sites, constraints, p, q) == visibility_oracle(
+                sites, constraints, p, q
+            ), (p, q)
+            assert is_constrained_delaunay_edge(
+                sites, constraints, p, q
+            ) == fraction_is_constrained_delaunay_edge(sites, constraints, p, q), (p, q)
+
+
+def has_four_cocircular(sites: SiteSet) -> bool:
+    rows = [_hom(p) for p in sites.points]
+    for i, j, k, l in combinations(range(len(rows)), 4):
+        turn = _det3(rows[i], rows[j], rows[k])
+        if turn and _incircle_det(rows[i], rows[j], rows[k], rows[l]) == 0:
+            return True
+    return False
+
+
+class TestConstrainedAgainstReferences:
+    """The row predicates against the Fraction references on every ordered
+    pair, and the edge test against the constructed mesh."""
+
+    @pytest.mark.parametrize("coords", EXACTLY_COCIRCULAR, ids=["grid", "lattice", "lattice+4"])
+    def test_exactly_cocircular_sets(self, coords):
+        assert_pairs_match_references(SiteSet.of(coords), EMPTY)
+
+    @pytest.mark.parametrize("distribution", ["grid", "cocircular", "collinear-heavy"])
+    def test_random_constraints(self, distribution):
+        rng = random.Random(f"references-{distribution}")
+        for _ in range(6):
+            if distribution == "grid":
+                w, h = rng.randint(3, 4), rng.randint(3, 4)
+                sites = SiteSet.of([(x, y) for x in range(w) for y in range(h)])
+            else:
+                n = rng.randint(6, 10)
+                sites = SiteSet(tuple(generate_sites(n, rng.randrange(10_000), distribution)))
+            constraints = random_constraints(rng, sites, rng.randint(0, 4))
+            assert_pairs_match_references(sites, constraints)
+
+    def test_edge_test_matches_constrained_mesh(self):
+        # With no four sites cocircular the constrained Delaunay
+        # triangulation is unique, so the two must agree in both directions.
+        rng = random.Random(2024)
+        instances = 0
+        for _ in range(40):
+            n = rng.randint(5, 12)
+            sites = SiteSet(tuple(generate_sites(n, rng.randrange(10_000), "uniform")))
+            if has_four_cocircular(sites):
+                continue
+            constraints = random_constraints(rng, sites, rng.randint(0, 4))
+            mesh = constrained_triangulate(sites, constraints)
+            for p, q in combinations(range(n), 2):
+                assert is_constrained_delaunay_edge(sites, constraints, p, q) == mesh.has_edge(
+                    p, q
+                ), (p, q)
+            instances += 1
+        assert instances >= 30
+
+
 class TestConstrainedTriangulate:
     def test_forced_diagonal(self):
         sites = sites_of((0, 0), (4, 0), (4, 3), (0, 3))
@@ -404,6 +473,50 @@ class TestConstrainedTriangulate:
         through = ConstraintSet.of([(0, 0, 4, 0)])
         with pytest.raises(ConstraintThroughSite):
             constrained_triangulate(sites, through)
+
+    @pytest.mark.parametrize(
+        "coords, segments, error, message",
+        [
+            (
+                [(0, 0), (2, 0), (4, 0), (2, 3)],
+                [(0, 0, 4, 0)],
+                ConstraintThroughSite,
+                "constraint [(0, 0) - (4, 0)] passes through site #1 (2, 0)",
+            ),
+            (
+                [(0, 0), (4, 0), (4, 4), (0, 4)],
+                [(0, 0, 4, 4), (4, 0, 0, 4)],
+                CrossingConstraints,
+                "constraints [(0, 0) - (4, 4)] and [(4, 0) - (0, 4)] cross at (2, 2)",
+            ),
+            # An overlap of two distinct constraints always puts an endpoint,
+            # a site, inside the other one, and sites are checked first.
+            (
+                [(0, 0), (2, 0), (4, 0), (6, 0), (3, 3)],
+                [(0, 0, 4, 0), (2, 0, 6, 0)],
+                ConstraintThroughSite,
+                "constraint [(0, 0) - (4, 0)] passes through site #1 (2, 0)",
+            ),
+            (
+                [(0, 0), (4, 0), (4, 3), (0, 3)],
+                [(0, 0, 4, 3), (0, 0, 4, 3)],
+                CrossingConstraints,
+                "constraints [(0, 0) - (4, 3)] and [(0, 0) - (4, 3)] overlap along [(0, 0) - (4, 3)]",
+            ),
+            (
+                [(0, 0), (4, 0), (4, 3), (0, 3)],
+                [(0, 0, 4, 3), (4, 3, 0, 0)],
+                CrossingConstraints,
+                "constraints [(0, 0) - (4, 3)] and [(4, 3) - (0, 0)] overlap along [(0, 0) - (4, 3)]",
+            ),
+        ],
+        ids=["through-site", "crossing", "collinear-overlap", "duplicate", "reversed-duplicate"],
+    )
+    def test_invalid_constraints_error_and_message(self, coords, segments, error, message):
+        with pytest.raises(error) as caught:
+            constrained_triangulate(SiteSet.of(coords), ConstraintSet.of(segments))
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
     def test_constraints_present_and_rest_locally_delaunay(self):
         pts = [(x, y) for x in range(5) for y in range(4)]
