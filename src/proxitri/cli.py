@@ -231,13 +231,17 @@ def cmd_query(args) -> int:
             raise UnknownSelector("strong proximity needs two distinct triangles or cells")
         if kind_a == "t":
             verdict = strongly_near_triangles(mesh, ref_a, ref_b)
+            if verdict:
+                witness = near(geom_a, geom_b).witness
         else:
-            from .voronoi import cells_strongly_near
+            from .geometry import Segment
+            from .voronoi import closed_cell_intersection
 
-            verdict = cells_strongly_near(diagram, ref_a, ref_b)
-        if verdict:
-            shared = near(geom_a, geom_b)
-            witness = shared.witness
+            # Cells are strongly near when their closures share an edge,
+            # which is the witness.
+            shared = closed_cell_intersection(diagram, ref_a, ref_b)
+            verdict = isinstance(shared, Segment)
+            witness = shared if verdict else None
     else:
         result = near(geom_a, geom_b)
         verdict = result.is_near if args.relation == "near" else not result.is_near

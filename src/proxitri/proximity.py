@@ -20,7 +20,6 @@ from .geometry import (
     PointLocation,
     Polygon,
     Segment,
-    bounding_box,
     convex_closed_intersection,
     is_convex_polygon,
     locate_point,
@@ -53,6 +52,8 @@ class ProximityVerdict:
 
 
 _FAR = ProximityVerdict(Relation.FAR)
+# What near() compares once point collections become sorted tuples.
+_KINDS = (tuple, Segment, Polygon)
 
 
 def _as_points(g) -> Optional[tuple[Point, ...]]:
@@ -68,20 +69,6 @@ def _as_points(g) -> Optional[tuple[Point, ...]]:
     return None
 
 
-def _bbox(g) -> tuple:
-    if isinstance(g, Segment):
-        return bounding_box((g.a, g.b))
-    if isinstance(g, Polygon):
-        return g.bounding_box()
-    return bounding_box(g)  # point tuple
-
-
-def _boxes_disjoint(a, b) -> bool:
-    ax0, ay0, ax1, ay1 = _bbox(a)
-    bx0, by0, bx1, by1 = _bbox(b)
-    return ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0
-
-
 def near(a: GeometrySet, b: GeometrySet) -> ProximityVerdict:
     """Closure-intersection verdict with a witness.
 
@@ -94,13 +81,12 @@ def near(a: GeometrySet, b: GeometrySet) -> ProximityVerdict:
     pb = _as_points(b)
     ga = pa if pa is not None else a
     gb = pb if pb is not None else b
-    if _boxes_disjoint(ga, gb):
-        return _FAR
+    if not (isinstance(ga, _KINDS) and isinstance(gb, _KINDS)):
+        raise TypeError(f"unsupported geometry pair {type(a).__name__}/{type(b).__name__}")
     if pa is not None:
         return _points_near(pa, gb)
     if pb is not None:
-        verdict = _points_near(pb, ga)
-        return verdict
+        return _points_near(pb, ga)
     if isinstance(ga, Segment) and isinstance(gb, Segment):
         hit = segment_intersection(ga, gb)
         if hit is None:
@@ -110,9 +96,7 @@ def near(a: GeometrySet, b: GeometrySet) -> ProximityVerdict:
         return _segment_polygon_near(ga, gb)
     if isinstance(ga, Polygon) and isinstance(gb, Segment):
         return _segment_polygon_near(gb, ga)
-    if isinstance(ga, Polygon) and isinstance(gb, Polygon):
-        return _polygons_near(ga, gb)
-    raise TypeError(f"unsupported geometry pair {type(a).__name__}/{type(b).__name__}")
+    return _polygons_near(ga, gb)
 
 
 def far(a: GeometrySet, b: GeometrySet) -> bool:

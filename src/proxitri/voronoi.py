@@ -28,6 +28,7 @@ from .geometry import (
     Rect,
     Segment,
     _bisector,
+    _det3,
     _hom,
     _line_slice,
     _overlap,
@@ -86,60 +87,14 @@ def default_frame(sites: SiteSet, centers: Sequence[Point]) -> Rect:
     return Rect(x0 - pad, y0 - pad, x1 + pad, y1 + pad)
 
 
-def _ray_frame_exit(frame: Rect, start: Point, dx: Fraction, dy: Fraction) -> Point:
-    """First boundary point hit by the ray start + t*(dx, dy), t > 0.
+def _ray_end(frame: Polygon, a: Point, b: Point) -> Point:
+    """Where the a/b bisector leaves the frame strictly left of a -> b.
 
-    The start point is strictly inside the frame, so the exit is unique.
+    The bisector crosses the line ab at the midpoint of a and b, which is
+    strictly inside the frame, so exactly one end of its slice is there.
     """
-    best: Optional[Fraction] = None
-    if dx > 0:
-        best = (frame.x1 - start.x) / dx
-    elif dx < 0:
-        best = (frame.x0 - start.x) / dx
-    if dy > 0:
-        t = (frame.y1 - start.y) / dy
-        best = t if best is None else min(best, t)
-    elif dy < 0:
-        t = (frame.y0 - start.y) / dy
-        best = t if best is None else min(best, t)
-    if best is None:
-        raise GeometryError("ray has zero direction")
-    return Point(start.x + best * dx, start.y + best * dy)
-
-
-def _frame_walk(frame: Rect, exit_pt: Point, entry_pt: Point) -> list[Point]:
-    """Corners passed when walking the frame boundary CCW from exit_pt to
-    entry_pt (endpoints not included)."""
-    corners = frame.corners()
-
-    def side_of(p: Point) -> int:
-        # Sides CCW: 0 bottom, 1 right, 2 top, 3 left.
-        if p.y == frame.y0 and p.x < frame.x1:
-            return 0
-        if p.x == frame.x1 and p.y < frame.y1:
-            return 1
-        if p.y == frame.y1 and p.x > frame.x0:
-            return 2
-        if p.x == frame.x0 and p.y > frame.y0:
-            return 3
-        raise GeometryError(f"point {p} not on frame boundary")
-
-    def progress(side: int, p: Point) -> Fraction:
-        # Position along the side, increasing in the CCW walk direction.
-        return {0: p.x, 1: p.y, 2: -p.x, 3: -p.y}[side]
-
-    out: list[Point] = []
-    side = side_of(exit_pt)
-    end_side = side_of(entry_pt)
-    cur = exit_pt
-    for _ in range(5):
-        if side == end_side and progress(side, cur) <= progress(side, entry_pt):
-            return out
-        corner = corners[(side + 1) % 4]
-        out.append(corner)
-        cur = corner
-        side = (side + 1) % 4
-    raise GeometryError("frame walk did not terminate")
+    lo, hi = _line_slice(frame, _bisector(a, b))
+    return lo if _det3(_hom(a), _hom(b), _hom(lo)) > 0 else hi
 
 
 def _dedupe_ring(points: list[Point]) -> list[Point]:
@@ -197,7 +152,7 @@ def _cell_ring(mesh: TriMesh, site: int) -> tuple[list[int], list[int]]:
 def _build_cell(
     mesh: TriMesh,
     centers: Sequence[Point],
-    frame: Rect,
+    frame: Polygon,
     site: int,
 ) -> VoronoiCell:
     pts = mesh.sites.points
@@ -210,15 +165,20 @@ def _build_cell(
         unbounded = False
     else:
         p = pts[site]
-        # Outward ray duals of the two hull edges at this site: rotate the
-        # CCW hull direction by -90 degrees so the ray leaves the hull.
-        a0 = pts[spokes[0]]
-        d_in = (a0.y - p.y, p.x - a0.x)
-        bm = pts[spokes[-1]]
-        d_out = (p.y - bm.y, bm.x - p.x)
-        entry = _ray_frame_exit(frame, chain[0], d_in[0], d_in[1])
-        exit_pt = _ray_frame_exit(frame, chain[-1], d_out[0], d_out[1])
-        walk = _frame_walk(frame, exit_pt, entry)
+        # The hull edges at this site run spokes[-1] -> site -> spokes[0]
+        # counterclockwise, so the outside is left of spokes[0] -> site and
+        # of site -> spokes[-1]; each ray ends on the frame on that side.
+        entry = _ray_end(frame, pts[spokes[0]], p)
+        exit_pt = _ray_end(frame, p, pts[spokes[-1]])
+        # The frame corners passed walking CCW from exit_pt to entry are
+        # those strictly right of that chord, one cyclic run taken from its
+        # start. Not every corner is there, or the cell would hold the
+        # whole frame and the other sites in it.
+        x, e = _hom(exit_pt), _hom(entry)
+        box = frame.vertices
+        passed = [_det3(x, e, _hom(c)) < 0 for c in box]
+        first = passed.index(False)
+        walk = [box[i % 4] for i in range(first, first + 4) if passed[i % 4]]
         corners = [entry] + chain + [exit_pt] + walk
         labels = spokes + [None] * (len(walk) + 1)
         unbounded = True
@@ -243,24 +203,26 @@ def voronoi_diagram(sites: SiteSet, frame: Optional[Rect] = None) -> VoronoiDiag
     """Voronoi diagram of the sites, built from the Delaunay dual.
 
     The frame must strictly contain every site and circumcenter; when
-    omitted it is derived from their bounding box.
+    omitted it is derived from their bounding box, which it contains by
+    construction, so only a caller's frame is checked.
     """
     mesh = triangulate(sites)
     centers = tuple(mesh.circumcenter(t) for t in range(len(mesh)))
     if frame is None:
         frame = default_frame(sites, centers)
-    for p in sites.points:
-        if not frame.contains_strict(p):
-            raise FrameTooSmall(f"site {p} not strictly inside frame")
-    for c in centers:
-        if not frame.contains_strict(c):
-            raise FrameTooSmall(f"circumcenter {c} not strictly inside frame")
+    else:
+        for p in sites.points:
+            if not frame.contains_strict(p):
+                raise FrameTooSmall(f"site {p} not strictly inside frame")
+        for c in centers:
+            if not frame.contains_strict(c):
+                raise FrameTooSmall(f"circumcenter {c} not strictly inside frame")
     return VoronoiDiagram(
         sites=sites,
         mesh=mesh,
         frame=frame,
         vertices=centers,
-        _cell_of=cache(partial(_build_cell, mesh, centers, frame)),
+        _cell_of=cache(partial(_build_cell, mesh, centers, Polygon(frame.corners()))),
     )
 
 

@@ -9,6 +9,7 @@ from proxitri.geometry import (
     PointLocation,
     Polygon,
     Segment,
+    is_convex_polygon,
     locate_point,
 )
 from proxitri.proximity import (
@@ -77,6 +78,37 @@ class TestNearFar:
         verdict = near(a, b)
         assert verdict.is_near and not verdict.strongly
         assert verdict.witness == P(2, 2)
+
+    def test_unsupported_types_raise_type_error(self):
+        square = Polygon((P(0, 0), P(2, 0), P(2, 2), P(0, 2)))
+        for other in ("abc", 3, None):
+            with pytest.raises(TypeError, match="unsupported geometry pair"):
+                near(other, square)
+            with pytest.raises(TypeError, match="unsupported geometry pair"):
+                near(square, other)
+        with pytest.raises(TypeError, match="unsupported geometry pair"):
+            near(P(1, 1), "abc")
+
+    def test_box_disjoint_pairs_are_far(self):
+        # Each pair's bounding boxes are disjoint, in x or in y only.
+        square = Polygon((P(0, 0), P(2, 0), P(2, 2), P(0, 2)))
+        notch = Polygon((P(5, 0), P(9, 0), P(9, 3), P(7, 1), P(5, 3)))
+        assert not is_convex_polygon(notch)
+        pairs = [
+            ((P(0, 0), P(1, 1)), (P(3, 0), P(4, 1))),
+            (P(1, 5), [P(0, 0), P(2, 2)]),
+            (Segment(P(0, 0), P(1, 1)), Segment(P(2, 0), P(3, 1))),
+            (Segment(P(0, 3), P(2, 4)), square),
+            (square, Polygon((P(3, 0), P(4, 0), P(4, 1)))),
+            (square, notch),
+            (notch, Polygon((P(5, 4), P(9, 4), P(7, 6)))),
+        ]
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                verdict = near(x, y)
+                assert verdict.relation is Relation.FAR
+                assert verdict.witness is None
+                assert far(x, y)
 
     @given(points, points, points, points)
     @settings(max_examples=80)

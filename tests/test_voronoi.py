@@ -10,6 +10,7 @@ from proxitri.geometry import (
     Polygon,
     Rect,
     Segment,
+    bounding_box,
     distance_sq,
     is_convex_polygon,
     locate_point,
@@ -41,6 +42,18 @@ def sites_of(*coords) -> SiteSet:
     return SiteSet.of(list(coords))
 
 
+def caller_frame_diagrams(entries):
+    """Diagrams under frames a caller passes: each entry's box of sites and
+    circumcenters inflated by 1, and three sites in a frame whose corner
+    (3, 3) lies on the ray of cells 1 and 2, and in a wider frame."""
+    tri = sites_of((0, 0), (2, 0), (0, 2))
+    out = [voronoi_diagram(tri, Rect(-1, -1, 3, 3)), voronoi_diagram(tri, Rect(-1, -1, 5, 3))]
+    for entry in entries:
+        x0, y0, x1, y1 = bounding_box([*entry.sites.points, *entry.diagram.vertices])
+        out.append(voronoi_diagram(entry.sites, Rect(x0 - 1, y0 - 1, x1 + 1, y1 + 1)))
+    return out
+
+
 class TestConstruction:
     def test_five_site_center_cell(self):
         diagram = voronoi_diagram(sites_of((0, 0), (2, 0), (0, 2), (2, 2), (1, 1)))
@@ -65,13 +78,16 @@ class TestConstruction:
         with pytest.raises(FrameTooSmall):
             voronoi_diagram(sites, Rect(-1, -1, Fraction(3, 2), Fraction(3, 2)))
 
-    def test_frame_must_cover_circumcenters_too(self):
+    def test_frame_must_cover_circumcenters_too(self, corpus, degenerate_corpus):
         # flat triangle: circumcenter far below the site bounding box
         sites = sites_of((0, 0), (4, 0), (2, "0.1"))
         with pytest.raises(FrameTooSmall):
             voronoi_diagram(sites, Rect(-1, -1, 5, 1))
-        diagram = voronoi_diagram(sites)  # default frame adapts
-        assert diagram.frame.contains_strict(diagram.vertices[0])
+        # The default frame adapts; voronoi_diagram does not check it.
+        defaults = [voronoi_diagram(sites)] + [e.diagram for e in corpus + degenerate_corpus]
+        for diagram in defaults:
+            for p in (*diagram.sites.points, *diagram.vertices):
+                assert diagram.frame.contains_strict(p)
 
     def test_site_interior_to_cell(self, corpus):
         for entry in corpus[:8]:
@@ -104,10 +120,10 @@ class TestConstruction:
             assert total == frame_area
 
     def test_matches_halfplane_oracle(self, corpus):
-        for entry in corpus[:8]:
-            diagram = entry.diagram
+        entries = corpus[:8]
+        for diagram in [e.diagram for e in entries] + caller_frame_diagrams(entries):
             for cell in diagram.cells:
-                expected = halfplane_cell(entry.sites, cell.site, diagram.frame)
+                expected = halfplane_cell(diagram.sites, cell.site, diagram.frame)
                 assert cell.polygon == expected
 
     def test_lazy_cell_matches_full_build(self, corpus, degenerate_corpus):
@@ -119,9 +135,10 @@ class TestConstruction:
             assert lazy.cells == full
 
     def test_edge_labels_match_distance_reference(self, corpus, degenerate_corpus):
-        for entry in corpus + degenerate_corpus:
-            for cell in entry.diagram.cells:
-                expected = distance_matching_edges(entry.sites, cell.site, cell.polygon)
+        entries = corpus + degenerate_corpus
+        for diagram in [e.diagram for e in entries] + caller_frame_diagrams(entries):
+            for cell in diagram.cells:
+                expected = distance_matching_edges(diagram.sites, cell.site, cell.polygon)
                 assert cell.edges == expected
 
     def test_nearest_site_property_on_vertices(self, corpus):
