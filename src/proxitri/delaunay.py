@@ -58,6 +58,8 @@ class SiteSet:
     """
 
     points: tuple[Point, ...]
+    # Site -> index, built by the duplicate check; read by index_of().
+    _index: dict[Point, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
@@ -69,6 +71,7 @@ class SiteSet:
             if p in seen:
                 raise DuplicateSite(f"site {p} appears at #{seen[p]} and #{i}")
             seen[p] = i
+        object.__setattr__(self, "_index", seen)
 
     @property
     def scaled(self) -> tuple[tuple[int, int], ...]:
@@ -87,10 +90,7 @@ class SiteSet:
         return self.points[i]
 
     def index_of(self, p: Point) -> Optional[int]:
-        for i, q in enumerate(self.points):
-            if q == p:
-                return i
-        return None
+        return self._index.get(p)
 
     def check_index(self, i: int) -> int:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < len(self.points):
@@ -702,13 +702,19 @@ def is_constrained_delaunay_edge(
     left = right = None
     for w in rows:
         turn = _det3(a, b, w)
-        if turn == 0 or not _visible_from_open_edge(a, b, w, rows, ends):
-            continue
         if turn > 0:
-            if left is None or _incircle_det(a, b, left, w) > 0:
+            replaces = left is None or _incircle_det(a, b, left, w) > 0
+        elif turn < 0:
+            replaces = right is None or _incircle_det(b, a, right, w) > 0
+        else:
+            continue
+        # An invisible site never changes a pick, so only a site that would
+        # replace its side's pick needs the visibility test.
+        if replaces and _visible_from_open_edge(a, b, w, rows, ends):
+            if turn > 0:
                 left = w
-        elif right is None or _incircle_det(b, a, right, w) > 0:
-            right = w
+            else:
+                right = w
     return left is None or right is None or _incircle_det(a, b, left, right) <= 0
 
 

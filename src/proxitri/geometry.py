@@ -102,9 +102,6 @@ class Segment:
         if self.a == self.b:
             raise ValueError(f"degenerate segment at {self.a}")
 
-    def reversed(self) -> "Segment":
-        return Segment(self.b, self.a)
-
     def __str__(self) -> str:
         return f"[{self.a} - {self.b}]"
 
@@ -222,16 +219,6 @@ class CircumCircle:
     center: Point
     radius_sq: Fraction
 
-    def position_of(self, p: Point) -> CirclePosition:
-        px, py, pw = _hom(p)
-        cx, cy, cw = _hom(self.center)
-        dx = px * cw - cx * pw  # W_p W_c (p - center)
-        dy = py * cw - cy * pw
-        r = self.radius_sq
-        return _CIRCLE_POSITIONS[
-            _sign(r.numerator * (pw * cw) ** 2 - (dx * dx + dy * dy) * r.denominator)
-        ]
-
 
 def circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
     """Center and squared radius of the circle through a, b, c.
@@ -323,10 +310,15 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
 class Polygon:
     """Simple polygon with counterclockwise boundary.
 
-    Construction normalizes the boundary: consecutive collinear (and
-    duplicate) vertices are dropped and the cycle is rotated so the
+    Construction reads each vertex's integer row once and decides
+    everything on those rows. Zero turns (collinear or repeated vertices)
+    are dropped, lowest index first, and the cycle is rotated so the
     lexicographically smallest vertex comes first, giving a canonical
-    representative for equality tests.
+    representative for equality tests. The turn signs left give the
+    convexity verdict. A ring whose turns are all left and whose edge
+    directions wind once is simple and counterclockwise; any other ring
+    must have positive area, and no two non-adjacent edges may meet as
+    closed segments.
     """
 
     vertices: tuple[Point, ...]
@@ -334,25 +326,54 @@ class Polygon:
     _box: Optional[tuple[Fraction, Fraction, Fraction, Fraction]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # Verdict of is_convex_polygon(), filled in by its first call.
-    _convex: Optional[bool] = field(default=None, init=False, repr=False, compare=False)
+    # No boundary turn is right: the verdict of is_convex_polygon().
+    _convex: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        verts = _normalize_ring(tuple(self.vertices))
-        if len(verts) < 3:
+        verts = list(self.vertices)
+        n = len(verts)
+        if n >= 3:
+            rows = [_hom(v) for v in verts]
+            turns = [_det3(rows[i - 1], rows[i], rows[(i + 1) % n]) for i in range(n)]
+            while n >= 3 and 0 in turns:
+                # Deleting a vertex changes the turns of its two neighbours only.
+                i = turns.index(0)
+                del verts[i], rows[i], turns[i]
+                n -= 1
+                if n >= 3:
+                    turns[i - 1] = _det3(rows[i - 2], rows[i - 1], rows[i % n])
+                    i %= n
+                    turns[i] = _det3(rows[i - 1], rows[i], rows[(i + 1) % n])
+        if n < 3:
             raise CollinearInput("polygon degenerates to fewer than 3 vertices")
-        object.__setattr__(self, "vertices", verts)
-        if _area2(verts)[0] <= 0:
+        start = 0
+        for i in range(1, n):
+            if _lex_less(rows[i], rows[start]):
+                start = i
+        object.__setattr__(self, "vertices", tuple(verts[start:] + verts[:start]))
+        convex = all(t > 0 for t in turns)
+        object.__setattr__(self, "_convex", convex)
+        if convex and _winds_once(rows):
+            return
+        if _ring_area2(rows, lcm(*(w for _, _, w in rows))) <= 0:
             raise ValueError("polygon boundary must be counterclockwise")
-        _check_simple(verts)
+        # Adjacent edges turn at their shared vertex, so they meet only
+        # there; edge i is tested against the edges after it but not next
+        # to it (edge n - 1 is next to edge 0).
+        for i in range(n - 2):
+            a, b = rows[i], rows[i + 1]
+            for j in range(i + 2, n if i else n - 1):
+                if _segments_meet(a, b, rows[j], rows[(j + 1) % n]):
+                    raise ValueError("polygon boundary self-intersects")
 
     def edges(self) -> list[Segment]:
         v = self.vertices
         return [Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def area(self) -> Fraction:
-        num, den = _area2(self.vertices)
-        return Fraction(num, 2 * den)
+        rows = [_hom(v) for v in self.vertices]
+        scale = lcm(*(w for _, _, w in rows))
+        return Fraction(_ring_area2(rows, scale), 2 * scale * scale)
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         box = self._box
@@ -363,14 +384,6 @@ class Polygon:
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.vertices) + "]"
-
-
-def _area2(verts: tuple[Point, ...]) -> tuple[int, int]:
-    """Twice the signed area of the closed ring, as an integer numerator
-    over a positive integer denominator (the squared lcm of the weights)."""
-    homs = [_hom(v) for v in verts]
-    den = lcm(*(w for _, _, w in homs))
-    return _ring_area2(homs, den), den * den
 
 
 def _ring_area2(rows: Sequence[Homogeneous], scale: int) -> int:
@@ -394,83 +407,38 @@ def _lex_less(a: Homogeneous, b: Homogeneous) -> bool:
     return left < right or (left == right and ay * bw < by * aw)
 
 
-def _normalize_ring(verts: tuple[Point, ...]) -> tuple[Point, ...]:
-    vs = list(verts)
-    changed = True
-    while changed and len(vs) >= 3:
-        changed = False
-        for i in range(len(vs)):
-            # A vertex equal to its predecessor is a zero turn as well.
-            if _turn(vs[i - 1], vs[i], vs[(i + 1) % len(vs)]) == 0:
-                del vs[i]
-                changed = True
-                break
-    if len(vs) < 3:
-        return tuple(vs)
-    start = 0
-    for i in range(1, len(vs)):
-        if _lex_less(_hom(vs[i]), _hom(vs[start])):
-            start = i
-    return tuple(vs[start:] + vs[:start])
-
-
-def _ring_is_strictly_convex(verts: tuple[Point, ...]) -> bool:
-    """Strictly convex rings are simple; lets validation skip the O(n^2)
-    self-intersection scan for the common case.
-
-    Requires every turn strictly CCW and the edge direction to wrap the
-    full circle exactly once (rules out doubly-wound star rings).
-    """
-    homs = [_hom(v) for v in verts]
-    n = len(homs)
-    dirs = []
+def _winds_once(rows: Sequence[Homogeneous]) -> bool:
+    """For a ring that turns left at every vertex: its edge directions
+    wrap the full circle exactly once (which rules out doubly-wound star
+    rings), so it is simple and counterclockwise."""
+    n = len(rows)
+    lower = []  # edge i points into the lower half-plane of directions
     for i in range(n):
-        ax, ay, aw = homs[i]
-        bx, by, bw = homs[(i + 1) % n]
-        dirs.append((bx * aw - ax * bw, by * aw - ay * bw))  # W_a W_b (b - a)
-    wraps = 0
-    for i in range(n):
-        dx1, dy1 = dirs[i]
-        dx2, dy2 = dirs[(i + 1) % n]
-        if dx1 * dy2 - dy1 * dx2 <= 0:
-            return False
-        h1 = 0 if (dy1 > 0 or (dy1 == 0 and dx1 > 0)) else 1
-        h2 = 0 if (dy2 > 0 or (dy2 == 0 and dx2 > 0)) else 1
-        if h2 < h1:
-            wraps += 1
-    return wraps == 1
+        ax, ay, aw = rows[i]
+        bx, by, bw = rows[(i + 1) % n]
+        dy = by * aw - ay * bw  # W_a W_b (b - a)
+        lower.append(dy < 0 or (dy == 0 and bx * aw < ax * bw))
+    return sum(lower[i - 1] and not lower[i] for i in range(n)) == 1
 
 
-def _check_simple(verts: tuple[Point, ...]) -> None:
-    if _ring_is_strictly_convex(verts):
-        return
-    n = len(verts)
-    edges = [(verts[i], verts[(i + 1) % n]) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            hit = segment_intersection(
-                Segment(*edges[i]), Segment(*edges[j])
-            )
-            if adjacent:
-                # May only meet at the shared vertex.
-                shared = edges[i][1] if j == i + 1 else edges[i][0]
-                if hit != shared:
-                    raise ValueError("polygon boundary self-intersects")
-            elif hit is not None:
-                raise ValueError("polygon boundary self-intersects")
+def _segments_meet(a: Homogeneous, b: Homogeneous, c: Homogeneous, d: Homogeneous) -> bool:
+    """The closed segments ab and cd (a != b, c != d) share a point."""
+    d1 = _det3(a, b, c)
+    d2 = _det3(a, b, d)
+    if d1 == 0 and d2 == 0:
+        # On one line, two intervals meet when one holds an end of the other.
+        return _between(c, a, b) or _between(d, a, b) or _between(a, c, d)
+    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+        return False
+    d3 = _det3(c, d, a)
+    d4 = _det3(c, d, b)
+    return not ((d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0))
 
 
 def is_convex_polygon(p: Polygon) -> bool:
     """True when no boundary turn is clockwise (no reflex vertex). The
-    verdict is cached on the polygon."""
-    convex = p._convex
-    if convex is None:
-        homs = [_hom(v) for v in p.vertices]
-        n = len(homs)
-        convex = all(_det3(homs[i - 2], homs[i - 1], homs[i]) >= 0 for i in range(n))
-        object.__setattr__(p, "_convex", convex)
-    return convex
+    verdict is decided when the polygon is built."""
+    return p._convex
 
 
 # Sort key for distinct rows; equal rows never meet, since they are equal points.
@@ -632,10 +600,6 @@ def convex_closed_intersection(p: Polygon, q: Polygon) -> ClosedIntersection:
         raise NonConvexInput("first polygon is not convex")
     if not is_convex_polygon(q):
         raise NonConvexInput("second polygon is not convex")
-    px0, py0, px1, py1 = p.bounding_box()
-    qx0, qy0, qx1, qy1 = q.bounding_box()
-    if px1 < qx0 or qx1 < px0 or py1 < qy0 or qy1 < py0:
-        return None
     p_rows = [_hom(v) for v in p.vertices]
     q_rows = [_hom(v) for v in q.vertices]
     p_edges = list(zip(p_rows, p_rows[1:] + p_rows[:1]))

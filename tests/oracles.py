@@ -15,7 +15,10 @@ transform on Fractions, which the integer-row mapper replaces. The
 all_pairs_* checks are the `check` suite bodies that visit every pair,
 which the sort-and-sweep broad phase replaces; they reach the library
 through the `proxitri.checks` module, so a fault patched into it reaches
-them as well.
+them as well. reference_polygon is Polygon construction as separate
+passes over Points (normalise, area sign, convexity, all edge pairs
+through segment_intersection), which the one pass over integer rows
+replaces.
 """
 
 from __future__ import annotations
@@ -133,6 +136,21 @@ def fraction_in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> CirclePo
     if det < 0:
         return CirclePosition.OUTSIDE
     return CirclePosition.ON
+
+
+def circle_position(circle: CircumCircle, p: Point) -> CirclePosition:
+    """Position of p against a circle, from its squared distance to the
+    centre and the squared radius."""
+    d = distance_sq(p, circle.center)
+    if d < circle.radius_sq:
+        return CirclePosition.INSIDE
+    if d > circle.radius_sq:
+        return CirclePosition.OUTSIDE
+    return CirclePosition.ON
+
+
+def reversed_segment(s: Segment) -> Segment:
+    return Segment(s.b, s.a)
 
 
 def fraction_segment_intersection(s: Segment, t: Segment):
@@ -598,6 +616,55 @@ def fraction_convex_hull(points) -> list[Point]:
     if len(hull) < 3:
         return [pts[0], pts[-1]]
     return hull
+
+
+def reference_polygon(points):
+    """Polygon construction as separate passes: (vertices, convex) of the
+    polygon the points make, or (exception type, message) when they make
+    none.
+
+    Zero turns are dropped one at a time, each time the lowest-indexed one
+    of the ring left, and the ring is rotated to its smallest Point.key.
+    The shoelace area on Fractions must be positive. A ring with every
+    turn left whose edge directions wrap once is simple; any other ring
+    must have adjacent edges meeting only at their shared vertex and
+    other edges not at all.
+    """
+    vs = list(points)
+    changed = True
+    while changed and len(vs) >= 3:
+        changed = False
+        for i in range(len(vs)):
+            if fraction_orientation(vs[i - 1], vs[i], vs[(i + 1) % len(vs)]) is Orientation.COLLINEAR:
+                del vs[i]
+                changed = True
+                break
+    n = len(vs)
+    if n < 3:
+        return CollinearInput, "polygon degenerates to fewer than 3 vertices"
+    start = min(range(n), key=lambda i: vs[i].key())
+    vs = vs[start:] + vs[:start]
+    if sum(a.x * b.y - b.x * a.y for a, b in zip(vs, vs[1:] + vs[:1])) <= 0:
+        return ValueError, "polygon boundary must be counterclockwise"
+    turns = [fraction_orientation(vs[i - 2], vs[i - 1], vs[i]) for i in range(n)]
+    convex = Orientation.CW not in turns
+    dirs = [(b.x - a.x, b.y - a.y) for a, b in zip(vs, vs[1:] + vs[:1])]
+    lower = [dy < 0 or (dy == 0 and dx < 0) for dx, dy in dirs]
+    if all(t is Orientation.CCW for t in turns) and sum(lower[i - 1] and not lower[i] for i in range(n)) == 1:
+        return tuple(vs), convex
+    edges = [Segment(vs[i], vs[(i + 1) % n]) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            hit = segment_intersection(edges[i], edges[j])
+            if j == i + 1:
+                ok = hit == vs[j]
+            elif i == 0 and j == n - 1:
+                ok = hit == vs[0]
+            else:
+                ok = hit is None
+            if not ok:
+                return ValueError, "polygon boundary self-intersects"
+    return tuple(vs), convex
 
 
 def candidate_hull_intersection(p: Polygon, q: Polygon):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from proxitri.errors import CollinearInput, NonConvexInput, NotCCW
+from proxitri.errors import CollinearInput, GeometryError, NonConvexInput, NotCCW
 from proxitri.geometry import (
     CirclePosition,
     Orientation,
@@ -31,6 +31,7 @@ from proxitri.geometry import (
 
 from oracles import (
     candidate_hull_intersection,
+    circle_position,
     clip_convex_intersection,
     fraction_convex_hull,
     fraction_circumcircle,
@@ -38,6 +39,8 @@ from oracles import (
     fraction_line_slice,
     fraction_orientation,
     fraction_segment_intersection,
+    reference_polygon,
+    reversed_segment,
 )
 
 coords = st.fractions(
@@ -45,6 +48,10 @@ coords = st.fractions(
 )
 points = st.builds(Point, coords, coords)
 grid_points = st.builds(Point, st.integers(0, 4), st.integers(0, 4))
+# A 5 x 5 grid with some thirds between: collinear runs, repeats, spikes,
+# bowties, pinches and clockwise rings are common.
+ring_coords = st.one_of(st.integers(0, 4), st.integers(0, 12).map(lambda k: Fraction(k, 3)))
+ring_points = st.builds(Point, ring_coords, ring_coords)
 
 
 def P(x, y) -> Point:
@@ -135,7 +142,7 @@ class TestInCircumcircle:
         if orientation(a, b, c) is not Orientation.CCW:
             return
         cc = circumcircle(a, b, c)
-        assert in_circumcircle(a, b, c, d) is cc.position_of(d)
+        assert in_circumcircle(a, b, c, d) is circle_position(cc, d)
 
 
 class TestSegmentIntersection:
@@ -203,6 +210,17 @@ class TestPolygon:
     def test_degenerate_rejected(self):
         with pytest.raises(CollinearInput):
             Polygon((P(0, 0), P(1, 1), P(2, 2)))
+
+    @given(st.lists(ring_points, min_size=3, max_size=8))
+    @settings(max_examples=800, deadline=None)
+    def test_matches_reference_construction(self, pts):
+        try:
+            p = Polygon(tuple(pts))
+        except (ValueError, GeometryError) as exc:
+            got = (type(exc), str(exc))
+        else:
+            got = (p.vertices, is_convex_polygon(p))
+        assert got == reference_polygon(pts)
 
     def test_area(self):
         assert Polygon((P(0, 0), P(2, 0), P(2, 2), P(0, 2))).area() == 4
@@ -411,7 +429,7 @@ def segment_pairs(draw) -> tuple[Segment, Segment]:
         s = Segment(a, b)
         t = Segment(Point(c.x + off.x, c.y + off.y), Point(d.x + off.x, d.y + off.y))
     if draw(st.booleans()):
-        t = t.reversed()
+        t = reversed_segment(t)
     if draw(st.booleans()):
         s, t = t, s
     return s, t
@@ -479,7 +497,7 @@ class TestIntegerKernel:
                 in_circumcircle(a, b, c, d)
             return
         assert in_circumcircle(a, b, c, d) is fraction_in_circumcircle(a, b, c, d)
-        assert circumcircle(a, b, c).position_of(d) is fraction_in_circumcircle(a, b, c, d)
+        assert circle_position(circumcircle(a, b, c), d) is fraction_in_circumcircle(a, b, c, d)
 
     def test_cocircular_mixed_denominators_are_on(self):
         # (3/5, 4/5), (5/13, 12/13), (-8/17, 15/17) and (-7/25, -24/25) lie on
