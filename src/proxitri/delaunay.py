@@ -2,10 +2,13 @@
 
 Construction is a lexicographic scan (every new point is connected to the
 visible hull edges of the partial triangulation) followed by Lawson edge
-flips. Flip decisions use an in-circle predicate that never reports a tie:
-exactly cocircular quadruples are resolved by a symbolic perturbation that
-favors the lower site index, so the produced mesh is canonical and
-identical runs are bit-for-bit reproducible.
+flips. While it is built, the mesh is one map from each directed edge
+(u, v) of each counterclockwise triangle (u, v, w) to its apex w: the
+one question a flip or a constraint walk asks. Flip decisions use an
+in-circle predicate that never reports a tie: exactly cocircular
+quadruples are resolved by a symbolic perturbation that favors the lower
+site index, so the produced mesh is canonical and identical runs are
+bit-for-bit reproducible.
 
 The predicates are geometry's determinants on its one integer form of a
 point: site i is the row `_hom(site)` = (X_i, Y_i, W_i), W_i the lcm of
@@ -148,54 +151,38 @@ def _incircle_perturbed(rows: list[Homogeneous], i: int, j: int, k: int, l: int)
 
 
 class _MeshBuilder:
+    """apex[(u, v)] = w for each directed edge of each CCW triangle (u, v, w)."""
+
     def __init__(self, sites: SiteSet):
         self.rows = [_hom(p) for p in sites.points]
-        self.tris: dict[int, tuple[int, int, int]] = {}
-        self.edge: dict[tuple[int, int], int] = {}  # directed edge -> tid
+        self.apex: dict[tuple[int, int], int] = {}
         self.constrained: set[tuple[int, int]] = set()
-        self._next = 0
 
-    def add(self, i: int, j: int, k: int) -> int:
-        tid = self._next
-        self._next += 1
-        self.tris[tid] = (i, j, k)
-        for u, v in ((i, j), (j, k), (k, i)):
-            if (u, v) in self.edge:
+    def add(self, i: int, j: int, k: int) -> None:
+        apex = self.apex
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            if (u, v) in apex:
                 raise GeometryError(f"directed edge {u}->{v} claimed twice")
-            self.edge[(u, v)] = tid
-        return tid
+            apex[(u, v)] = w
 
-    def remove(self, tid: int) -> None:
-        i, j, k = self.tris.pop(tid)
-        for u, v in ((i, j), (j, k), (k, i)):
-            del self.edge[(u, v)]
-
-    def apex(self, u: int, v: int) -> Optional[int]:
-        """Third vertex of the triangle containing directed edge (u, v)."""
-        tid = self.edge.get((u, v))
-        if tid is None:
-            return None
-        tri = self.tris[tid]
-        for r in range(3):
-            if tri[r] == u:
-                return tri[(r + 2) % 3]
-        return None
+    def remove(self, i: int, j: int, k: int) -> None:
+        apex = self.apex
+        del apex[(i, j)], apex[(j, k)], apex[(k, i)]
 
     def legalize(self, seed_edges: Iterable[tuple[int, int]]) -> None:
+        apex = self.apex
         queue = deque(seed_edges)
         while queue:
             u, v = queue.popleft()
-            t1 = self.edge.get((u, v))
-            t2 = self.edge.get((v, u))
-            if t1 is None or t2 is None:
+            c = apex.get((u, v))
+            d = apex.get((v, u))
+            if c is None or d is None:
                 continue  # hull edge or edge gone stale
             if _edge_key(u, v) in self.constrained:
                 continue
-            c = self.apex(u, v)
-            d = self.apex(v, u)
             if _incircle_perturbed(self.rows, u, v, c, d) > 0:
-                self.remove(t1)
-                self.remove(t2)
+                self.remove(u, v, c)
+                self.remove(v, u, d)
                 self.add(u, d, c)
                 self.add(d, v, c)
                 queue.extend(((u, d), (d, v), (v, c), (c, u)))
@@ -408,11 +395,9 @@ def adjacency(mesh: TriMesh, t: int) -> set[int]:
 
 
 def _freeze(sites: SiteSet, builder: _MeshBuilder) -> TriMesh:
-    tris = []
-    for tri in builder.tris.values():
-        r = tri.index(min(tri))
-        tris.append((tri[r], tri[(r + 1) % 3], tri[(r + 2) % 3]))
-    tris.sort()
+    # Each triangle once, from the directed edge that leaves its smallest
+    # vertex: that is already the rotation TriMesh lists.
+    tris = sorted((u, v, w) for (u, v), w in builder.apex.items() if u < v and u < w)
     return TriMesh(sites, tuple(tris), frozenset(builder.constrained))
 
 
@@ -504,26 +489,23 @@ def _validate_constraints(
 
 def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
     rows = builder.rows
+    apex = builder.apex
     key = _edge_key(a, b)
-    if (a, b) in builder.edge or (b, a) in builder.edge:
+    if (a, b) in apex or (b, a) in apex:
         builder.constrained.add(key)
         return
 
     # Find the triangle at a whose wedge contains the direction of b.
     entry = None
-    for (u, v), tid in builder.edge.items():
-        if u != a:
-            continue
-        x = v
-        y = builder.apex(a, x)
-        if _det3(rows[a], rows[x], rows[b]) > 0 and _det3(rows[a], rows[y], rows[b]) < 0:
-            entry = (tid, x, y)
+    for (u, x), y in apex.items():
+        if u == a and _det3(rows[a], rows[x], rows[b]) > 0 > _det3(rows[a], rows[y], rows[b]):
+            entry = (x, y)
             break
     if entry is None:
         raise GeometryError(f"could not route constraint {a}-{b} through the mesh")
 
-    tid, right, left = entry  # right of a->b, left of a->b
-    dead = {tid}
+    right, left = entry  # right of a->b, left of a->b
+    dead = [(a, right, left)]
     upper = [left]
     lower = [right]
     while True:
@@ -531,11 +513,10 @@ def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
             raise CrossingConstraints(
                 f"constraint {a}-{b} crosses constrained edge {right}-{left}"
             )
-        far = builder.edge.get((left, right))
-        if far is None:
+        z = apex.get((left, right))
+        if z is None:
             raise GeometryError(f"constraint walk {a}-{b} fell off the mesh")
-        dead.add(far)
-        z = builder.apex(left, right)
+        dead.append((left, right, z))
         if z == b:
             break
         oz = _det3(rows[a], rows[b], rows[z])
@@ -548,8 +529,8 @@ def _insert_constraint(builder: _MeshBuilder, a: int, b: int) -> None:
             lower.append(z)
             right = z
 
-    for t in dead:
-        builder.remove(t)
+    for tri in dead:
+        builder.remove(*tri)
     new_edges: list[tuple[int, int]] = []
     _retriangulate_cavity(builder, a, b, upper, new_edges)
     _retriangulate_cavity(builder, b, a, list(reversed(lower)), new_edges)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from .delaunay import ConstraintSet, SiteSet, TriMesh
-from .errors import GeometryError, NotCCW, ParseError
+from .errors import GeometryError, NotCCW, ParseError, UnknownEdge
 from .geometry import Point, Polygon, Rect, Segment, _det3, _hom
 
 SITES_HEADER = "proxitri-sites 1"
@@ -194,8 +194,10 @@ def document_for_mesh(mesh: TriMesh, locally_delaunay: dict) -> dict:
 def mesh_from_document(model: dict) -> TriMesh:
     """Rebuild a mesh, rejecting triangles that name a missing site
     (IndexOutOfRange), do not turn counterclockwise (NotCCW), or repeat a
-    directed edge (GeometryError), and a boundary that cannot be the
-    convex hull of a triangulated site set (GeometryError)."""
+    directed edge (GeometryError), a boundary that cannot be the convex
+    hull of a triangulated site set (GeometryError), a constrained pair
+    that is not a mesh edge (UnknownEdge), and constraint records that
+    name other pairs than the constrained edge flags (GeometryError)."""
     sites = SiteSet(
         tuple(Point(Fraction(x), Fraction(y)) for x, y in model["sites"])
     )
@@ -212,14 +214,16 @@ def mesh_from_document(model: dict) -> TriMesh:
                 raise GeometryError(f"directed edge {edge[0]}->{edge[1]} appears twice")
             directed.add(edge)
     _check_boundary(sites, triangles, directed)
-    constrained = frozenset(
-        (e["a"], e["b"]) if e["a"] < e["b"] else (e["b"], e["a"])
-        for e in model.get("edges", [])
-        if e.get("constrained")
-    )
-    if not constrained and "constraints" in model:
-        constrained = frozenset(tuple(sorted(c)) for c in model["constraints"])
-    return TriMesh(sites, triangles, constrained)
+    edges = model.get("edges", [])
+    flagged = {tuple(sorted((e["a"], e["b"]))) for e in edges if e.get("constrained")}
+    listed = {tuple(sorted(c)) for c in model.get("constraints", [])}
+    if "edges" in model and "constraints" in model and flagged != listed:
+        raise GeometryError("constraint records and constrained edge flags name different pairs")
+    mesh = TriMesh(sites, triangles, frozenset(flagged | listed))
+    for a, b in sorted(mesh.constrained):
+        if not mesh.has_edge(a, b):
+            raise UnknownEdge(f"constrained pair {a}-{b} is not a mesh edge")
+    return mesh
 
 
 def _check_boundary(sites: SiteSet, triangles: tuple, directed: set) -> None:

@@ -15,6 +15,7 @@ mode for comparison; it is not the default reading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 from .delaunay import TriMesh, adjacency
@@ -114,24 +115,21 @@ def connected_components(mesh: TriMesh) -> list[frozenset[int]]:
 
 
 def proximal_region_pairs(regions: list[Region]) -> list[tuple[int, int]]:
-    """Indices of region pairs sharing at least one mesh vertex."""
+    """Indices of region pairs sharing at least one mesh vertex, sorted."""
     if not regions:
         return []
     mesh = regions[0].mesh
     if any(r.mesh is not mesh and r.mesh != mesh for r in regions):
         raise MixedMeshes("regions come from different meshes")
-    vertex_sets = []
-    for r in regions:
-        verts: set[int] = set()
-        for t in r.members():
-            verts.update(mesh.triangles[t])
-        vertex_sets.append(verts)
-    pairs = []
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            if vertex_sets[i] & vertex_sets[j]:
-                pairs.append((i, j))
-    return pairs
+    at_vertex: dict[int, set[int]] = {}
+    for r, region in enumerate(regions):
+        for t in region.triangles:
+            for v in mesh.triangles[t]:
+                at_vertex.setdefault(v, set()).add(r)
+    pairs: set[tuple[int, int]] = set()
+    for group in at_vertex.values():
+        pairs.update(combinations(sorted(group), 2))
+    return sorted(pairs)
 
 
 def region_union_polygon(region: Region) -> Polygon:

@@ -97,16 +97,6 @@ def _ray_end(frame: Polygon, a: Point, b: Point) -> Point:
     return lo if _det3(_hom(a), _hom(b), _hom(lo)) > 0 else hi
 
 
-def _dedupe_ring(points: list[Point]) -> list[Point]:
-    out: list[Point] = []
-    for p in points:
-        if not out or out[-1] != p:
-            out.append(p)
-    while len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
-
-
 def _cell_ring(mesh: TriMesh, site: int) -> tuple[list[int], list[int]]:
     """Fan of triangles around a site in CCW order, with its spokes.
 
@@ -184,12 +174,13 @@ def _build_cell(
         unbounded = True
     # Keyed by integer rows: equal rows are equal points, and tuples of
     # ints hash without the modular inverse a Fraction hash costs. Every
-    # polygon edge joins two consecutive corners: deduplication drops only
-    # zero-length edges, and no three consecutive corners are collinear.
+    # polygon edge joins two consecutive corners: Polygon drops a repeated
+    # corner as a zero turn, which removes only a zero-length edge, and no
+    # three consecutive distinct corners are collinear.
     rows = [_hom(c) for c in corners]
     n = len(corners)
     owner = {(rows[i], rows[(i + 1) % n]): labels[i] for i in range(n)}
-    polygon = Polygon(tuple(_dedupe_ring(corners)))
+    polygon = Polygon(tuple(corners))
     edges = []
     for seg in polygon.edges():
         key = (_hom(seg.a), _hom(seg.b))

@@ -18,19 +18,43 @@ through the `proxitri.checks` module, so a fault patched into it reaches
 them as well. reference_polygon is Polygon construction as separate
 passes over Points (normalise, area sign, convexity, all edge pairs
 through segment_intersection), which the one pass over integer rows
-replaces.
+replaces. reference_mesh is the mesh builder that keeps numbered
+triangles beside a directed edge -> triangle map, which the one directed
+edge -> apex map replaces; all_pairs_proximal_region_pairs tests every
+pair of regions, which the per-vertex index replaces.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from typing import Optional
 
 from proxitri import checks
 from proxitri.checks import CheckResult
-from proxitri.delaunay import ConstraintSet, SiteSet
-from proxitri.errors import CollinearInput, DegenerateIntersection, NonConvexInput, NotCCW
+from proxitri.delaunay import (
+    ConstraintSet,
+    SiteSet,
+    TriMesh,
+    _edge_key,
+    _incircle_perturbed,
+    _resolve_constraints,
+    _validate_constraints,
+)
+from proxitri.errors import (
+    AllCollinear,
+    CollinearInput,
+    ConstraintThroughSite,
+    CrossingConstraints,
+    DegenerateIntersection,
+    GeometryError,
+    MixedMeshes,
+    NonConvexInput,
+    NotCCW,
+    TooFewSites,
+)
 from proxitri.geometry import (
     CircumCircle,
     CirclePosition,
@@ -40,6 +64,9 @@ from proxitri.geometry import (
     Polygon,
     Rect,
     Segment,
+    _det3,
+    _hom,
+    _row_order,
     convex_closed_intersection,
     distance_sq,
     in_circumcircle,
@@ -769,3 +796,234 @@ def fraction_triangle_area(mesh, t: int) -> Fraction:
     """Area of a counterclockwise mesh triangle on Fractions."""
     a, b, c = mesh.triangle_points(t)
     return ((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2
+
+
+def all_pairs_proximal_region_pairs(regions) -> list[tuple[int, int]]:
+    """Indices of region pairs sharing a mesh vertex, testing every pair."""
+    if not regions:
+        return []
+    mesh = regions[0].mesh
+    if any(r.mesh is not mesh and r.mesh != mesh for r in regions):
+        raise MixedMeshes("regions come from different meshes")
+    vertex_sets = []
+    for r in regions:
+        verts: set[int] = set()
+        for t in r.members():
+            verts.update(mesh.triangles[t])
+        vertex_sets.append(verts)
+    pairs = []
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            if vertex_sets[i] & vertex_sets[j]:
+                pairs.append((i, j))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# reference_mesh: the lexicographic sweep, Lawson flips and constraint
+# insertion on a builder that numbers its triangles.
+
+
+class _ReferenceBuilder:
+    def __init__(self, sites: SiteSet):
+        self.rows = [_hom(p) for p in sites.points]
+        self.tris: dict[int, tuple[int, int, int]] = {}
+        self.edge: dict[tuple[int, int], int] = {}  # directed edge -> tid
+        self.constrained: set[tuple[int, int]] = set()
+        self._next = 0
+
+    def add(self, i: int, j: int, k: int) -> int:
+        tid = self._next
+        self._next += 1
+        self.tris[tid] = (i, j, k)
+        for u, v in ((i, j), (j, k), (k, i)):
+            if (u, v) in self.edge:
+                raise GeometryError(f"directed edge {u}->{v} claimed twice")
+            self.edge[(u, v)] = tid
+        return tid
+
+    def remove(self, tid: int) -> None:
+        i, j, k = self.tris.pop(tid)
+        for u, v in ((i, j), (j, k), (k, i)):
+            del self.edge[(u, v)]
+
+    def apex(self, u: int, v: int) -> Optional[int]:
+        """Third vertex of the triangle containing directed edge (u, v)."""
+        tid = self.edge.get((u, v))
+        if tid is None:
+            return None
+        tri = self.tris[tid]
+        for r in range(3):
+            if tri[r] == u:
+                return tri[(r + 2) % 3]
+        return None
+
+    def legalize(self, seed_edges) -> None:
+        queue = deque(seed_edges)
+        while queue:
+            u, v = queue.popleft()
+            t1 = self.edge.get((u, v))
+            t2 = self.edge.get((v, u))
+            if t1 is None or t2 is None:
+                continue
+            if _edge_key(u, v) in self.constrained:
+                continue
+            c = self.apex(u, v)
+            d = self.apex(v, u)
+            if _incircle_perturbed(self.rows, u, v, c, d) > 0:
+                self.remove(t1)
+                self.remove(t2)
+                self.add(u, d, c)
+                self.add(d, v, c)
+                queue.extend(((u, d), (d, v), (v, c), (c, u)))
+
+
+def _reference_sweep(sites: SiteSet) -> _ReferenceBuilder:
+    n = len(sites)
+    if n < 3:
+        raise TooFewSites(f"need at least 3 sites, got {n}")
+    builder = _ReferenceBuilder(sites)
+    rows = builder.rows
+    order = sorted(range(n), key=lambda i: _row_order(rows[i]))
+    chain = [order[0], order[1]]
+    k = 2
+    while k < n and _det3(rows[chain[0]], rows[chain[1]], rows[order[k]]) == 0:
+        chain.append(order[k])
+        k += 1
+    if k == n:
+        raise AllCollinear("all sites lie on one line")
+    apex = order[k]
+    if _det3(rows[chain[0]], rows[chain[-1]], rows[apex]) > 0:
+        for a, b in zip(chain, chain[1:]):
+            builder.add(a, b, apex)
+        hull = chain + [apex]
+    else:
+        for a, b in zip(chain, chain[1:]):
+            builder.add(b, a, apex)
+        hull = list(reversed(chain)) + [apex]
+    for p in order[k + 1 :]:
+        _reference_hull_insert(builder, hull, p)
+    return builder
+
+
+def _reference_hull_insert(builder: _ReferenceBuilder, hull: list[int], p: int) -> None:
+    rows = builder.rows
+    m = len(hull)
+
+    def visible(i: int) -> bool:
+        return _det3(rows[hull[i % m]], rows[hull[(i + 1) % m]], rows[p]) < 0
+
+    if visible(m - 1):
+        first = m - 1
+    elif visible(m - 2):
+        first = m - 2
+    else:
+        raise GeometryError(f"no hull edge visible from site {p}")
+    last = first
+    while last - first < m - 1 and visible(last + 1):
+        last += 1
+    while last - first < m - 1 and visible(first - 1):
+        first -= 1
+    if last - first == m - 1:
+        raise GeometryError(f"every hull edge is visible from site {p}")
+    start = first % m
+    count = last - first + 1
+    seeds = []
+    for t in range(count):
+        u, v = hull[(start + t) % m], hull[(start + t + 1) % m]
+        builder.add(v, u, p)
+        seeds.append((u, v))
+    i = (start + count) % m
+    new_hull = []
+    while True:
+        new_hull.append(hull[i])
+        if i == start:
+            break
+        i = (i + 1) % m
+    hull[:] = new_hull + [p]
+    builder.legalize(seeds)
+
+
+def _reference_insert_constraint(builder: _ReferenceBuilder, a: int, b: int) -> None:
+    rows = builder.rows
+    key = _edge_key(a, b)
+    if (a, b) in builder.edge or (b, a) in builder.edge:
+        builder.constrained.add(key)
+        return
+    entry = None
+    for (u, x), tid in builder.edge.items():
+        if u != a:
+            continue
+        y = builder.apex(a, x)
+        if _det3(rows[a], rows[x], rows[b]) > 0 and _det3(rows[a], rows[y], rows[b]) < 0:
+            entry = (tid, x, y)
+            break
+    if entry is None:
+        raise GeometryError(f"could not route constraint {a}-{b} through the mesh")
+    tid, right, left = entry
+    dead = {tid}
+    upper = [left]
+    lower = [right]
+    while True:
+        if _edge_key(right, left) in builder.constrained:
+            raise CrossingConstraints(
+                f"constraint {a}-{b} crosses constrained edge {right}-{left}"
+            )
+        far = builder.edge.get((left, right))
+        if far is None:
+            raise GeometryError(f"constraint walk {a}-{b} fell off the mesh")
+        dead.add(far)
+        z = builder.apex(left, right)
+        if z == b:
+            break
+        oz = _det3(rows[a], rows[b], rows[z])
+        if oz == 0:
+            raise ConstraintThroughSite(f"constraint {a}-{b} passes through site #{z}")
+        if oz > 0:
+            upper.append(z)
+            left = z
+        else:
+            lower.append(z)
+            right = z
+    for t in dead:
+        builder.remove(t)
+    new_edges: list[tuple[int, int]] = []
+    _reference_cavity(builder, a, b, upper, new_edges)
+    _reference_cavity(builder, b, a, list(reversed(lower)), new_edges)
+    builder.constrained.add(key)
+    builder.legalize(new_edges)
+
+
+def _reference_cavity(builder: _ReferenceBuilder, a: int, b: int, chain: list[int], new_edges):
+    if not chain:
+        return
+    c = 0
+    for j in range(1, len(chain)):
+        if _incircle_perturbed(builder.rows, a, b, chain[c], chain[j]) > 0:
+            c = j
+    builder.add(a, b, chain[c])
+    new_edges.extend(((a, chain[c]), (chain[c], b)))
+    _reference_cavity(builder, a, chain[c], chain[:c], new_edges)
+    _reference_cavity(builder, chain[c], b, chain[c + 1 :], new_edges)
+
+
+def reference_mesh(sites: SiteSet, constraints: Optional[ConstraintSet] = None) -> TriMesh:
+    """triangulate (no constraints) or constrained_triangulate on the
+    numbered-triangle builder; raises what they raise."""
+    pairs = []
+    if constraints is not None:
+        pairs = _resolve_constraints(sites, constraints)
+        _validate_constraints(sites, constraints, pairs)
+    builder = _reference_sweep(sites)
+    for a, b in pairs:
+        _reference_insert_constraint(builder, a, b)
+    tris = []
+    for tri in builder.tris.values():
+        r = tri.index(min(tri))
+        tris.append((tri[r], tri[(r + 1) % 3], tri[(r + 2) % 3]))
+    tris.sort()
+    mesh = TriMesh(sites, tuple(tris), frozenset(builder.constrained))
+    for a, b in pairs:
+        if not mesh.has_edge(a, b):
+            raise GeometryError(f"constraint {a}-{b} missing from mesh")
+    return mesh

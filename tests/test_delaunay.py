@@ -48,6 +48,7 @@ from oracles import (
     fraction_orientation,
     mesh_triangle_set,
     random_constraints,
+    reference_mesh,
     visibility_oracle,
 )
 
@@ -449,6 +450,51 @@ class TestConstrainedAgainstReferences:
                 ), (p, q)
             instances += 1
         assert instances >= 30
+
+
+def outcome(build, *args):
+    """Triangles and constrained pairs of the mesh build(*args) returns, or
+    the type and message of what it raises."""
+    try:
+        mesh = build(*args)
+    except Exception as exc:
+        return (type(exc), str(exc))
+    return (mesh.triangles, mesh.constrained)
+
+
+class TestReferenceBuilder:
+    """triangulate and constrained_triangulate against reference_mesh, the
+    builder that numbers its triangles."""
+
+    def assert_matches(self, rng, sites):
+        constraints = random_constraints(rng, sites, rng.randint(0, 4))
+        assert outcome(triangulate, sites) == outcome(reference_mesh, sites)
+        assert outcome(constrained_triangulate, sites, constraints) == outcome(
+            reference_mesh, sites, constraints
+        )
+
+    def test_corpora(self, corpus, degenerate_corpus):
+        rng = random.Random("reference-corpora")
+        for entry in corpus + degenerate_corpus:
+            self.assert_matches(rng, entry.sites)
+
+    @pytest.mark.parametrize("distribution", ["uniform", "clustered", "cocircular", "collinear-heavy"])
+    def test_distributions(self, distribution):
+        rng = random.Random(f"reference-{distribution}")
+        runs = [(n, seed) for n in (4, 7, 25, 150) for seed in (1, 2, 3)] + [(2000, 1)]
+        for n, seed in runs:
+            self.assert_matches(rng, SiteSet(tuple(generate_sites(n, seed, distribution))))
+
+    def test_invalid_inputs(self):
+        rng = random.Random("reference-invalid")
+        for coords in ([(0, 0), (1, 1)], [(0, 0), (1, 1), (2, 2), (3, 3)]):
+            self.assert_matches(rng, SiteSet.of(coords))
+        sites = sites_of((0, 0), (2, 0), (4, 0), (4, 4), (0, 4), (2, 3))
+        for segments in ([(0, 0, 4, 0)], [(0, 0, 4, 4), (4, 0, 0, 4)], [(0, 0, 9, 9)]):
+            constraints = ConstraintSet.of(segments)
+            assert outcome(constrained_triangulate, sites, constraints) == outcome(
+                reference_mesh, sites, constraints
+            )
 
 
 class TestConstrainedTriangulate:

@@ -7,7 +7,7 @@ from proxitri.checks import _check_lemma2, _check_regions
 from proxitri.choices import DISTRIBUTIONS
 from proxitri.cli import main
 from proxitri.delaunay import SiteSet, TriMesh, is_locally_delaunay, triangulate
-from proxitri.errors import GeometryError, IndexOutOfRange, NotCCW, ParseError
+from proxitri.errors import GeometryError, IndexOutOfRange, NotCCW, ParseError, UnknownEdge
 from proxitri.generate import generate_sites
 from proxitri.geometry import Point, Polygon, Segment, distance_sq
 from proxitri.io import (
@@ -214,6 +214,47 @@ class TestDocuments:
             parse_document('{"schema": "other/9"}')
         with pytest.raises(ParseError):
             parse_document("unexpected 1\n")
+
+
+# The 4 x 3 rectangle split along its diagonal 0-2.
+RECTANGLE = """proxitri-document 1
+site 0 0 0
+site 1 4 0
+site 2 4 3
+site 3 0 3
+triangle 0 0 1 2
+triangle 1 0 2 3
+"""
+RECTANGLE_EDGES = [
+    "edge 0 1 plain locally-delaunay",
+    "edge 0 2 plain locally-delaunay",
+    "edge 0 3 plain locally-delaunay",
+    "edge 1 2 plain locally-delaunay",
+    "edge 2 3 plain locally-delaunay",
+]
+
+
+class TestConstrainedPairsIngest:
+    """Every constrained pair of an ingested document is a mesh edge, and
+    constraint records agree with the constrained edge flags."""
+
+    def test_constraint_records_alone_are_read(self):
+        mesh = mesh_from_document(parse_document(RECTANGLE + "constraint 2 0\n"))
+        assert mesh.constrained == {(0, 2)}
+
+    def test_flagged_pair_that_is_no_edge_rejected(self):
+        text = RECTANGLE + "\n".join(RECTANGLE_EDGES + ["edge 1 3 constrained locally-delaunay"])
+        with pytest.raises(UnknownEdge, match="1-3 is not a mesh edge"):
+            mesh_from_document(parse_document(text))
+
+    def test_constraint_record_naming_no_site_rejected(self):
+        with pytest.raises(UnknownEdge, match="0-9 is not a mesh edge"):
+            mesh_from_document(parse_document(RECTANGLE + "constraint 0 9\n"))
+
+    def test_records_disagreeing_with_flags_rejected(self):
+        text = RECTANGLE + "constraint 0 2\n" + "\n".join(RECTANGLE_EDGES)
+        with pytest.raises(GeometryError, match="name different pairs"):
+            mesh_from_document(parse_document(text))
 
 
 class TestCheckWitnesses:

@@ -17,7 +17,11 @@ from proxitri.regions import (
     region_union_polygon,
 )
 
-from oracles import brute_maximal_cliques, composed_region_common_intersection
+from oracles import (
+    all_pairs_proximal_region_pairs,
+    brute_maximal_cliques,
+    composed_region_common_intersection,
+)
 
 
 def strip_mesh() -> TriMesh:
@@ -101,6 +105,11 @@ class TestProximalPairs:
         pairs = proximal_region_pairs(regions)
         for i, j in pairs:
             assert cluster(regions[i]) == cluster(regions[j])
+
+    def test_matches_all_pairs(self, corpus, degenerate_corpus):
+        for entry in corpus + degenerate_corpus:
+            regions = extract_regions(entry.mesh)
+            assert proximal_region_pairs(regions) == all_pairs_proximal_region_pairs(regions)
 
 
 class TestUnionPolygon:
