@@ -283,31 +283,27 @@ class TriMesh:
 
     Triangles are CCW index triples, each rotated so its smallest vertex
     comes first and listed in sorted order, so equal meshes serialize to
-    equal bytes. The edge table and adjacency maps are derived caches and
-    take no part in equality.
+    equal bytes. Every edge, fan and hull question reads one derived map,
+    directed edge (u, v) -> id of the triangle that holds it, plus one
+    start spoke per site; neither takes part in equality.
     """
 
     sites: SiteSet
     triangles: tuple[tuple[int, int, int], ...]
     constrained: frozenset[tuple[int, int]]
-    _edge_tris: dict = field(init=False, repr=False, compare=False)
-    _directed: dict = field(init=False, repr=False, compare=False)
-    _vertex_tris: dict = field(init=False, repr=False, compare=False)
+    _tri_of: dict = field(init=False, repr=False, compare=False)
+    _spoke: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        edge_tris: dict[tuple[int, int], tuple[int, ...]] = {}
-        directed: dict[tuple[int, int], int] = {}
-        vertex_tris: dict[int, list[int]] = {}
+        tri_of: dict[tuple[int, int], int] = {}
         for tid, (i, j, k) in enumerate(self.triangles):
-            for u, v in ((i, j), (j, k), (k, i)):
-                key = _edge_key(u, v)
-                edge_tris[key] = edge_tris.get(key, ()) + (tid,)
-                directed[(u, v)] = tid
-            for u in (i, j, k):
-                vertex_tris.setdefault(u, []).append(tid)
-        object.__setattr__(self, "_edge_tris", edge_tris)
-        object.__setattr__(self, "_directed", directed)
-        object.__setattr__(self, "_vertex_tris", vertex_tris)
+            tri_of[(i, j)] = tri_of[(j, k)] = tri_of[(k, i)] = tid
+        # A site's fan starts at its outgoing hull edge, whose reverse has
+        # no triangle; an interior site's fan may start at any spoke.
+        spoke = {u: v for u, v in tri_of}
+        spoke.update((u, v) for u, v in tri_of if (v, u) not in tri_of)
+        object.__setattr__(self, "_tri_of", tri_of)
+        object.__setattr__(self, "_spoke", spoke)
 
     # -- basic queries ------------------------------------------------------
 
@@ -331,47 +327,69 @@ class TriMesh:
         return _circumcenter(*self.triangle_points(t))[0]
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edge_tris)
+        tri_of = self._tri_of
+        return sorted(
+            (u, v) if u < v else (v, u) for u, v in tri_of if u < v or (v, u) not in tri_of
+        )
 
     def has_edge(self, i: int, j: int) -> bool:
-        return _edge_key(i, j) in self._edge_tris
+        return (i, j) in self._tri_of or (j, i) in self._tri_of
 
     def edge_triangles(self, i: int, j: int) -> tuple[int, ...]:
-        key = _edge_key(i, j)
-        if key not in self._edge_tris:
-            raise UnknownEdge(f"no mesh edge between sites {i} and {j}")
-        return self._edge_tris[key]
-
-    def is_hull_edge(self, i: int, j: int) -> bool:
-        return len(self.edge_triangles(i, j)) == 1
+        s, t = self._tri_of.get((i, j)), self._tri_of.get((j, i))
+        if s is None or t is None:
+            if s is None and t is None:
+                raise UnknownEdge(f"no mesh edge between sites {i} and {j}")
+            return (t,) if s is None else (s,)
+        return (s, t) if s < t else (t, s)
 
     def is_constrained(self, i: int, j: int) -> bool:
         return _edge_key(i, j) in self.constrained
 
-    def vertex_triangles(self, i: int) -> tuple[int, ...]:
-        self.sites.check_index(i)
-        return tuple(self._vertex_tris.get(i, ()))
-
     def directed_triangle(self, u: int, v: int) -> Optional[int]:
-        return self._directed.get((u, v))
+        return self._tri_of.get((u, v))
 
     def opposite_vertex(self, u: int, v: int) -> Optional[int]:
         """Apex of the triangle containing directed edge (u, v), if any."""
-        tid = self._directed.get((u, v))
+        tid = self._tri_of.get((u, v))
         if tid is None:
             return None
-        tri = self.triangles[tid]
-        for r in range(3):
-            if tri[r] == u:
-                return tri[(r + 2) % 3]
-        return None
+        i, j, k = self.triangles[tid]
+        return i + j + k - u - v
+
+    def fan(self, site: int) -> tuple[list[int], list[int]]:
+        """Fan of triangles around a site in CCW order, with its spokes.
+
+        Triangle ring[i] is (site, spokes[i], spokes[i + 1]) up to rotation,
+        indices taken cyclically. A closed fan has one spoke per triangle; an
+        open (hull) fan has one more, and its first and last spokes are the
+        site's hull neighbors. A site in no triangle has the fan ([], []).
+        The walk takes at most one step per triangle: on a hand-built mesh
+        whose triangles at the site cycle without returning to the start,
+        it raises GeometryError.
+        """
+        a = self._spoke.get(self.sites.check_index(site))
+        if a is None:
+            return [], []
+        tri_of = self._tri_of
+        start = tri_of[(site, a)]
+        ring = [start]
+        spokes = [a]
+        for _ in self.triangles:
+            i, j, k = self.triangles[ring[-1]]
+            b = i + j + k - site - spokes[-1]
+            nxt = tri_of.get((site, b))
+            if nxt == start:
+                return ring, spokes
+            spokes.append(b)
+            if nxt is None:
+                return ring, spokes
+            ring.append(nxt)
+        raise GeometryError(f"the triangles at site {site} form no fan")
 
     def hull(self) -> list[int]:
         """Hull site indices in CCW order (collinear hull sites retained)."""
-        outgoing = {}
-        for (u, v) in self._directed:
-            if (v, u) not in self._directed:
-                outgoing[u] = v
+        outgoing = {u: v for u, v in self._spoke.items() if (v, u) not in self._tri_of}
         if not outgoing:
             return []
         start = min(outgoing)
@@ -386,12 +404,8 @@ class TriMesh:
 def adjacency(mesh: TriMesh, t: int) -> set[int]:
     """Triangle ids sharing a full edge with t."""
     i, j, k = mesh.check_triangle(t)
-    out = set()
-    for u, v in ((i, j), (j, k), (k, i)):
-        for other in mesh.edge_triangles(u, v):
-            if other != t:
-                out.add(other)
-    return out
+    across = (mesh.directed_triangle(v, u) for u, v in ((i, j), (j, k), (k, i)))
+    return {s for s in across if s is not None}
 
 
 def _freeze(sites: SiteSet, builder: _MeshBuilder) -> TriMesh:

@@ -33,7 +33,8 @@ CoordinateInput = Union[Fraction, int, str]
 def as_coord(value: CoordinateInput) -> Fraction:
     """Coerce a coordinate to an exact rational.
 
-    Accepts ints, Fractions and decimal/fraction literals ("1.25", "5/4").
+    Accepts ints, Fractions and signed decimal or p/q literals ("-1.25",
+    "5/4"), but no exponent, which Fraction would expand first ("1e9999999").
     Floats are rejected: pass the literal as a string instead.
     """
     if isinstance(value, Fraction):
@@ -43,6 +44,8 @@ def as_coord(value: CoordinateInput) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"bad coordinate literal {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .delaunay import ConstraintSet, SiteSet, TriMesh
+from .delaunay import ConstraintSet, SiteSet, TriMesh, is_locally_delaunay
 from .errors import GeometryError, NotCCW, ParseError, UnknownEdge
-from .geometry import Point, Polygon, Rect, Segment, _det3, _hom
+from .geometry import Point, Polygon, Rect, Segment, _det3, _hom, as_coord
 
 SITES_HEADER = "proxitri-sites 1"
 DOCUMENT_HEADER = "proxitri-document 1"
@@ -47,8 +47,8 @@ def coord_literal(value: Fraction) -> str:
 
 def parse_coord(text: str, path: str = "", line: int = 0) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return as_coord(text)
+    except ValueError:
         raise ParseError(f"bad coordinate literal {text!r}", path, line) from None
 
 
@@ -196,11 +196,11 @@ def mesh_from_document(model: dict) -> TriMesh:
     (IndexOutOfRange), do not turn counterclockwise (NotCCW), or repeat a
     directed edge (GeometryError), a boundary that cannot be the convex
     hull of a triangulated site set (GeometryError), a constrained pair
-    that is not a mesh edge (UnknownEdge), and constraint records that
-    name other pairs than the constrained edge flags (GeometryError)."""
-    sites = SiteSet(
-        tuple(Point(Fraction(x), Fraction(y)) for x, y in model["sites"])
-    )
+    that is not a mesh edge (UnknownEdge), constraint records that name
+    other pairs than the constrained edge flags (GeometryError), and edge
+    records other than one per mesh edge with its locally-Delaunay flag
+    (UnknownEdge for a record naming no mesh edge, else GeometryError)."""
+    sites = SiteSet(tuple(Point(x, y) for x, y in model["sites"]))
     triangles = tuple(tuple(t) for t in model.get("triangles", []))
     directed: set[tuple[int, int]] = set()
     for t, tri in enumerate(triangles):
@@ -223,7 +223,28 @@ def mesh_from_document(model: dict) -> TriMesh:
     for a, b in sorted(mesh.constrained):
         if not mesh.has_edge(a, b):
             raise UnknownEdge(f"constrained pair {a}-{b} is not a mesh edge")
+    if "edges" in model:
+        _check_edge_records(mesh, edges)
     return mesh
+
+
+def _check_edge_records(mesh: TriMesh, records: list) -> None:
+    """The records name each mesh edge exactly once, each flagged as
+    is_locally_delaunay decides it, so re-rendering writes them back."""
+    seen: set[tuple[int, int]] = set()
+    for e in records:
+        a, b = e["a"], e["b"]
+        if not mesh.has_edge(a, b):
+            raise UnknownEdge(f"edge record {a}-{b} is not a mesh edge")
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise GeometryError(f"edge {a}-{b} has more than one record")
+        seen.add(key)
+        if e.get("locally_delaunay") != is_locally_delaunay(mesh, key):
+            raise GeometryError(f"edge record {a}-{b} has the wrong locally-Delaunay flag")
+    for a, b in mesh.edges():
+        if (a, b) not in seen:
+            raise GeometryError(f"mesh edge {a}-{b} has no edge record")
 
 
 def _check_boundary(sites: SiteSet, triangles: tuple, directed: set) -> None:

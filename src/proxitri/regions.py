@@ -71,12 +71,10 @@ def extract_regions(mesh: TriMesh) -> list[Region]:
     cliques: list[frozenset[int]] = []
     hubs: set[int] = set()
     for v in range(len(mesh.sites)):
-        tids = mesh.vertex_triangles(v)
-        # Three triangles around v close their fan iff they use only three
-        # other vertices; an open fan of three uses four.
-        if len(tids) == 3 and len({u for t in tids for u in mesh.triangles[t]}) == 4:
+        ring, spokes = mesh.fan(v)
+        if len(ring) == 3 and len(spokes) == 3:
             hubs.add(v)
-            cliques.append(frozenset(tids))
+            cliques.append(frozenset(ring))
     paired: set[int] = set()
     for a, b in mesh.edges():
         tids = mesh.edge_triangles(a, b)

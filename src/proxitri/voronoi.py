@@ -1,9 +1,10 @@
 """Voronoi diagram as the dual of the Delaunay mesh.
 
-Each cell is read off the fan of triangles around its site: the
-circumcenters of the fan, walked counterclockwise, are the cell corners.
-Hull sites get two outward bisector rays which are clipped to a bounding
-frame, so every cell is represented by a closed convex polygon.
+Each cell is read off the fan of triangles around its site, as
+`TriMesh.fan` walks it: the circumcenters of the fan, walked
+counterclockwise, are the cell corners. Hull sites get two outward
+bisector rays which are clipped to a bounding frame, so every cell is
+represented by a closed convex polygon.
 
 Edge labels come from the fan as well. Consecutive fan triangles share a
 spoke edge (site, v), so both circumcenters lie on the site/v bisector and
@@ -97,48 +98,6 @@ def _ray_end(frame: Polygon, a: Point, b: Point) -> Point:
     return lo if _det3(_hom(a), _hom(b), _hom(lo)) > 0 else hi
 
 
-def _cell_ring(mesh: TriMesh, site: int) -> tuple[list[int], list[int]]:
-    """Fan of triangles around a site in CCW order, with its spokes.
-
-    Triangle ring[i] is (site, spokes[i], spokes[i + 1]) up to rotation,
-    indices taken cyclically. A closed fan has one spoke per triangle; an
-    open (hull) fan has one more, and its first and last spokes are the
-    site's hull neighbors.
-    """
-    tids = mesh.vertex_triangles(site)
-    if not tids:
-        raise GeometryError(f"site {site} has no incident triangle")
-
-    def rotation(tid: int) -> tuple[int, int]:
-        i, j, k = mesh.triangles[tid]
-        if i == site:
-            return (j, k)
-        if j == site:
-            return (k, i)
-        return (i, j)
-
-    # Open fans start where the incoming directed edge has no mate.
-    start = None
-    for tid in sorted(tids):
-        a, _ = rotation(tid)
-        if mesh.directed_triangle(a, site) is None:
-            start = tid
-            break
-    if start is None:
-        start = min(tids)
-    ring = [start]
-    spokes = [rotation(start)[0]]
-    while True:
-        _, b = rotation(ring[-1])
-        nxt = mesh.directed_triangle(site, b)
-        if nxt == start:
-            return ring, spokes
-        spokes.append(b)
-        if nxt is None:
-            return ring, spokes
-        ring.append(nxt)
-
-
 def _build_cell(
     mesh: TriMesh,
     centers: Sequence[Point],
@@ -146,7 +105,9 @@ def _build_cell(
     site: int,
 ) -> VoronoiCell:
     pts = mesh.sites.points
-    ring, spokes = _cell_ring(mesh, site)
+    ring, spokes = mesh.fan(site)
+    if not ring:
+        raise GeometryError(f"site {site} has no incident triangle")
     chain = [centers[t] for t in ring]
     # labels[i] is the neighbor owning the edge from corners[i] to the next corner.
     if len(spokes) == len(ring):

@@ -21,7 +21,9 @@ through segment_intersection), which the one pass over integer rows
 replaces. reference_mesh is the mesh builder that keeps numbered
 triangles beside a directed edge -> triangle map, which the one directed
 edge -> apex map replaces; all_pairs_proximal_region_pairs tests every
-pair of regions, which the per-vertex index replaces.
+pair of regions, which the per-vertex index replaces. reference_fan walks
+a site's fan from its sorted incident triangles with a rotation scan per
+triangle, which TriMesh.fan's start spoke and directed-edge map replace.
 """
 
 from __future__ import annotations
@@ -1027,3 +1029,46 @@ def reference_mesh(sites: SiteSet, constraints: Optional[ConstraintSet] = None) 
         if not mesh.has_edge(a, b):
             raise GeometryError(f"constraint {a}-{b} missing from mesh")
     return mesh
+
+
+def reference_fan(mesh: TriMesh, site: int) -> tuple[list[int], list[int]]:
+    """Fan of triangles around a site in CCW order, with its spokes.
+
+    Triangle ring[i] is (site, spokes[i], spokes[i + 1]) up to rotation,
+    indices taken cyclically. A closed fan has one spoke per triangle; an
+    open (hull) fan has one more, and its first and last spokes are the
+    site's hull neighbors.
+    """
+    mesh.sites.check_index(site)
+    tids = tuple(t for t, tri in enumerate(mesh.triangles) if site in tri)
+    if not tids:
+        raise GeometryError(f"site {site} has no incident triangle")
+
+    def rotation(tid: int) -> tuple[int, int]:
+        i, j, k = mesh.triangles[tid]
+        if i == site:
+            return (j, k)
+        if j == site:
+            return (k, i)
+        return (i, j)
+
+    # Open fans start where the incoming directed edge has no mate.
+    start = None
+    for tid in sorted(tids):
+        a, _ = rotation(tid)
+        if mesh.directed_triangle(a, site) is None:
+            start = tid
+            break
+    if start is None:
+        start = min(tids)
+    ring = [start]
+    spokes = [rotation(start)[0]]
+    while True:
+        _, b = rotation(ring[-1])
+        nxt = mesh.directed_triangle(site, b)
+        if nxt == start:
+            return ring, spokes
+        spokes.append(b)
+        if nxt is None:
+            return ring, spokes
+        ring.append(nxt)

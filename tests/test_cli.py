@@ -5,6 +5,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import import_module
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -123,6 +124,16 @@ class TestTriangulate:
         code, _, err = run_cli("triangulate", str(bad))
         assert code == 1
         assert "AllCollinear" in err
+
+    @pytest.mark.parametrize("literal", ["1e5000", "1e10000000"])
+    def test_exponent_literal_is_usage_error(self, tmp_path, literal):
+        path = tmp_path / "exp.sites"
+        path.write_text(f"proxitri-sites 1\n0 {literal}\n1 0\n0 1\n")
+        start = perf_counter()
+        code, out, err = run_cli("triangulate", str(path))
+        assert perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:2: bad coordinate literal {literal!r}\n"
 
     def test_missing_file_distinct_exit(self, tmp_path):
         code, _, _ = run_cli("triangulate", str(tmp_path / "nope.sites"))

@@ -43,11 +43,13 @@ from proxitri.voronoi import voronoi_diagram
 from conftest import EXACTLY_COCIRCULAR
 from oracles import (
     brute_delaunay_triangles,
+    edges_of_triangles,
     fraction_in_circumcircle,
     fraction_is_constrained_delaunay_edge,
     fraction_orientation,
     mesh_triangle_set,
     random_constraints,
+    reference_fan,
     reference_mesh,
     visibility_oracle,
 )
@@ -495,6 +497,71 @@ class TestReferenceBuilder:
             assert outcome(constrained_triangulate, sites, constraints) == outcome(
                 reference_mesh, sites, constraints
             )
+
+
+class TestFan:
+    """TriMesh.fan against reference_fan, the walk from sorted incident ids,
+    and the edge questions against scans of the triangles."""
+
+    def assert_matches(self, mesh):
+        for site in range(len(mesh.sites)):
+            ring, spokes = mesh.fan(site)
+            ref_ring, ref_spokes = reference_fan(mesh, site)
+            incident = [t for t, tri in enumerate(mesh.triangles) if site in tri]
+            assert sorted(ring) == incident
+            if len(ref_spokes) > len(ref_ring):
+                assert (ring, spokes) == (ref_ring, ref_spokes)
+            else:
+                # A closed fan may start anywhere: compare it as a cycle.
+                k = ref_ring.index(ring[0])
+                ref = list(zip(ref_ring, ref_spokes))
+                assert list(zip(ring, spokes)) == ref[k:] + ref[:k]
+                assert len(spokes) == len(ring)
+
+    def test_corpora(self, corpus, degenerate_corpus):
+        for entry in corpus + degenerate_corpus:
+            self.assert_matches(entry.mesh)
+
+    @pytest.mark.parametrize("distribution", ["uniform", "clustered", "cocircular", "collinear-heavy"])
+    def test_distributions(self, distribution):
+        runs = [(n, seed) for n in (4, 7, 25, 150) for seed in (1, 2, 3)] + [(2000, 1)]
+        for n, seed in runs:
+            self.assert_matches(triangulate(SiteSet(tuple(generate_sites(n, seed, distribution)))))
+
+    def test_edge_questions(self, corpus, degenerate_corpus):
+        for entry in corpus + degenerate_corpus:
+            mesh = entry.mesh
+            for t, (i, j, k) in enumerate(mesh.triangles):
+                for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+                    assert mesh.directed_triangle(u, v) == t
+                    assert mesh.opposite_vertex(u, v) == w
+            assert mesh.edges() == sorted(edges_of_triangles(mesh.triangles))
+            for a, b in mesh.edges():
+                ids = tuple(t for t, tri in enumerate(mesh.triangles) if a in tri and b in tri)
+                assert mesh.edge_triangles(a, b) == mesh.edge_triangles(b, a) == ids
+
+    def test_site_in_no_triangle(self):
+        from proxitri.delaunay import TriMesh
+
+        mesh = TriMesh(sites_of((0, 0), (4, 0), (0, 4), (1, 1)), ((0, 1, 2),), frozenset())
+        assert mesh.fan(3) == ([], [])
+        assert mesh.fan(0) == ([0], [1, 2])
+        with pytest.raises(IndexOutOfRange):
+            mesh.fan(4)
+
+    def test_walk_that_loops_elsewhere_raises(self):
+        from proxitri.delaunay import TriMesh
+        from proxitri.errors import GeometryError
+        from proxitri.regions import extract_regions
+
+        # (0, 3, 2) turns clockwise: the walk around site 0 visits triangles
+        # 0, 1 and 2, then cycles between 1 and 2 without reaching 0 again.
+        sites = sites_of((0, 0), (4, 0), (4, 4), (0, 4))
+        mesh = TriMesh(sites, ((0, 1, 2), (0, 2, 3), (0, 3, 2)), frozenset())
+        with pytest.raises(GeometryError, match="the triangles at site 0 form no fan"):
+            mesh.fan(0)
+        with pytest.raises(GeometryError):
+            extract_regions(mesh)
 
 
 class TestConstrainedTriangulate:

@@ -72,6 +72,18 @@ class TestSiteFiles:
             parse_site_file("proxitri-sites 1\n0 zero\n")
         assert ":2" in str(err.value)
 
+    @pytest.mark.parametrize("literal", ["1e3", "1E3", "-2.5e-1", "1e5000", "1e10000000"])
+    def test_exponent_literal_rejected(self, literal):
+        with pytest.raises(ParseError, match="bad coordinate literal") as err:
+            parse_site_file(f"proxitri-sites 1\n0 {literal}\n")
+        assert ":2" in str(err.value)
+        with pytest.raises(ValueError):
+            Point(literal, 0)
+
+    def test_long_plain_literal_rejected(self):
+        with pytest.raises(ParseError, match="bad coordinate literal"):
+            parse_site_file("proxitri-sites 1\n0 " + "1" * 5000 + "\n")
+
     def test_constraint_file(self):
         cs = parse_constraint_file("# c\n0 0 4 3\n1 1 2 2\n")
         assert len(cs) == 2
@@ -254,6 +266,35 @@ class TestConstrainedPairsIngest:
     def test_records_disagreeing_with_flags_rejected(self):
         text = RECTANGLE + "constraint 0 2\n" + "\n".join(RECTANGLE_EDGES)
         with pytest.raises(GeometryError, match="name different pairs"):
+            mesh_from_document(parse_document(text))
+
+
+class TestEdgeRecordsIngest:
+    """Edge records name each mesh edge exactly once, each with the flag
+    is_locally_delaunay gives it."""
+
+    def test_matching_records_are_read(self):
+        mesh = mesh_from_document(parse_document(RECTANGLE + "\n".join(RECTANGLE_EDGES)))
+        assert mesh.triangles == ((0, 1, 2), (0, 2, 3))
+
+    def test_record_naming_no_mesh_edge_rejected(self):
+        text = RECTANGLE + "\n".join(RECTANGLE_EDGES + ["edge 1 3 plain not-locally-delaunay"])
+        with pytest.raises(UnknownEdge, match="1-3 is not a mesh edge"):
+            mesh_from_document(parse_document(text))
+
+    def test_wrong_flag_rejected(self):
+        edges = [e.replace("0 2 plain locally", "0 2 plain not-locally") for e in RECTANGLE_EDGES]
+        with pytest.raises(GeometryError, match="0-2 has the wrong locally-Delaunay flag"):
+            mesh_from_document(parse_document(RECTANGLE + "\n".join(edges)))
+
+    def test_repeated_record_rejected(self):
+        text = RECTANGLE + "\n".join(RECTANGLE_EDGES + ["edge 0 2 plain locally-delaunay"])
+        with pytest.raises(GeometryError, match="0-2 has more than one record"):
+            mesh_from_document(parse_document(text))
+
+    def test_missing_record_rejected(self):
+        text = RECTANGLE + "\n".join(RECTANGLE_EDGES[:-1])
+        with pytest.raises(GeometryError, match="mesh edge 2-3 has no edge record"):
             mesh_from_document(parse_document(text))
 
 
