@@ -1,14 +1,15 @@
 """Delaunay and constrained Delaunay triangulation over exact coordinates.
 
-Construction is a lexicographic scan (every new point is connected to the
-visible hull edges of the partial triangulation) followed by Lawson edge
-flips. While it is built, the mesh is one map from each directed edge
-(u, v) of each counterclockwise triangle (u, v, w) to its apex w: the
-one question a flip or a constraint walk asks. Flip decisions use an
-in-circle predicate that never reports a tie: exactly cocircular
-quadruples are resolved by a symbolic perturbation that favors the lower
-site index, so the produced mesh is canonical and identical runs are
-bit-for-bit reproducible.
+Construction is a lexicographic sweep followed by Lawson edge flips. The
+hull of the partial mesh is kept as two monotone chains, lower and upper,
+both ending at the site swept last; each new site is joined to the hull
+edges it strictly sees, which it pops off the chain ends. While it is
+built, the mesh is one map from each directed edge (u, v) of each
+counterclockwise triangle (u, v, w) to its apex w: the one question a
+flip or a constraint walk asks. Flip decisions use an in-circle predicate
+that never reports a tie: exactly cocircular quadruples are resolved by a
+symbolic perturbation that favors the lower site index, so the produced
+mesh is canonical and identical runs are bit-for-bit reproducible.
 
 The predicates are geometry's determinants on its one integer form of a
 point: site i is the row `_hom(site)` = (X_i, Y_i, W_i), W_i the lcm of
@@ -193,84 +194,38 @@ def _edge_key(i: int, j: int) -> tuple[int, int]:
 
 
 def _build_delaunay(sites: SiteSet) -> _MeshBuilder:
+    """Lexicographic sweep with Lawson flips after each site.
+
+    The hull is two monotone chains, both running left to right and
+    ending at the site swept last, with the mesh left of `lower` and right
+    of `upper`. A new site pops the chain-end edges it strictly sees and
+    is joined to each. A site on the line of a chain edge stays on the
+    chain, so collinear hull sites stay hull vertices, and a collinear
+    prefix stays on both chains until a site off its line pops one whole.
+    """
     n = len(sites)
     if n < 3:
         raise TooFewSites(f"need at least 3 sites, got {n}")
     builder = _MeshBuilder(sites)
     rows = builder.rows
-    order = sorted(range(n), key=lambda i: _row_order(rows[i]))
-
-    chain = [order[0], order[1]]
-    k = 2
-    while k < n and _det3(rows[chain[0]], rows[chain[1]], rows[order[k]]) == 0:
-        chain.append(order[k])
-        k += 1
-    if k == n:
+    lower: list[int] = []
+    upper: list[int] = []
+    for p in sorted(range(n), key=lambda i: _row_order(rows[i])):
+        seeds = []
+        while len(lower) > 1 and _det3(rows[lower[-2]], rows[lower[-1]], rows[p]) < 0:
+            v = lower.pop()
+            builder.add(v, lower[-1], p)
+            seeds.append((lower[-1], v))
+        while len(upper) > 1 and _det3(rows[upper[-2]], rows[upper[-1]], rows[p]) > 0:
+            u = upper.pop()
+            builder.add(upper[-1], u, p)
+            seeds.append((u, upper[-1]))
+        lower.append(p)
+        upper.append(p)
+        builder.legalize(seeds)
+    if not builder.apex:
         raise AllCollinear("all sites lie on one line")
-
-    apex = order[k]
-    hull: list[int]
-    if _det3(rows[chain[0]], rows[chain[-1]], rows[apex]) > 0:
-        for a, b in zip(chain, chain[1:]):
-            builder.add(a, b, apex)
-        hull = chain + [apex]
-    else:
-        for a, b in zip(chain, chain[1:]):
-            builder.add(b, a, apex)
-        hull = list(reversed(chain)) + [apex]
-
-    for p in order[k + 1 :]:
-        _insert_hull_point(builder, hull, p)
     return builder
-
-
-def _insert_hull_point(builder: _MeshBuilder, hull: list[int], p: int) -> None:
-    """Connect p (lexicographically beyond the current mesh) to every hull
-    edge it strictly sees, then restore the Delaunay property locally.
-
-    Hull edge i runs from hull[i] to hull[i + 1]. The site inserted last,
-    hull[-1], is the lexicographic maximum of the mesh, so the edges p sees
-    form one arc through an edge at hull[-1]; the arc is found by walking
-    out from that edge in both directions.
-    """
-    rows = builder.rows
-    m = len(hull)
-
-    def visible(i: int) -> bool:
-        return _det3(rows[hull[i % m]], rows[hull[(i + 1) % m]], rows[p]) < 0
-
-    if visible(m - 1):
-        first = m - 1
-    elif visible(m - 2):
-        first = m - 2
-    else:
-        raise GeometryError(f"no hull edge visible from site {p}")
-    last = first
-    while last - first < m - 1 and visible(last + 1):
-        last += 1
-    while last - first < m - 1 and visible(first - 1):
-        first -= 1
-    if last - first == m - 1:
-        raise GeometryError(f"every hull edge is visible from site {p}")
-    start = first % m
-    count = last - first + 1
-    flip_seeds = []
-    for t in range(count):
-        i = (start + t) % m
-        u, v = hull[i], hull[(i + 1) % m]
-        builder.add(v, u, p)
-        flip_seeds.append((u, v))
-    arc_end = (start + count) % m
-    new_hull = []
-    i = arc_end
-    while True:
-        new_hull.append(hull[i])
-        if i == start:
-            break
-        i = (i + 1) % m
-    new_hull.append(p)
-    hull[:] = new_hull
-    builder.legalize(flip_seeds)
 
 
 # ---------------------------------------------------------------------------

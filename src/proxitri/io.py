@@ -199,7 +199,9 @@ def mesh_from_document(model: dict) -> TriMesh:
     that is not a mesh edge (UnknownEdge), constraint records that name
     other pairs than the constrained edge flags (GeometryError), and edge
     records other than one per mesh edge with its locally-Delaunay flag
-    (UnknownEdge for a record naming no mesh edge, else GeometryError)."""
+    (UnknownEdge for a record naming no mesh edge, else GeometryError).
+    Before any of these, a malformed record raises ParseError."""
+    _check_record_shapes(model)
     sites = SiteSet(tuple(Point(x, y) for x, y in model["sites"]))
     triangles = tuple(tuple(t) for t in model.get("triangles", []))
     directed: set[tuple[int, int]] = set()
@@ -226,6 +228,28 @@ def mesh_from_document(model: dict) -> TriMesh:
     if "edges" in model:
         _check_edge_records(mesh, edges)
     return mesh
+
+
+def _is_site_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_record_shapes(model: dict) -> None:
+    """Sites are coordinate pairs, triangles index triples, constraints
+    pairs of integer site indices, and edge records hold integer site
+    indices "a" and "b"; any other record raises ParseError naming it."""
+    if "sites" not in model:
+        raise ParseError("document has no site records")
+    for kind, size in (("site", 2), ("triangle", 3), ("constraint", 2)):
+        for k, rec in enumerate(model.get(kind + "s", [])):
+            if not isinstance(rec, (list, tuple)) or len(rec) != size:
+                raise ParseError(f"{kind} record {k} {rec!r} needs {size} fields")
+    for k, rec in enumerate(model.get("constraints", [])):
+        if not all(map(_is_site_index, rec)):
+            raise ParseError(f"constraint record {k} {rec!r} needs integer site indices")
+    for k, rec in enumerate(model.get("edges", [])):
+        if not isinstance(rec, dict) or not all(_is_site_index(rec.get(f)) for f in "ab"):
+            raise ParseError(f"edge record {k} {rec!r} needs integer site indices a and b")
 
 
 def _check_edge_records(mesh: TriMesh, records: list) -> None:

@@ -20,7 +20,19 @@ from typing import Optional
 
 from .delaunay import TriMesh, adjacency
 from .errors import GeometryError, MixedMeshes, UnionHasHole
-from .geometry import Polygon
+from .geometry import (
+    Point,
+    PointLocation,
+    Polygon,
+    Segment,
+    _interval,
+    _line_slice,
+    _line_through,
+    _overlap,
+    convex_closed_intersection,
+    is_convex_polygon,
+    locate_point,
+)
 from .proximity import strongly_near_triangles
 
 
@@ -164,8 +176,6 @@ def region_union_polygon(region: Region) -> Polygon:
 
 def is_region_convex(region: Region) -> bool:
     """Convexity of the region's union polygon."""
-    from .geometry import is_convex_polygon
-
     return is_convex_polygon(region_union_polygon(region))
 
 
@@ -177,9 +187,6 @@ def region_common_intersection(region: Region):
     the shared edge, and larger cliques collapse to an edge or a vertex.
     Returns a Polygon, Segment, Point, or None.
     """
-    from .geometry import Point, Segment, convex_closed_intersection, locate_point
-    from .geometry import PointLocation, _interval, _line_slice, _line_through, _overlap
-
     mesh = region.mesh
     members = region.members()
     acc = mesh.triangle_polygon(members[0])

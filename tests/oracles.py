@@ -20,7 +20,9 @@ passes over Points (normalise, area sign, convexity, all edge pairs
 through segment_intersection), which the one pass over integer rows
 replaces. reference_mesh is the mesh builder that keeps numbered
 triangles beside a directed edge -> triangle map, which the one directed
-edge -> apex map replaces; all_pairs_proximal_region_pairs tests every
+edge -> apex map replaces. It also keeps the old sweep, whose hull is one
+circular list searched for the arc a new site sees, which the two
+monotone hull chains replace. all_pairs_proximal_region_pairs tests every
 pair of regions, which the per-vertex index replaces. reference_fan walks
 a site's fan from its sorted incident triangles with a rotation scan per
 triangle, which TriMesh.fan's start spoke and directed-edge map replace.

@@ -157,6 +157,15 @@ class TestTriangulate:
         sites = mesh.sites
         assert mesh_triangle_set(mesh) == brute_delaunay_triangles(sites)
 
+    def test_degenerate_corpus_against_brute_force(self, degenerate_corpus):
+        # Subset, not equality: on a cocircular group the oracle lists the
+        # triangles of every triangulation of it.
+        for entry in degenerate_corpus:
+            mesh = entry.mesh
+            n, h = len(mesh.sites), len(mesh.hull())
+            assert mesh_triangle_set(mesh) <= brute_delaunay_triangles(entry.sites)
+            assert len(mesh) == 2 * n - h - 2
+
     def test_grid_with_cocircular_ties(self):
         pts = [(x, y) for x in range(4) for y in range(4)]
         mesh = triangulate(SiteSet.of(pts))
@@ -468,8 +477,8 @@ class TestReferenceBuilder:
     """triangulate and constrained_triangulate against reference_mesh, the
     builder that numbers its triangles."""
 
-    def assert_matches(self, rng, sites):
-        constraints = random_constraints(rng, sites, rng.randint(0, 4))
+    def assert_matches(self, rng, sites, most=4):
+        constraints = random_constraints(rng, sites, rng.randint(0, most))
         assert outcome(triangulate, sites) == outcome(reference_mesh, sites)
         assert outcome(constrained_triangulate, sites, constraints) == outcome(
             reference_mesh, sites, constraints
@@ -497,6 +506,62 @@ class TestReferenceBuilder:
             assert outcome(constrained_triangulate, sites, constraints) == outcome(
                 reference_mesh, sites, constraints
             )
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_collinear_prefixes(self, k):
+        # k sites on a line come first in the sweep, then one apex, which
+        # pops one chain whole: upper for an apex above the horizontal
+        # line, lower for one below it or right of the vertical line.
+        rng = random.Random(f"reference-prefix-{k}")
+        horizontal = [(x, 0) for x in range(k)]
+        vertical = [(0, y) for y in range(k)]
+        runs = [(horizontal, [(k, 1), (k, -1), (k + 3, 2), (k + 3, -2)])]
+        runs.append((vertical, [(1, -1), (1, k // 2), (1, k), (3, k + 2)]))
+        for line, apexes in runs:
+            for apex in apexes:
+                for coords in (line + [apex], [apex] + line[::-1], line + [apex, (k + 5, 0)]):
+                    self.assert_matches(rng, SiteSet.of(coords))
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            # (4, 2) extends the edge (0, 0)-(2, 1) at the end of lower, (6, 3)
+            # extends the run further and (7, 0) pops it whole.
+            [(0, 0), (0, 4), (2, 1), (4, 2)],
+            [(0, 0), (0, 4), (2, 1), (4, 2), (6, 3)],
+            [(0, 0), (0, 4), (2, 1), (4, 2), (6, 3), (7, 0)],
+            # The mirror image at the end of upper.
+            [(0, 0), (0, 4), (2, 3), (4, 2)],
+            [(0, 0), (0, 4), (2, 3), (4, 2), (6, 1)],
+            [(0, 0), (0, 4), (2, 3), (4, 2), (6, 1), (7, 4)],
+        ],
+    )
+    def test_collinear_runs_at_chain_ends(self, coords):
+        rng = random.Random(f"reference-run-{coords}")
+        for order in (coords, coords[::-1]):
+            self.assert_matches(rng, SiteSet.of(order))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_all_collinear(self, k):
+        rng = random.Random(f"reference-collinear-{k}")
+        lines = [[(x, 0) for x in range(k)], [(0, y) for y in range(k)], [(x, x) for x in range(k)]]
+        for line in lines:
+            for coords in (line, line[::-1]):
+                self.assert_matches(rng, SiteSet.of(coords))
+                assert outcome(triangulate, SiteSet.of(coords)) == (
+                    AllCollinear, "all sites lie on one line"
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=3, max_size=12, unique=True
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_grid_subsets(self, coords, rng):
+        # The 5 x 5 grid has collinear runs and cocircular ties everywhere.
+        self.assert_matches(rng, SiteSet.of(coords), most=2)
 
 
 class TestFan:

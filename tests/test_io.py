@@ -298,6 +298,72 @@ class TestEdgeRecordsIngest:
             mesh_from_document(parse_document(text))
 
 
+def rectangle_model(**records) -> dict:
+    """RECTANGLE with its edge records, as a JSON document model, with some
+    record lists replaced."""
+    model = parse_document(RECTANGLE + "\n".join(RECTANGLE_EDGES))
+    model.update(records)
+    return model
+
+
+def edge_record(a, b, constrained=False) -> dict:
+    return {"a": a, "b": b, "constrained": constrained, "locally_delaunay": True}
+
+
+RECTANGLE_EDGE_RECORDS = [edge_record(1, 2), edge_record(2, 3), edge_record(0, 3)]
+
+
+class TestRecordShapesIngest:
+    """A record of the wrong length, a missing field, or an edge or
+    constraint end that is not an int raises ParseError naming the record,
+    before any other ingest check."""
+
+    @pytest.mark.parametrize(
+        "records,named",
+        [
+            ({"edges": [edge_record([0], 1), edge_record(0, 2)] + RECTANGLE_EDGE_RECORDS},
+             "edge record 0"),
+            ({"edges": [edge_record([0], 1, True), edge_record(0, 2)] + RECTANGLE_EDGE_RECORDS},
+             "edge record 0"),
+            ({"edges": [edge_record(True, 1), edge_record(0, 2)] + RECTANGLE_EDGE_RECORDS},
+             "edge record 0"),
+            ({"edges": [{"a": 0, "constrained": False, "locally_delaunay": True}]},
+             "edge record 0"),
+            ({"constraints": [["0", 1]]}, r"constraint record 0 \['0', 1\]"),
+            ({"constraints": [[0, 2], [[0], 1]]}, r"constraint record 1 \[\[0\], 1\]"),
+            ({"triangles": [[0, 1, 2], [0, 1]]}, r"triangle record 1 \[0, 1\] needs 3 fields"),
+            ({"sites": [["0", "0"], ["4", "0", "1"], ["4", "3"], ["0", "3"]]},
+             "site record 1 .* needs 2 fields"),
+        ],
+        ids=[
+            "edge-end-list",
+            "constrained-edge-end-list",
+            "edge-end-bool",
+            "edge-without-b",
+            "constraint-end-string",
+            "constraint-end-list",
+            "short-triangle",
+            "site-with-three-coordinates",
+        ],
+    )
+    def test_malformed_record_rejected(self, records, named):
+        with pytest.raises(ParseError, match=named):
+            mesh_from_document(rectangle_model(**records))
+
+    def test_document_without_sites_rejected(self):
+        model = rectangle_model()
+        del model["sites"]
+        with pytest.raises(ParseError, match="no site records"):
+            mesh_from_document(model)
+
+    def test_typed_rejections_keep_their_type(self):
+        with pytest.raises(IndexOutOfRange, match="site index '0' out of range"):
+            mesh_from_document(rectangle_model(triangles=[["0", 1, 2], [0, 2, 3]]))
+        edges = [edge_record(0, 9), edge_record(0, 1), edge_record(0, 2)] + RECTANGLE_EDGE_RECORDS
+        with pytest.raises(UnknownEdge, match="edge record 0-9 is not a mesh edge"):
+            mesh_from_document(rectangle_model(edges=edges))
+
+
 class TestCheckWitnesses:
     def round_trip(self, results):
         model = {
