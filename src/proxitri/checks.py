@@ -133,7 +133,7 @@ def _circumdisk_scan(mesh: TriMesh) -> Callable[[int], Optional[int]]:
     Only the run is scanned, with the in-circle determinant on integer rows.
     """
     pts = mesh.sites.points
-    rows = [_hom(p) for p in pts]
+    rows = mesh.sites.rows
     by_x = sorted(range(len(pts)), key=lambda i: pts[i].x)
     xs = [pts[i].x for i in by_x]
     positions = range(len(by_x))
@@ -194,20 +194,20 @@ def _check_delaunay(mesh: TriMesh, intruder: Callable[[int], Optional[int]]) -> 
     )
     n = len(mesh.sites)
     h = len(mesh.hull())
+    e = len(mesh.edges())
     t_ok = len(mesh) == 2 * n - h - 2
-    e_ok = len(mesh.edges()) == 3 * n - h - 3
+    e_ok = e == 3 * n - h - 3
     results.append(
         CheckResult(
             "delaunay/euler-counts",
             "pass" if (t_ok and e_ok) else "fail",
-            "-" if (t_ok and e_ok) else f"n={n},h={h},t={len(mesh)},e={len(mesh.edges())}",
+            "-" if (t_ok and e_ok) else f"n={n},h={h},t={len(mesh)},e={e}",
         )
     )
     return results
 
 
-def _check_dual(diagram: VoronoiDiagram, contact: Optional[Callable] = None) -> list[CheckResult]:
-    contact = contact or partial(closed_cell_intersection, diagram)
+def _check_dual(diagram: VoronoiDiagram, contact: Callable) -> list[CheckResult]:
     mesh = diagram.mesh
     n = len(diagram.sites)
     bad = None
@@ -236,8 +236,7 @@ def _check_dual(diagram: VoronoiDiagram, contact: Optional[Callable] = None) -> 
     return [CheckResult("dual/edge-definition", "pass")]
 
 
-def _check_lemma2(diagram: VoronoiDiagram, vertex: Optional[Callable] = None) -> list[CheckResult]:
-    vertex = vertex or partial(_triangle_vertex, diagram)
+def _check_lemma2(diagram: VoronoiDiagram, vertex: Callable) -> list[CheckResult]:
     results = []
     for t in range(len(diagram.mesh)):
         name = f"lemma2/triangle-{t}"
@@ -330,7 +329,7 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
     area_ok = True
     area_witness = "-"
     convex = 0
-    rows = [_hom(p) for p in mesh.sites.points]
+    rows = mesh.sites.rows
     for idx, region in enumerate(regions):
         poly = region_union_polygon(region)
         # Twice each area times scale^2, on one scale for the whole region.

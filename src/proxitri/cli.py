@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .choices import DISTRIBUTIONS, SUITES, WHAT_CHOICES
-from .errors import GeometryError, InputError, UnknownSelector, UnwritablePath
+from .errors import GeometryError, InputError, ParseError, UnknownSelector, UnwritablePath
 
 if TYPE_CHECKING:
     from .geometry import Rect
@@ -91,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", path) from None
 
 
 def _write_output(path: Optional[str], text: str, quiet: bool) -> None:
@@ -136,12 +139,9 @@ def _load_mesh(args):
 
 
 def cmd_triangulate(args) -> int:
-    from .delaunay import is_locally_delaunay
     from .io import document_for_mesh, render_document
 
-    mesh = _load_mesh(args)
-    flags = {e: is_locally_delaunay(mesh, e) for e in mesh.edges()}
-    model = document_for_mesh(mesh, flags)
+    model = document_for_mesh(_load_mesh(args))
     _write_output(args.out, render_document(model, args.format), args.quiet)
     return 0
 
@@ -181,25 +181,33 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _resolve_selector(selector: str, mesh, diagram):
+def _parse_selector(selector: str) -> tuple[str, list[int]]:
+    kind, _, rest = selector.partition(":")
+    if kind not in ("t", "e", "v"):
+        raise UnknownSelector(f"unknown selector kind in {selector!r}")
+    # An id is ASCII digits only: int() would also take a sign, "_",
+    # whitespace and other digits, and the query record must echo the
+    # selector as one token.
+    ids = rest.partition("-")[::2] if kind == "e" else (rest,)
+    if not all(s.isascii() and s.isdigit() for s in ids):
+        raise UnknownSelector(f"cannot resolve selector {selector!r}: ids are ASCII digits")
+    return kind, [int(s) for s in ids]
+
+
+def _resolve_selector(selector: str, kind: str, ids: list[int], mesh, diagram):
     from .geometry import Segment
 
-    kind, _, rest = selector.partition(":")
     try:
         if kind == "t":
-            return ("t", mesh.triangle_polygon(int(rest)), int(rest))
+            return ("t", mesh.triangle_polygon(ids[0]), ids[0])
         if kind == "e":
-            i_s, _, j_s = rest.partition("-")
-            i, j = int(i_s), int(j_s)
+            i, j = ids
             if not mesh.has_edge(i, j):
                 raise UnknownSelector(f"{selector}: no mesh edge {i}-{j}")
             return ("e", Segment(mesh.sites[i], mesh.sites[j]), (i, j))
-        if kind == "v":
-            site = int(rest)
-            return ("v", diagram.cell(site).polygon, site)
+        return ("v", diagram.cell(ids[0]).polygon, ids[0])
     except (ValueError, IndexError, GeometryError) as exc:
         raise UnknownSelector(f"cannot resolve selector {selector!r}: {exc}") from exc
-    raise UnknownSelector(f"unknown selector kind in {selector!r}")
 
 
 def cmd_query(args) -> int:
@@ -207,10 +215,12 @@ def cmd_query(args) -> int:
     from .io import SCHEMA, geometry_literal, parse_site_file, render_document
     from .proximity import near, strongly_near_triangles
 
+    # Selector syntax needs no mesh, so a typo fails before the build.
+    parsed_a, parsed_b = _parse_selector(args.a), _parse_selector(args.b)
     sites = parse_site_file(_read_text(args.input), args.input)
     # Only cell selectors read the Voronoi diagram; triangle and edge
     # selectors need the mesh alone.
-    if any(sel.partition(":")[0] == "v" for sel in (args.a, args.b)):
+    if "v" in (parsed_a[0], parsed_b[0]):
         from .voronoi import voronoi_diagram
 
         diagram = voronoi_diagram(sites, _frame_from_args(args))
@@ -218,8 +228,8 @@ def cmd_query(args) -> int:
     else:
         diagram = None
         mesh = triangulate(sites)
-    kind_a, geom_a, ref_a = _resolve_selector(args.a, mesh, diagram)
-    kind_b, geom_b, ref_b = _resolve_selector(args.b, mesh, diagram)
+    kind_a, geom_a, ref_a = _resolve_selector(args.a, *parsed_a, mesh, diagram)
+    kind_b, geom_b, ref_b = _resolve_selector(args.b, *parsed_b, mesh, diagram)
 
     witness = None
     if args.relation == "strong":

@@ -12,10 +12,10 @@ symbolic perturbation that favors the lower site index, so the produced
 mesh is canonical and identical runs are bit-for-bit reproducible.
 
 The predicates are geometry's determinants on its one integer form of a
-point: site i is the row `_hom(site)` = (X_i, Y_i, W_i), W_i the lcm of
-the site's own two denominators, so operand sizes stay those of the
-individual sites instead of growing with the lcm of every denominator in
-the set.
+point: site i is the row `sites.rows[i]` = `_hom(site)` = (X_i, Y_i, W_i),
+W_i the lcm of the site's own two denominators, so operand sizes stay
+those of the individual sites instead of growing with the lcm of every
+denominator in the set.
 """
 
 from __future__ import annotations
@@ -62,26 +62,28 @@ class SiteSet:
     """
 
     points: tuple[Point, ...]
-    # Site -> index, built by the duplicate check; read by index_of().
-    _index: dict[Point, int] = field(init=False, repr=False, compare=False)
+    # Entry i is site i's integer row _hom(points[i]), derived once for every
+    # layer to read; rows are canonical, so row -> index finds duplicates.
+    rows: tuple[Homogeneous, ...] = field(init=False, repr=False, compare=False)
+    _index: dict[Homogeneous, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = tuple(self.points)
         object.__setattr__(self, "points", pts)
-        seen: dict[Point, int] = {}
+        seen: dict[Homogeneous, int] = {}
         for i, p in enumerate(pts):
             if not isinstance(p, Point):
                 raise TypeError(f"site #{i} is not a Point")
-            if p in seen:
-                raise DuplicateSite(f"site {p} appears at #{seen[p]} and #{i}")
-            seen[p] = i
+            first = seen.setdefault(_hom(p), i)
+            if first != i:
+                raise DuplicateSite(f"site {p} appears at #{first} and #{i}")
+        object.__setattr__(self, "rows", tuple(seen))  # keys in site order
         object.__setattr__(self, "_index", seen)
 
     @property
     def scaled(self) -> tuple[tuple[int, int], ...]:
-        """Each site's integer numerators (X_i, Y_i) over its W_i, read off
-        geometry's homogeneous form."""
-        return tuple(_hom(p)[:2] for p in self.points)
+        """Each site's integer numerators (X_i, Y_i) over its W_i."""
+        return tuple(r[:2] for r in self.rows)
 
     @classmethod
     def of(cls, coords: Iterable[tuple]) -> "SiteSet":
@@ -94,7 +96,7 @@ class SiteSet:
         return self.points[i]
 
     def index_of(self, p: Point) -> Optional[int]:
-        return self._index.get(p)
+        return self._index.get(_hom(p))
 
     def check_index(self, i: int) -> int:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < len(self.points):
@@ -125,7 +127,7 @@ class ConstraintSet:
 # Symbolically perturbed in-circle test over the site rows.
 
 
-def _incircle_perturbed(rows: list[Homogeneous], i: int, j: int, k: int, l: int) -> int:
+def _incircle_perturbed(rows: Sequence[Homogeneous], i: int, j: int, k: int, l: int) -> int:
     """In-circle test that never answers "on".
 
     Cocircular quadruples are decided as if every site's paraboloid lift
@@ -155,7 +157,7 @@ class _MeshBuilder:
     """apex[(u, v)] = w for each directed edge of each CCW triangle (u, v, w)."""
 
     def __init__(self, sites: SiteSet):
-        self.rows = [_hom(p) for p in sites.points]
+        self.rows = sites.rows
         self.apex: dict[tuple[int, int], int] = {}
         self.constrained: set[tuple[int, int]] = set()
 
@@ -441,7 +443,7 @@ def _validate_constraints(
     sites: SiteSet, constraints: ConstraintSet, pairs: Sequence[tuple[int, int]]
 ) -> None:
     segs = constraints.segments
-    rows = [_hom(p) for p in sites.points]
+    rows = sites.rows
     ends = [(rows[a], rows[b]) for a, b in pairs]
     for seg, (a, b) in zip(segs, ends):
         s = _blocked(a, b, rows, ())
@@ -564,8 +566,8 @@ def is_locally_delaunay(mesh: TriMesh, edge: tuple[int, int]) -> bool:
         return True
     c = mesh.opposite_vertex(i, j)
     d = mesh.opposite_vertex(j, i)
-    pts = mesh.sites.points
-    hi, hj, hc, hd = (_hom(pts[v]) for v in (i, j, c, d))
+    rows = mesh.sites.rows
+    hi, hj, hc, hd = rows[i], rows[j], rows[c], rows[d]
     # The in-circle sign is meaningless unless (i, j, c) turns left, which a
     # hand-built or ingested mesh does not guarantee.
     if _det3(hi, hj, hc) <= 0:
@@ -585,14 +587,14 @@ def is_visible(
     sites.check_index(q)
     if p == q:
         raise IndexOutOfRange("visibility query needs two distinct sites")
-    rows = [_hom(s) for s in sites.points]
+    rows = sites.rows
     a, b = rows[p], rows[q]
     ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
     return _blocked(a, b, rows, [e for e in ends if e != (a, b) and e != (b, a)]) is None
 
 
 def _visible_from_open_edge(
-    a: Homogeneous, b: Homogeneous, w: Homogeneous, rows: list[Homogeneous], ends: list[_Ends]
+    a: Homogeneous, b: Homogeneous, w: Homogeneous, rows: Sequence[Homogeneous], ends: list[_Ends]
 ) -> bool:
     """True when the site row w, off the line ab, can be seen from at least
     one point of the open segment ab.
@@ -642,7 +644,7 @@ def is_constrained_delaunay_edge(
     sites.check_index(q)
     if p == q:
         raise IndexOutOfRange("edge query needs two distinct sites")
-    rows = [_hom(s) for s in sites.points]
+    rows = sites.rows
     a, b = rows[p], rows[q]
     ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
     if (a, b) in ends or (b, a) in ends:

@@ -15,7 +15,7 @@ from typing import Union
 
 from .delaunay import ConstraintSet, SiteSet, TriMesh, is_locally_delaunay
 from .errors import GeometryError, NotCCW, ParseError, UnknownEdge
-from .geometry import Point, Polygon, Rect, Segment, _det3, _hom, as_coord
+from .geometry import Homogeneous, Point, Polygon, Rect, Segment, _det3, _hom, as_coord
 
 SITES_HEADER = "proxitri-sites 1"
 DOCUMENT_HEADER = "proxitri-document 1"
@@ -68,7 +68,7 @@ def format_site_file(points: list[Point], comment: str = "") -> str:
 
 def parse_site_file(text: str, path: str = "") -> SiteSet:
     points: list[Point] = []
-    seen: dict[Point, int] = {}
+    seen: dict[Homogeneous, int] = {}
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -85,11 +85,12 @@ def parse_site_file(text: str, path: str = "") -> SiteSet:
         if len(parts) != 2:
             raise ParseError(f"expected two coordinates, found {len(parts)}", path, lineno)
         p = Point(parse_coord(parts[0], path, lineno), parse_coord(parts[1], path, lineno))
-        if p in seen:
+        row = _hom(p)
+        if row in seen:
             raise ParseError(
-                f"duplicate site {p} (first at line {seen[p]})", path, lineno
+                f"duplicate site {p} (first at line {seen[row]})", path, lineno
             )
-        seen[p] = lineno
+        seen[row] = lineno
         points.append(p)
     if not header_seen:
         raise ParseError("empty site file (missing header)", path, 0)
@@ -172,8 +173,9 @@ def _point_pair(p: Point) -> list[str]:
     return [coord_literal(p.x), coord_literal(p.y)]
 
 
-def document_for_mesh(mesh: TriMesh, locally_delaunay: dict) -> dict:
-    """Model with sites, triangles and per-edge flags."""
+def document_for_mesh(mesh: TriMesh) -> dict:
+    """Model with sites, triangles and per-edge flags; the locally-Delaunay
+    flag of each edge is computed here by is_locally_delaunay."""
     model: dict = {"schema": SCHEMA}
     model["sites"] = [_point_pair(p) for p in mesh.sites.points]
     if mesh.constrained:
@@ -184,7 +186,7 @@ def document_for_mesh(mesh: TriMesh, locally_delaunay: dict) -> dict:
             "a": a,
             "b": b,
             "constrained": mesh.is_constrained(a, b),
-            "locally_delaunay": locally_delaunay[(a, b)],
+            "locally_delaunay": is_locally_delaunay(mesh, (a, b)),
         }
         for (a, b) in mesh.edges()
     ]
@@ -209,7 +211,7 @@ def mesh_from_document(model: dict) -> TriMesh:
         for i in tri:
             sites.check_index(i)
         i, j, k = tri
-        if _det3(_hom(sites[i]), _hom(sites[j]), _hom(sites[k])) <= 0:
+        if _det3(sites.rows[i], sites.rows[j], sites.rows[k]) <= 0:
             raise NotCCW(f"triangle {t} ({i}, {j}, {k}) is not counterclockwise")
         for edge in ((i, j), (j, k), (k, i)):
             if edge in directed:
@@ -289,7 +291,7 @@ def _check_boundary(sites: SiteSet, triangles: tuple, directed: set) -> None:
     for u, vs in outgoing.items():
         for v in vs:
             for w in outgoing.get(v, ()):
-                if _det3(_hom(sites[u]), _hom(sites[v]), _hom(sites[w])) < 0:
+                if _det3(sites.rows[u], sites.rows[v], sites.rows[w]) < 0:
                     raise GeometryError(f"boundary turns right at site {v} ({u}, {v}, {w})")
 
 

@@ -133,14 +133,14 @@ def _svg(body: list[str]) -> str:
 
 
 def _mesh_elements(m: _Mapper, mesh: TriMesh) -> list[str]:
-    pts = mesh.sites.points
+    pts, rows = mesh.sites.points, mesh.sites.rows
     body = []
     for tri in mesh.triangles:
         # Start at the lexicographically smallest corner, where a Polygon's
         # canonical ring starts.
         first = 0
         for r in (1, 2):
-            if _lex_less(_hom(pts[tri[r]]), _hom(pts[tri[first]])):
+            if _lex_less(rows[tri[r]], rows[tri[first]]):
                 first = r
         ring = [pts[tri[(first + r) % 3]] for r in range(3)]
         body.append(_polygon_el(m, ring, "none", STYLE["edge_color"], STYLE["edge_width"]))

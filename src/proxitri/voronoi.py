@@ -246,12 +246,12 @@ def _equidistant_sites(sites: SiteSet, u: Point, p: int) -> int:
     """
     ux, uy, uw = _hom(u)
 
-    def scaled_dist(site: Point) -> tuple[int, int]:
-        x, y, w = _hom(site)
+    def scaled_dist(row: tuple[int, int, int]) -> tuple[int, int]:
+        x, y, w = row
         dx = x * uw - ux * w
         dy = y * uw - uy * w
         return dx * dx + dy * dy, w * w
 
-    n_p, w_p2 = scaled_dist(sites[p])
-    return sum(1 for n_i, w_i2 in map(scaled_dist, sites.points) if n_i * w_p2 == n_p * w_i2)
+    n_p, w_p2 = scaled_dist(sites.rows[p])
+    return sum(1 for n_i, w_i2 in map(scaled_dist, sites.rows) if n_i * w_p2 == n_p * w_i2)
 

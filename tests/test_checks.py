@@ -23,7 +23,7 @@ from proxitri.delaunay import SiteSet, TriMesh
 from proxitri.generate import generate_sites
 from proxitri.geometry import Orientation, _hom, _ring_area2, orientation
 from proxitri.regions import LeaderNeighborhood, extract_regions, region_union_polygon
-from proxitri.voronoi import voronoi_diagram
+from proxitri.voronoi import closed_cell_intersection, voronoi_diagram
 
 from oracles import (
     all_pairs_check_dual,
@@ -206,7 +206,7 @@ def test_sound_suites_match_all_pairs(corpus, degenerate_corpus):
     the degenerate-skip witnesses of cocircular contacts."""
     skips = 0
     for entry in degenerate_corpus + corpus[::10]:
-        dual = _check_dual(entry.diagram)
+        dual = _check_dual(entry.diagram, partial(closed_cell_intersection, entry.diagram))
         assert _records(dual) == _records(all_pairs_check_dual(entry.diagram))
         skips += dual[0].status == "degenerate-skip"
     for entry in degenerate_corpus[::4] + corpus[::20]:

@@ -11,7 +11,7 @@ import pytest
 
 import proxitri
 from proxitri.cli import main
-from proxitri.io import parse_document, parse_site_file
+from proxitri.io import parse_document, parse_site_file, render_document
 
 
 def run_cli(*args) -> tuple[int, str, str]:
@@ -134,6 +134,19 @@ class TestTriangulate:
         assert perf_counter() - start < 1.0
         assert (code, out) == (2, "")
         assert err == f"error: {path}:2: bad coordinate literal {literal!r}\n"
+
+    @pytest.mark.parametrize("which", ["sites", "constraints"])
+    def test_non_utf8_file_is_usage_error(self, tmp_path, which):
+        sites = tmp_path / "r.sites"
+        sites.write_text("proxitri-sites 1\n0 0\n4 0\n4 3\n0 3\n")
+        cons = tmp_path / "r.cons"
+        cons.write_text("4 0 0 3\n")
+        bad = sites if which == "sites" else cons
+        bad.write_bytes(bad.read_bytes() + b"# \xff\n")
+        code, out, err = run_cli("triangulate", str(sites), "--constraints", str(cons))
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+        assert err.startswith(f"error: {bad}:0: not UTF-8 text")
 
     def test_missing_file_distinct_exit(self, tmp_path):
         code, _, _ = run_cli("triangulate", str(tmp_path / "nope.sites"))
@@ -266,11 +279,13 @@ class TestQuery:
         assert code == 2
 
     def test_negative_cell_selector_rejected(self, fan_file):
-        for relation in ("near", "strong"):
-            code, out, err = run_cli("query", fan_file, relation, "v:-1", "v:3")
-            assert code == 2
-            assert out == ""
-            assert "v:-1" in err
+        # an id is ASCII digits; int() alone would accept most of these
+        for selector in ("v:-1", "t: 0", "t:0\n", "t:1_0", "t:+0", "e:0- 1", "v:\t0"):
+            for relation in ("near", "strong"):
+                code, out, err = run_cli("query", fan_file, relation, selector, "v:3")
+                assert code == 2
+                assert out == ""
+                assert repr(selector) in err
 
     def test_triangle_selectors_build_no_voronoi_diagram(self, fan_file, monkeypatch):
         import proxitri.voronoi
@@ -282,6 +297,8 @@ class TestQuery:
         code, out, _ = run_cli("query", fan_file, "near", "t:0", "t:1")
         assert code == 0
         assert out == "proxitri-document 1\nquery near t:0 t:1 true segment(0,0;1,1)\n"
+        # each selector is one token, so the record parses back unchanged
+        assert render_document(parse_document(out)) == out
 
     def test_strong_mixed_kinds_unsupported(self, fan_file):
         code, _, err = run_cli("query", fan_file, "strong", "t:0", "v:1")

@@ -65,6 +65,10 @@ class TestSiteSet:
     def test_duplicates_rejected(self):
         with pytest.raises(DuplicateSite):
             sites_of((0, 0), (1, 1), (0, 0))
+        # equal values written differently are one site
+        for half in ("0.5", "1/2", "0.50", Fraction(1, 2)):
+            with pytest.raises(DuplicateSite, match=r"site \(1/2, 0\) appears at #0 and #2"):
+                sites_of(("0.5", 0), (1, 1), (half, 0))
 
     def test_too_few(self):
         with pytest.raises(TooFewSites):
@@ -127,7 +131,12 @@ class TestKernel:
         # W = lcm(4, 6) = 12, not the product 24; SiteSet.scaled reads the same form
         assert _hom(Point("3/4", "-1/6")) == (9, -2, 12)
         assert _hom(Point("2/3", 5)) == (2, 15, 3)
-        assert sites_of(("3/4", "-1/6"), ("2/3", 5), (1, 2)).scaled == ((9, -2), (2, 15), (1, 2))
+        sites = sites_of(("3/4", "-1/6"), ("2/3", 5), (1, 2))
+        assert sites.scaled == ((9, -2), (2, 15), (1, 2))
+        assert all(sites.rows[i] == _hom(sites[i]) for i in range(len(sites)))
+        assert sites.scaled == tuple(r[:2] for r in sites.rows)
+        assert sites.index_of(Point("0.75", "-1/6")) == 0
+        assert sites.index_of(Point("3/4", "1/6")) is None
 
     def test_per_site_operands_stay_small(self):
         # a common denominator of these sets would exceed 3000 bits
@@ -265,6 +274,12 @@ class TestLocallyDelaunay:
         bad = TriMesh(sites, ((0, 1, 3), (1, 2, 3)), frozenset())
         assert not is_locally_delaunay(bad, (1, 3))
         assert is_locally_delaunay(bad, (0, 1))  # hull edges always qualify
+        # the document computes its flags: only the forced diagonal fails
+        from proxitri.io import document_for_mesh
+
+        flags = {(e["a"], e["b"]): e["locally_delaunay"] for e in document_for_mesh(bad)["edges"]}
+        assert [e for e, ok in flags.items() if not ok] == [(1, 3)]
+        assert len(flags) == 5
 
     def test_clockwise_triangle_rejected(self):
         from proxitri.delaunay import TriMesh

@@ -1,12 +1,13 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from proxitri.checks import _check_lemma2, _check_regions
+from proxitri.checks import _check_lemma2, _check_regions, _triangle_vertex
 from proxitri.choices import DISTRIBUTIONS
 from proxitri.cli import main
-from proxitri.delaunay import SiteSet, TriMesh, is_locally_delaunay, triangulate
+from proxitri.delaunay import SiteSet, TriMesh, triangulate
 from proxitri.errors import GeometryError, IndexOutOfRange, NotCCW, ParseError, UnknownEdge
 from proxitri.generate import generate_sites
 from proxitri.geometry import Point, Polygon, Segment, distance_sq
@@ -66,6 +67,12 @@ class TestSiteFiles:
         with pytest.raises(ParseError) as err:
             parse_site_file(text, "x.sites")
         assert "x.sites:4" in str(err.value)
+        # equal values written differently are one site
+        for half in ("0.5", "1/2", "0.50", Fraction(1, 2)):
+            text = f"proxitri-sites 1\n0.5 0\n1 1\n{half} 0\n"
+            with pytest.raises(ParseError) as err:
+                parse_site_file(text, "x.sites")
+            assert str(err.value) == "x.sites:4: duplicate site (1/2, 0) (first at line 2)"
 
     def test_bad_literal_reports_line(self):
         with pytest.raises(ParseError) as err:
@@ -119,8 +126,7 @@ class TestDocuments:
     def build_model(self):
         sites = SiteSet.of([(0, 0), (4, 0), (0, 4), (1, 1)])
         mesh = triangulate(sites)
-        flags = {e: is_locally_delaunay(mesh, e) for e in mesh.edges()}
-        model = document_for_mesh(mesh, flags)
+        model = document_for_mesh(mesh)
         model["queries"] = [
             {
                 "relation": "strong",
@@ -155,8 +161,7 @@ class TestDocuments:
 
         sites = SiteSet.of([(0, 0), (4, 0), (4, 3), (0, 3)])
         mesh = constrained_triangulate(sites, ConstraintSet.of([(4, 0, 0, 3)]))
-        flags = {e: is_locally_delaunay(mesh, e) for e in mesh.edges()}
-        model = document_for_mesh(mesh, flags)
+        model = document_for_mesh(mesh)
         rebuilt = mesh_from_document(parse_document(render_document(model)))
         assert rebuilt == mesh
         assert rebuilt.is_constrained(1, 3)
@@ -211,8 +216,7 @@ class TestDocuments:
     def test_every_triangulation_round_trips(self, corpus, degenerate_corpus):
         # Includes collinear hull runs (collinear-heavy) and cocircular sets.
         for entry in corpus + degenerate_corpus:
-            flags = {e: is_locally_delaunay(entry.mesh, e) for e in entry.mesh.edges()}
-            text = render_document(document_for_mesh(entry.mesh, flags))
+            text = render_document(document_for_mesh(entry.mesh))
             assert mesh_from_document(parse_document(text)) == entry.mesh
 
     def test_malformed_json_rejected(self):
@@ -381,7 +385,8 @@ class TestCheckWitnesses:
         bad = TriMesh(sites, ((0, 1, 3), (1, 2, 3)), frozenset())
         diagram = voronoi_diagram(sites)
         centers = tuple(bad.circumcenter(t) for t in range(len(bad)))
-        results = _check_lemma2(replace(diagram, mesh=bad, vertices=centers))
+        faulty = replace(diagram, mesh=bad, vertices=centers)
+        results = _check_lemma2(faulty, partial(_triangle_vertex, faulty))
         assert [r.status for r in results] == ["fail", "fail"]
         assert results[0].witness == "circumcenter-point(2,1.75)!=vertex--"
         self.round_trip(results)
