@@ -21,11 +21,7 @@ _EXPORTS = {
         "TriMesh",
         "adjacency",
         "constrained_triangulate",
-        "is_constrained_delaunay_edge",
-        "is_delaunay_edge",
-        "is_delaunay_triangle",
         "is_locally_delaunay",
-        "is_visible",
         "triangulate",
     ),
     "errors": (
@@ -62,7 +58,6 @@ _EXPORTS = {
         "circumcircle",
         "convex_closed_intersection",
         "convex_hull",
-        "convex_polygon_intersection",
         "distance_sq",
         "in_circumcircle",
         "is_convex_polygon",
@@ -81,7 +76,6 @@ _EXPORTS = {
     "regions": (
         "LeaderNeighborhood",
         "Region",
-        "connected_components",
         "extract_regions",
         "is_region_convex",
         "leader_neighborhoods",
@@ -93,7 +87,6 @@ _EXPORTS = {
         "CellEdge",
         "VoronoiCell",
         "VoronoiDiagram",
-        "cells_strongly_near",
         "common_vertex",
         "default_frame",
         "voronoi_diagram",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -47,7 +46,6 @@ from .geometry import (
     _hom,
     _incircle_det,
     _lex_less,
-    _line_point,
     _row_order,
     _sign,
     segment_intersection,
@@ -550,7 +548,7 @@ def constrained_triangulate(sites: SiteSet, constraints: ConstraintSet) -> TriMe
 
 
 # ---------------------------------------------------------------------------
-# Edge status and visibility predicates.
+# Edge status.
 
 
 def is_locally_delaunay(mesh: TriMesh, edge: tuple[int, int]) -> bool:
@@ -569,129 +567,7 @@ def is_locally_delaunay(mesh: TriMesh, edge: tuple[int, int]) -> bool:
     rows = mesh.sites.rows
     hi, hj, hc, hd = rows[i], rows[j], rows[c], rows[d]
     # The in-circle sign is meaningless unless (i, j, c) turns left, which a
-    # hand-built or ingested mesh does not guarantee.
+    # hand-built mesh does not guarantee.
     if _det3(hi, hj, hc) <= 0:
         raise NotCCW(f"triangle {i}, {j}, {c} is not counterclockwise")
     return _incircle_det(hi, hj, hc, hd) <= 0
-
-
-def is_visible(
-    sites: SiteSet, constraints: ConstraintSet, p: int, q: int
-) -> bool:
-    """Mutual visibility of two sites.
-
-    Blocked by any third site in the open segment pq, and by any other
-    constraint that shares a point interior to both it and pq.
-    """
-    sites.check_index(p)
-    sites.check_index(q)
-    if p == q:
-        raise IndexOutOfRange("visibility query needs two distinct sites")
-    rows = sites.rows
-    a, b = rows[p], rows[q]
-    ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
-    return _blocked(a, b, rows, [e for e in ends if e != (a, b) and e != (b, a)]) is None
-
-
-def _visible_from_open_edge(
-    a: Homogeneous, b: Homogeneous, w: Homogeneous, rows: Sequence[Homogeneous], ends: list[_Ends]
-) -> bool:
-    """True when the site row w, off the line ab, can be seen from at least
-    one point of the open segment ab.
-
-    The blocked parameter set along ab changes only at finitely many
-    critical parameters (alignments of the viewpoint with w and a site or
-    constraint endpoint, and crossings of constraint carrier lines), so
-    sampling one exact rational point inside each induced subinterval
-    decides the existential. The line through g and h meets ab at the
-    parameter f(a) / (f(a) - f(b)), f the affine function that _det3(g, h, .)
-    takes times the row weight.
-    """
-    aw = a[2]
-    bw = b[2]
-    lines = [(w, s) for s in rows if s != w]
-    lines += [(w, e) for pair in ends for e in pair if e != w]
-    lines += ends
-    crits = {Fraction(0), Fraction(1)}
-    for g, h in lines:
-        fa = _det3(g, h, a) * bw  # f(a) and f(b) times one positive constant
-        fb = _det3(g, h, b) * aw
-        if fa != fb and (fa <= 0 <= fb or fb <= 0 <= fa):
-            crits.add(Fraction(fa, fa - fb))
-    ordered = sorted(crits)
-    for t0, t1 in zip(ordered, ordered[1:]):
-        t = (t0 + t1) / 2  # the viewpoint a + t (b - a)
-        x = _line_point(t.numerator * aw, (t.numerator - t.denominator) * bw, a, b)
-        if _blocked(_hom(x), w, rows, ends) is None:
-            return True
-    return False
-
-
-def is_constrained_delaunay_edge(
-    sites: SiteSet, constraints: ConstraintSet, p: int, q: int
-) -> bool:
-    """Membership of pq in the constrained Delaunay triangulation.
-
-    Either pq is itself a constraint, or p and q see each other and some
-    circle through them has no site strictly inside that is visible from
-    the open segment pq (sites on the line pq never are). On each side of
-    p->q, the visible site whose circle through p and q holds no other
-    visible site of that side bounds every such circle, so one exists
-    exactly when the right-side pick is not strictly inside the circle
-    through p, q and the left-side pick.
-    """
-    sites.check_index(p)
-    sites.check_index(q)
-    if p == q:
-        raise IndexOutOfRange("edge query needs two distinct sites")
-    rows = sites.rows
-    a, b = rows[p], rows[q]
-    ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
-    if (a, b) in ends or (b, a) in ends:
-        return True
-    if _blocked(a, b, rows, ends) is not None:
-        return False
-    left = right = None
-    for w in rows:
-        turn = _det3(a, b, w)
-        if turn > 0:
-            replaces = left is None or _incircle_det(a, b, left, w) > 0
-        elif turn < 0:
-            replaces = right is None or _incircle_det(b, a, right, w) > 0
-        else:
-            continue
-        # An invisible site never changes a pick, so only a site that would
-        # replace its side's pick needs the visibility test.
-        if replaces and _visible_from_open_edge(a, b, w, rows, ends):
-            if turn > 0:
-                left = w
-            else:
-                right = w
-    return left is None or right is None or _incircle_det(a, b, left, right) <= 0
-
-
-def is_delaunay_edge(diagram, p: int, q: int) -> bool:
-    """Delaunay-edge test straight from the defining relation: the two
-    Voronoi cells must meet along a positive-length segment.
-
-    Works from the diagram's cell polygons rather than its mesh so it can
-    cross-check the construction.
-    """
-    from .voronoi import cells_strongly_near  # local import: avoid a cycle
-
-    return cells_strongly_near(diagram, p, q)
-
-
-def is_delaunay_triangle(mesh: TriMesh, diagram, t: int) -> bool:
-    """True when the triangle's circumcenter is the vertex shared by the
-    closures of its three sites' Voronoi cells.
-
-    Propagates DegenerateIntersection for cocircular configurations where
-    four or more cells meet at the would-be vertex.
-    """
-    from .voronoi import common_vertex
-
-    i, j, k = mesh.check_triangle(t)
-    center = mesh.circumcenter(t)
-    shared = common_vertex(diagram, i, j, k)
-    return shared is not None and shared == center

@@ -635,16 +635,6 @@ def convex_closed_intersection(p: Polygon, q: Polygon) -> ClosedIntersection:
     return Polygon(tuple(hull))
 
 
-def convex_polygon_intersection(p: Polygon, q: Polygon) -> Optional[Polygon]:
-    """Positive-area intersection of two convex polygons, or None.
-
-    Point and segment contacts count as empty here; use
-    convex_closed_intersection for the closed-set answer.
-    """
-    result = convex_closed_intersection(p, q)
-    return result if isinstance(result, Polygon) else None
-
-
 @dataclass(frozen=True, slots=True)
 class Rect:
     """Axis-aligned rectangle, used as the Voronoi clip frame."""

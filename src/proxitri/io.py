@@ -5,7 +5,9 @@ literals; documents serialize every coordinate as a canonical rational
 literal ("5/4", "3"), which the same parser reads back, so serialization
 round-trips losslessly. The default document rendering is a flat,
 versioned, line-oriented text format; a json rendering of the identical
-model is available behind the --format flag.
+model is available behind the --format flag. parse_document reads either
+rendering back to that model and checks record syntax only; no function
+here rebuilds a mesh from a document.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from fractions import Fraction
 from typing import Union
 
 from .delaunay import ConstraintSet, SiteSet, TriMesh, is_locally_delaunay
-from .errors import GeometryError, NotCCW, ParseError, UnknownEdge
-from .geometry import Homogeneous, Point, Polygon, Rect, Segment, _det3, _hom, as_coord
+from .errors import ParseError
+from .geometry import Homogeneous, Point, Polygon, Rect, Segment, _hom, as_coord
 
 SITES_HEADER = "proxitri-sites 1"
 DOCUMENT_HEADER = "proxitri-document 1"
@@ -191,108 +193,6 @@ def document_for_mesh(mesh: TriMesh) -> dict:
         for (a, b) in mesh.edges()
     ]
     return model
-
-
-def mesh_from_document(model: dict) -> TriMesh:
-    """Rebuild a mesh, rejecting triangles that name a missing site
-    (IndexOutOfRange), do not turn counterclockwise (NotCCW), or repeat a
-    directed edge (GeometryError), a boundary that cannot be the convex
-    hull of a triangulated site set (GeometryError), a constrained pair
-    that is not a mesh edge (UnknownEdge), constraint records that name
-    other pairs than the constrained edge flags (GeometryError), and edge
-    records other than one per mesh edge with its locally-Delaunay flag
-    (UnknownEdge for a record naming no mesh edge, else GeometryError).
-    Before any of these, a malformed record raises ParseError."""
-    _check_record_shapes(model)
-    sites = SiteSet(tuple(Point(x, y) for x, y in model["sites"]))
-    triangles = tuple(tuple(t) for t in model.get("triangles", []))
-    directed: set[tuple[int, int]] = set()
-    for t, tri in enumerate(triangles):
-        for i in tri:
-            sites.check_index(i)
-        i, j, k = tri
-        if _det3(sites.rows[i], sites.rows[j], sites.rows[k]) <= 0:
-            raise NotCCW(f"triangle {t} ({i}, {j}, {k}) is not counterclockwise")
-        for edge in ((i, j), (j, k), (k, i)):
-            if edge in directed:
-                raise GeometryError(f"directed edge {edge[0]}->{edge[1]} appears twice")
-            directed.add(edge)
-    _check_boundary(sites, triangles, directed)
-    edges = model.get("edges", [])
-    flagged = {tuple(sorted((e["a"], e["b"]))) for e in edges if e.get("constrained")}
-    listed = {tuple(sorted(c)) for c in model.get("constraints", [])}
-    if "edges" in model and "constraints" in model and flagged != listed:
-        raise GeometryError("constraint records and constrained edge flags name different pairs")
-    mesh = TriMesh(sites, triangles, frozenset(flagged | listed))
-    for a, b in sorted(mesh.constrained):
-        if not mesh.has_edge(a, b):
-            raise UnknownEdge(f"constrained pair {a}-{b} is not a mesh edge")
-    if "edges" in model:
-        _check_edge_records(mesh, edges)
-    return mesh
-
-
-def _is_site_index(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_record_shapes(model: dict) -> None:
-    """Sites are coordinate pairs, triangles index triples, constraints
-    pairs of integer site indices, and edge records hold integer site
-    indices "a" and "b"; any other record raises ParseError naming it."""
-    if "sites" not in model:
-        raise ParseError("document has no site records")
-    for kind, size in (("site", 2), ("triangle", 3), ("constraint", 2)):
-        for k, rec in enumerate(model.get(kind + "s", [])):
-            if not isinstance(rec, (list, tuple)) or len(rec) != size:
-                raise ParseError(f"{kind} record {k} {rec!r} needs {size} fields")
-    for k, rec in enumerate(model.get("constraints", [])):
-        if not all(map(_is_site_index, rec)):
-            raise ParseError(f"constraint record {k} {rec!r} needs integer site indices")
-    for k, rec in enumerate(model.get("edges", [])):
-        if not isinstance(rec, dict) or not all(_is_site_index(rec.get(f)) for f in "ab"):
-            raise ParseError(f"edge record {k} {rec!r} needs integer site indices a and b")
-
-
-def _check_edge_records(mesh: TriMesh, records: list) -> None:
-    """The records name each mesh edge exactly once, each flagged as
-    is_locally_delaunay decides it, so re-rendering writes them back."""
-    seen: set[tuple[int, int]] = set()
-    for e in records:
-        a, b = e["a"], e["b"]
-        if not mesh.has_edge(a, b):
-            raise UnknownEdge(f"edge record {a}-{b} is not a mesh edge")
-        key = (a, b) if a < b else (b, a)
-        if key in seen:
-            raise GeometryError(f"edge {a}-{b} has more than one record")
-        seen.add(key)
-        if e.get("locally_delaunay") != is_locally_delaunay(mesh, key):
-            raise GeometryError(f"edge record {a}-{b} has the wrong locally-Delaunay flag")
-    for a, b in mesh.edges():
-        if (a, b) not in seen:
-            raise GeometryError(f"mesh edge {a}-{b} has no edge record")
-
-
-def _check_boundary(sites: SiteSet, triangles: tuple, directed: set) -> None:
-    """A triangulation of n sites whose boundary (its unmated directed
-    edges) has b edges has T = 2n - b - 2 triangles (Euler), and its
-    boundary is the convex hull, so no boundary vertex turns right;
-    collinear boundary sites are allowed."""
-    outgoing: dict[int, list[int]] = {}
-    for u, v in directed:
-        if (v, u) not in directed:
-            outgoing.setdefault(u, []).append(v)
-    b = sum(map(len, outgoing.values()))
-    if len(triangles) != 2 * len(sites) - b - 2:
-        raise GeometryError(
-            f"{len(triangles)} triangles with {b} boundary edges on {len(sites)} sites; "
-            f"a triangulation has {2 * len(sites) - b - 2}"
-        )
-    for u, vs in outgoing.items():
-        for v in vs:
-            for w in outgoing.get(v, ()):
-                if _det3(sites.rows[u], sites.rows[v], sites.rows[w]) < 0:
-                    raise GeometryError(f"boundary turns right at site {v} ({u}, {v}, {w})")
 
 
 def render_document(model: dict, fmt: str = "document") -> str:

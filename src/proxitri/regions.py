@@ -8,8 +8,10 @@ exactly three incident triangles (an open hull fan of three is not a
 clique), and no four triangles are pairwise adjacent. Every other maximal
 region is the pair of triangles on an interior edge that is no spoke of
 such a fan, and a triangle with no edge neighbor is a singleton region.
-Connected-component grouping is also available as an explicitly separate
-mode for comparison; it is not the default reading.
+is_region_convex tests the union reading of a region against the claim
+that regions are convex polygons, region_common_intersection gives the
+intersection reading, and leader_neighborhoods builds the Leader
+families, locally when given a scope region.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .delaunay import TriMesh, adjacency
+from .delaunay import TriMesh
 from .errors import GeometryError, MixedMeshes, UnionHasHole
 from .geometry import (
     Point,
@@ -97,31 +99,6 @@ def extract_regions(mesh: TriMesh) -> list[Region]:
     cliques.extend(frozenset((t,)) for t in range(len(mesh)) if t not in paired)
     cliques.sort(key=sorted)
     return [Region(mesh, c) for c in cliques]
-
-
-def connected_components(mesh: TriMesh) -> list[frozenset[int]]:
-    """Edge-connected triangle groups; the non-default comparison grouping.
-
-    These are not regions in general (connectivity does not give pairwise
-    adjacency), hence the distinct return type.
-    """
-    seen: set[int] = set()
-    out = []
-    for t in range(len(mesh)):
-        if t in seen:
-            continue
-        stack = [t]
-        comp = set()
-        while stack:
-            cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            stack.extend(adjacency(mesh, cur) - comp)
-        seen |= comp
-        out.append(frozenset(comp))
-    out.sort(key=lambda c: sorted(c))
-    return out
 
 
 def proximal_region_pairs(regions: list[Region]) -> list[tuple[int, int]]:

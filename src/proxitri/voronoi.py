@@ -184,8 +184,13 @@ def closed_cell_intersection(diagram: VoronoiDiagram, p: int, q: int):
     Any common point of two distinct cells is equidistant from both sites,
     so the intersection lives on their bisector line; slicing each polygon
     by that line and overlapping the two slices gives the answer in linear
-    time. Returns None, a Point, or a Segment.
+    time. Returns None, a Point, or a Segment; raises IndexOutOfRange
+    unless p and q are two distinct site indices.
     """
+    diagram.sites.check_index(p)
+    diagram.sites.check_index(q)
+    if p == q:
+        raise IndexOutOfRange("cell intersection needs two distinct cells")
     return _bisector_overlap(diagram, p, q)
 
 
@@ -193,19 +198,6 @@ def _bisector_overlap(diagram: VoronoiDiagram, p: int, q: int, *more: int):
     """Common part of the closed cells of p, q and more on the p/q bisector."""
     line = _bisector(diagram.sites[p], diagram.sites[q])
     return _overlap(_line_slice(diagram.cell(c).polygon, line) for c in (p, q, *more))
-
-
-def cells_strongly_near(diagram: VoronoiDiagram, p: int, q: int) -> bool:
-    """True when the closed cells of p and q share a positive-length edge.
-
-    The shared geometry necessarily lies on the p/q bisector, so contact
-    induced purely by the clip frame can never count here.
-    """
-    diagram.sites.check_index(p)
-    diagram.sites.check_index(q)
-    if p == q:
-        raise IndexOutOfRange("strong proximity needs two distinct cells")
-    return isinstance(closed_cell_intersection(diagram, p, q), Segment)
 
 
 def common_vertex(diagram: VoronoiDiagram, p: int, q: int, r: int) -> Optional[Point]:

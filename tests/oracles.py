@@ -26,6 +26,11 @@ monotone hull chains replace. all_pairs_proximal_region_pairs tests every
 pair of regions, which the per-vertex index replaces. reference_fan walks
 a site's fan from its sorted incident triangles with a rotation scan per
 triangle, which TriMesh.fan's start spoke and directed-edge map replace.
+is_visible and is_constrained_delaunay_edge decide visibility and
+constrained Delaunay edges (Chew 1989) pair by pair on the integer rows,
+with the same blocker predicate as constraint validation; the tests
+compare constrained_triangulate with them, and them with the
+visibility_oracle and fraction_* references.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 from proxitri import checks
 from proxitri.checks import CheckResult
@@ -42,6 +47,8 @@ from proxitri.delaunay import (
     ConstraintSet,
     SiteSet,
     TriMesh,
+    _Ends,
+    _blocked,
     _edge_key,
     _incircle_perturbed,
     _resolve_constraints,
@@ -54,6 +61,7 @@ from proxitri.errors import (
     CrossingConstraints,
     DegenerateIntersection,
     GeometryError,
+    IndexOutOfRange,
     MixedMeshes,
     NonConvexInput,
     NotCCW,
@@ -62,6 +70,7 @@ from proxitri.errors import (
 from proxitri.geometry import (
     CircumCircle,
     CirclePosition,
+    Homogeneous,
     Orientation,
     Point,
     PointLocation,
@@ -70,6 +79,8 @@ from proxitri.geometry import (
     Segment,
     _det3,
     _hom,
+    _incircle_det,
+    _line_point,
     _row_order,
     convex_closed_intersection,
     distance_sq,
@@ -423,7 +434,8 @@ def clip_convex_intersection(p: Polygon, q: Polygon):
     """Half-plane-clipping route to the convex polygon intersection.
 
     Returns a Polygon with positive area or None; degenerate contact
-    counts as empty, matching convex_polygon_intersection's contract.
+    counts as empty, where convex_closed_intersection returns a Point or
+    Segment.
     """
     ring = list(p.vertices)
     for idx in range(len(q.vertices)):
@@ -577,6 +589,101 @@ def fraction_is_constrained_delaunay_edge(
         else:
             upper = s_w if upper is None else min(upper, s_w)
     return lower is None or upper is None or lower <= upper
+
+
+def is_visible(
+    sites: SiteSet, constraints: ConstraintSet, p: int, q: int
+) -> bool:
+    """Mutual visibility of two sites.
+
+    Blocked by any third site in the open segment pq, and by any other
+    constraint that shares a point interior to both it and pq.
+    """
+    sites.check_index(p)
+    sites.check_index(q)
+    if p == q:
+        raise IndexOutOfRange("visibility query needs two distinct sites")
+    rows = sites.rows
+    a, b = rows[p], rows[q]
+    ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
+    return _blocked(a, b, rows, [e for e in ends if e != (a, b) and e != (b, a)]) is None
+
+
+def _visible_from_open_edge(
+    a: Homogeneous, b: Homogeneous, w: Homogeneous, rows: Sequence[Homogeneous], ends: list[_Ends]
+) -> bool:
+    """True when the site row w, off the line ab, can be seen from at least
+    one point of the open segment ab.
+
+    The blocked parameter set along ab changes only at finitely many
+    critical parameters (alignments of the viewpoint with w and a site or
+    constraint endpoint, and crossings of constraint carrier lines), so
+    sampling one exact rational point inside each induced subinterval
+    decides the existential. The line through g and h meets ab at the
+    parameter f(a) / (f(a) - f(b)), f the affine function that _det3(g, h, .)
+    takes times the row weight.
+    """
+    aw = a[2]
+    bw = b[2]
+    lines = [(w, s) for s in rows if s != w]
+    lines += [(w, e) for pair in ends for e in pair if e != w]
+    lines += ends
+    crits = {Fraction(0), Fraction(1)}
+    for g, h in lines:
+        fa = _det3(g, h, a) * bw  # f(a) and f(b) times one positive constant
+        fb = _det3(g, h, b) * aw
+        if fa != fb and (fa <= 0 <= fb or fb <= 0 <= fa):
+            crits.add(Fraction(fa, fa - fb))
+    ordered = sorted(crits)
+    for t0, t1 in zip(ordered, ordered[1:]):
+        t = (t0 + t1) / 2  # the viewpoint a + t (b - a)
+        x = _line_point(t.numerator * aw, (t.numerator - t.denominator) * bw, a, b)
+        if _blocked(_hom(x), w, rows, ends) is None:
+            return True
+    return False
+
+
+def is_constrained_delaunay_edge(
+    sites: SiteSet, constraints: ConstraintSet, p: int, q: int
+) -> bool:
+    """Membership of pq in the constrained Delaunay triangulation.
+
+    Either pq is itself a constraint, or p and q see each other and some
+    circle through them has no site strictly inside that is visible from
+    the open segment pq (sites on the line pq never are). On each side of
+    p->q, the visible site whose circle through p and q holds no other
+    visible site of that side bounds every such circle, so one exists
+    exactly when the right-side pick is not strictly inside the circle
+    through p, q and the left-side pick.
+    """
+    sites.check_index(p)
+    sites.check_index(q)
+    if p == q:
+        raise IndexOutOfRange("edge query needs two distinct sites")
+    rows = sites.rows
+    a, b = rows[p], rows[q]
+    ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
+    if (a, b) in ends or (b, a) in ends:
+        return True
+    if _blocked(a, b, rows, ends) is not None:
+        return False
+    left = right = None
+    for w in rows:
+        turn = _det3(a, b, w)
+        if turn > 0:
+            replaces = left is None or _incircle_det(a, b, left, w) > 0
+        elif turn < 0:
+            replaces = right is None or _incircle_det(b, a, right, w) > 0
+        else:
+            continue
+        # An invisible site never changes a pick, so only a site that would
+        # replace its side's pick needs the visibility test.
+        if replaces and _visible_from_open_edge(a, b, w, rows, ends):
+            if turn > 0:
+                left = w
+            else:
+                right = w
+    return left is None or right is None or _incircle_det(a, b, left, right) <= 0
 
 
 def random_constraints(rng, sites: SiteSet, most: int) -> ConstraintSet:

@@ -17,7 +17,6 @@ from proxitri.delaunay import (
     adjacency,
     constrained_triangulate,
     is_locally_delaunay,
-    is_visible,
     triangulate,
 )
 from proxitri.errors import DegenerateIntersection
@@ -26,8 +25,9 @@ from proxitri.geometry import (
     CirclePosition,
     Point,
     Polygon,
+    Segment,
+    convex_closed_intersection,
     convex_hull,
-    convex_polygon_intersection,
     in_circumcircle,
     is_convex_polygon,
 )
@@ -39,12 +39,13 @@ from proxitri.regions import (
     leader_neighborhoods,
     region_union_polygon,
 )
-from proxitri.voronoi import cells_strongly_near, common_vertex, voronoi_diagram
+from proxitri.voronoi import closed_cell_intersection, common_vertex, voronoi_diagram
 
 from oracles import (
     brute_delaunay_triangles,
     brute_maximal_cliques,
     edges_of_triangles,
+    is_visible,
     mesh_triangle_set,
     random_constraints,
     visibility_oracle,
@@ -81,7 +82,8 @@ def test_criterion_02_edge_definition_duality(corpus):
         mesh, diagram = entry.mesh, entry.diagram
         for p, q in combinations(range(len(entry.sites)), 2):
             pairs += 1
-            if cells_strongly_near(diagram, p, q) != mesh.has_edge(p, q):
+            shared = closed_cell_intersection(diagram, p, q)
+            if isinstance(shared, Segment) != mesh.has_edge(p, q):
                 mismatches += 1
     report(2, mismatches == 0, f"{pairs} site pairs checked, {mismatches} mismatches")
 
@@ -127,7 +129,7 @@ def test_criterion_04_four_way_equivalence(corpus):
             )
             center_is_vertex = common_vertex(diagram, i, j, k) == diagram.vertices[t]
             pairwise_strong = all(
-                cells_strongly_near(diagram, a, b)
+                isinstance(closed_cell_intersection(diagram, a, b), Segment)
                 for a, b in ((i, j), (j, k), (k, i))
             )
             if not (empty_disk == center_is_vertex == pairwise_strong == True):  # noqa: E712
@@ -151,8 +153,8 @@ def test_criterion_05_convex_intersection_convexity():
             if len(hull) >= 3:
                 polys.append(Polygon(tuple(hull)))
         parse += 1
-        got = convex_polygon_intersection(polys[0], polys[1])
-        if got is not None:
+        got = convex_closed_intersection(polys[0], polys[1])
+        if isinstance(got, Polygon):
             nonempty += 1
             if not is_convex_polygon(got):
                 failures += 1

@@ -374,12 +374,12 @@ COMPUTATIONAL = {
     "checks", "delaunay", "generate", "geometry", "io", "proximity", "regions", "render", "voronoi",
 }
 
-# The names `proxitri` exported when its __init__ imported every submodule.
+# The names `proxitri` exports: those it exported when its __init__
+# imported every submodule, less the wrappers and modes no command ran.
 EXPORTS = {
     "delaunay": (
         "ConstraintSet SiteSet TriMesh adjacency constrained_triangulate "
-        "is_constrained_delaunay_edge is_delaunay_edge is_delaunay_triangle "
-        "is_locally_delaunay is_visible triangulate"
+        "is_locally_delaunay triangulate"
     ),
     "errors": (
         "AllCollinear BadCount CollinearInput ConstraintThroughSite CrossingConstraints "
@@ -389,21 +389,23 @@ EXPORTS = {
     ),
     "geometry": (
         "CirclePosition CircumCircle Orientation Point PointLocation Polygon Rect Segment "
-        "circumcircle convex_closed_intersection convex_hull convex_polygon_intersection "
-        "distance_sq in_circumcircle is_convex_polygon locate_point orientation "
-        "segment_intersection"
+        "circumcircle convex_closed_intersection convex_hull distance_sq in_circumcircle "
+        "is_convex_polygon locate_point orientation segment_intersection"
     ),
     "proximity": "ProximityVerdict Relation far near strongly_near_triangles triangles_near",
     "regions": (
-        "LeaderNeighborhood Region connected_components extract_regions is_region_convex "
-        "leader_neighborhoods proximal_region_pairs region_common_intersection "
-        "region_union_polygon"
+        "LeaderNeighborhood Region extract_regions is_region_convex leader_neighborhoods "
+        "proximal_region_pairs region_common_intersection region_union_polygon"
     ),
     "voronoi": (
-        "CellEdge VoronoiCell VoronoiDiagram cells_strongly_near common_vertex "
-        "default_frame voronoi_diagram"
+        "CellEdge VoronoiCell VoronoiDiagram common_vertex default_frame voronoi_diagram"
     ),
 }
+# Exported until the library dropped them; each must now be missing.
+REMOVED = (
+    "cells_strongly_near connected_components convex_polygon_intersection "
+    "is_constrained_delaunay_edge is_delaunay_edge is_delaunay_triangle is_visible"
+)
 SUBMODULES = COMPUTATIONAL | {"choices", "cli", "errors"}
 
 
@@ -453,10 +455,13 @@ class TestImportFootprint:
             for name in names.split():
                 assert getattr(proxitri, name) is getattr(import_module(f"proxitri.{module}"), name)
                 assert name in proxitri.__all__ and name in dir(proxitri)
+        assert set(proxitri.__all__) == {name for names in EXPORTS.values() for name in names.split()}
         for module in SUBMODULES:
             assert getattr(proxitri, module) is import_module(f"proxitri.{module}")
-        with pytest.raises(AttributeError):
-            proxitri.no_such_name
+        for name in ["no_such_name", *REMOVED.split()]:
+            with pytest.raises(AttributeError):
+                getattr(proxitri, name)
+        assert not hasattr(proxitri.io, "mesh_from_document")
 
     def test_star_import(self):
         namespace: dict = {}

@@ -11,11 +11,7 @@ from proxitri.delaunay import (
     SiteSet,
     adjacency,
     constrained_triangulate,
-    is_constrained_delaunay_edge,
-    is_delaunay_edge,
-    is_delaunay_triangle,
     is_locally_delaunay,
-    is_visible,
     triangulate,
 )
 from proxitri.errors import (
@@ -31,6 +27,7 @@ from proxitri.generate import generate_sites
 from proxitri.geometry import (
     CirclePosition,
     Point,
+    Segment,
     _det3,
     _hom,
     _incircle_det,
@@ -38,7 +35,7 @@ from proxitri.geometry import (
     circumcircle,
     in_circumcircle,
 )
-from proxitri.voronoi import voronoi_diagram
+from proxitri.voronoi import closed_cell_intersection, common_vertex, voronoi_diagram
 
 from conftest import EXACTLY_COCIRCULAR
 from oracles import (
@@ -47,6 +44,8 @@ from oracles import (
     fraction_in_circumcircle,
     fraction_is_constrained_delaunay_edge,
     fraction_orientation,
+    is_constrained_delaunay_edge,
+    is_visible,
     mesh_triangle_set,
     random_constraints,
     reference_fan,
@@ -304,27 +303,28 @@ class TestLocallyDelaunay:
 class TestDelaunayEdgeAndTriangle:
     def test_fan_edge_via_voronoi(self, fan_sites):
         diagram = voronoi_diagram(fan_sites)
-        assert is_delaunay_edge(diagram, 0, 3)
+        assert isinstance(closed_cell_intersection(diagram, 0, 3), Segment)
 
     def test_blocked_pair_is_not_an_edge(self):
         sites = sites_of((0, 0), (2, 0), (4, 0), (2, 1))
         diagram = voronoi_diagram(sites)
-        assert not is_delaunay_edge(diagram, 0, 2)
+        assert not isinstance(closed_cell_intersection(diagram, 0, 2), Segment)
 
     def test_equal_indices_rejected(self, fan_sites):
         diagram = voronoi_diagram(fan_sites)
         with pytest.raises(IndexOutOfRange):
-            is_delaunay_edge(diagram, 1, 1)
+            closed_cell_intersection(diagram, 1, 1)
 
     def test_fan_triangles_are_delaunay(self, fan_sites):
         diagram = voronoi_diagram(fan_sites)
-        for t in range(len(diagram.mesh)):
-            assert is_delaunay_triangle(diagram.mesh, diagram, t)
+        mesh = diagram.mesh
+        for t in range(len(mesh)):
+            assert common_vertex(diagram, *mesh.triangles[t]) == mesh.circumcenter(t)
 
     def test_single_triangle_common_vertex(self):
         sites = sites_of((0, 0), (4, 0), (0, 4))
         diagram = voronoi_diagram(sites)
-        assert is_delaunay_triangle(diagram.mesh, diagram, 0)
+        assert common_vertex(diagram, 0, 1, 2) == diagram.mesh.circumcenter(0)
         assert diagram.vertices[0] == Point(2, 2)
 
     def test_corrupted_mesh_is_not_delaunay(self):
@@ -339,8 +339,8 @@ class TestDelaunayEdgeAndTriangle:
         assert (
             in_circumcircle(pts[0], pts[1], pts[3], pts[2]) is CirclePosition.INSIDE
         )
-        assert not is_delaunay_triangle(bad, diagram, 0)
-        assert not is_delaunay_triangle(bad, diagram, 1)
+        for t in range(len(bad)):
+            assert common_vertex(diagram, *bad.triangles[t]) != bad.circumcenter(t)
 
 
 class TestVisibility:

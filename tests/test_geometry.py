@@ -19,7 +19,6 @@ from proxitri.geometry import (
     collinear,
     convex_closed_intersection,
     convex_hull,
-    convex_polygon_intersection,
     distance_sq,
     in_circumcircle,
     is_convex_polygon,
@@ -247,27 +246,26 @@ shifted_square = Polygon((P(1, 1), P(3, 1), P(3, 3), P(1, 3)))
 
 class TestConvexIntersection:
     def test_axis_aligned_overlap(self):
-        got = convex_polygon_intersection(unit_square, shifted_square)
+        got = convex_closed_intersection(unit_square, shifted_square)
         assert got == Polygon((P(1, 1), P(2, 1), P(2, 2), P(1, 2)))
 
     def test_idempotence(self):
         tri = Polygon((P(0, 0), P(4, 0), P(0, 4)))
-        assert convex_polygon_intersection(tri, tri) == tri
+        assert convex_closed_intersection(tri, tri) == tri
 
     def test_disjoint_is_absent(self):
         tri = Polygon((P(0, 0), P(4, 0), P(0, 4)))
         square = Polygon((P(3, 3), P(5, 3), P(5, 5), P(3, 5)))
         assert clip_convex_intersection(tri, square) is None  # oracle agrees
-        assert convex_polygon_intersection(tri, square) is None
+        assert convex_closed_intersection(tri, square) is None
 
     def test_nonconvex_rejected(self):
         bad = Polygon((P(0, 0), P(4, 0), P(1, 1), P(0, 4)))
         with pytest.raises(NonConvexInput):
-            convex_polygon_intersection(bad, unit_square)
+            convex_closed_intersection(bad, unit_square)
 
     def test_touching_edge_is_segment_not_polygon(self):
         right = Polygon((P(2, 0), P(4, 0), P(4, 2), P(2, 2)))
-        assert convex_polygon_intersection(unit_square, right) is None
         closed = convex_closed_intersection(unit_square, right)
         assert closed == Segment(P(2, 0), P(2, 2))
 
@@ -283,11 +281,13 @@ class TestConvexIntersection:
         if len(hull_a) < 3 or len(hull_b) < 3:
             return
         pa, pb = Polygon(tuple(hull_a)), Polygon(tuple(hull_b))
-        got = convex_polygon_intersection(pa, pb)
+        got = convex_closed_intersection(pa, pb)
         expected = clip_convex_intersection(pa, pb)
-        assert got == expected
-        if got is not None:
+        if isinstance(got, Polygon):
+            assert got == expected
             assert is_convex_polygon(got)
+        else:
+            assert expected is None
 
     def test_mesh_triangle_pairs_match_oracles(self, corpus, degenerate_corpus):
         """Every triangle pair of the corpus meshes: shared vertices, shared

@@ -8,7 +8,7 @@ from proxitri.checks import _check_lemma2, _check_regions, _triangle_vertex
 from proxitri.choices import DISTRIBUTIONS
 from proxitri.cli import main
 from proxitri.delaunay import SiteSet, TriMesh, triangulate
-from proxitri.errors import GeometryError, IndexOutOfRange, NotCCW, ParseError, UnknownEdge
+from proxitri.errors import ParseError
 from proxitri.generate import generate_sites
 from proxitri.geometry import Point, Polygon, Segment, distance_sq
 from proxitri.io import (
@@ -17,7 +17,6 @@ from proxitri.io import (
     document_for_mesh,
     format_site_file,
     geometry_literal,
-    mesh_from_document,
     parse_constraint_file,
     parse_document,
     parse_frame,
@@ -122,6 +121,20 @@ class TestGeometryLiterals:
         assert parse_geometry_literal(geometry_literal(geom)) == geom
 
 
+def assert_document_is_lossless(mesh: TriMesh) -> None:
+    """Both renderings of the mesh's document parse back to the identical
+    model, and the model holds the mesh's sites, triangles and constrained
+    pairs (as constraint records and as edge flags)."""
+    doc = document_for_mesh(mesh)
+    for fmt in ("document", "json-like"):
+        assert parse_document(render_document(doc, fmt)) == doc
+    assert doc["triangles"] == [list(t) for t in mesh.triangles]
+    assert SiteSet.of(doc["sites"]) == mesh.sites
+    flagged = [[e["a"], e["b"]] for e in doc["edges"] if e["constrained"]]
+    expected = [list(e) for e in sorted(mesh.constrained)]
+    assert doc.get("constraints", []) == flagged == expected
+
+
 class TestDocuments:
     def build_model(self):
         sites = SiteSet.of([(0, 0), (4, 0), (0, 4), (1, 1)])
@@ -152,72 +165,21 @@ class TestDocuments:
         assert parse_document(text) == model
 
     def test_mesh_reconstruction(self):
-        mesh, model = self.build_model()
-        rebuilt = mesh_from_document(parse_document(render_document(model)))
-        assert rebuilt == mesh
+        mesh, _ = self.build_model()
+        assert_document_is_lossless(mesh)
 
     def test_constrained_mesh_reconstruction(self):
         from proxitri.delaunay import ConstraintSet, constrained_triangulate
 
         sites = SiteSet.of([(0, 0), (4, 0), (4, 3), (0, 3)])
         mesh = constrained_triangulate(sites, ConstraintSet.of([(4, 0, 0, 3)]))
-        model = document_for_mesh(mesh)
-        rebuilt = mesh_from_document(parse_document(render_document(model)))
-        assert rebuilt == mesh
-        assert rebuilt.is_constrained(1, 3)
-
-    def test_out_of_range_site_index_rejected(self):
-        _, model = self.build_model()
-        model["triangles"][0] = [0, 1, 4]
-        with pytest.raises(IndexOutOfRange):
-            mesh_from_document(model)
-        model["triangles"][0] = [-1, 0, 1]
-        with pytest.raises(IndexOutOfRange):
-            mesh_from_document(model)
-
-    def test_clockwise_triangle_rejected(self):
-        _, model = self.build_model()
-        i, j, k = model["triangles"][0]
-        model["triangles"][0] = [i, k, j]
-        with pytest.raises(NotCCW):
-            mesh_from_document(parse_document(render_document(model)))
-
-    def test_repeated_directed_edge_rejected(self):
-        _, model = self.build_model()
-        # Both triangles turn counterclockwise but overlap along 0->1.
-        model["triangles"] = [[0, 1, 2], [0, 1, 3]]
-        with pytest.raises(GeometryError, match="appears twice"):
-            mesh_from_document(model)
-
-    def test_missing_triangle_fails_euler_count(self):
-        # Two triangles cover the square but leave site 4 out: T = 2 while
-        # 2n - b - 2 = 4 for n = 5 sites and b = 4 boundary edges.
-        model = {
-            "schema": SCHEMA,
-            "sites": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"], ["1", "1"]],
-            "triangles": [[0, 1, 2], [0, 2, 3]],
-        }
-        with pytest.raises(GeometryError, match="boundary edges"):
-            mesh_from_document(model)
-
-    def test_reflex_boundary_vertex_rejected(self):
-        # A square plus its centre with 3 of the 4 fan triangles satisfies
-        # the Euler count, but the boundary turns right at the centre.
-        model = {
-            "schema": SCHEMA,
-            "sites": [["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"], ["1", "1"]],
-            "triangles": [[0, 1, 4], [1, 2, 4], [2, 3, 4]],
-        }
-        with pytest.raises(GeometryError, match="turns right at site 4"):
-            mesh_from_document(model)
-        model["triangles"].append([0, 4, 3])
-        assert mesh_from_document(model).hull() == [0, 1, 2, 3]
+        assert mesh.constrained == {(1, 3)}
+        assert_document_is_lossless(mesh)
 
     def test_every_triangulation_round_trips(self, corpus, degenerate_corpus):
         # Includes collinear hull runs (collinear-heavy) and cocircular sets.
         for entry in corpus + degenerate_corpus:
-            text = render_document(document_for_mesh(entry.mesh))
-            assert mesh_from_document(parse_document(text)) == entry.mesh
+            assert_document_is_lossless(entry.mesh)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ParseError) as info:
@@ -230,142 +192,6 @@ class TestDocuments:
             parse_document('{"schema": "other/9"}')
         with pytest.raises(ParseError):
             parse_document("unexpected 1\n")
-
-
-# The 4 x 3 rectangle split along its diagonal 0-2.
-RECTANGLE = """proxitri-document 1
-site 0 0 0
-site 1 4 0
-site 2 4 3
-site 3 0 3
-triangle 0 0 1 2
-triangle 1 0 2 3
-"""
-RECTANGLE_EDGES = [
-    "edge 0 1 plain locally-delaunay",
-    "edge 0 2 plain locally-delaunay",
-    "edge 0 3 plain locally-delaunay",
-    "edge 1 2 plain locally-delaunay",
-    "edge 2 3 plain locally-delaunay",
-]
-
-
-class TestConstrainedPairsIngest:
-    """Every constrained pair of an ingested document is a mesh edge, and
-    constraint records agree with the constrained edge flags."""
-
-    def test_constraint_records_alone_are_read(self):
-        mesh = mesh_from_document(parse_document(RECTANGLE + "constraint 2 0\n"))
-        assert mesh.constrained == {(0, 2)}
-
-    def test_flagged_pair_that_is_no_edge_rejected(self):
-        text = RECTANGLE + "\n".join(RECTANGLE_EDGES + ["edge 1 3 constrained locally-delaunay"])
-        with pytest.raises(UnknownEdge, match="1-3 is not a mesh edge"):
-            mesh_from_document(parse_document(text))
-
-    def test_constraint_record_naming_no_site_rejected(self):
-        with pytest.raises(UnknownEdge, match="0-9 is not a mesh edge"):
-            mesh_from_document(parse_document(RECTANGLE + "constraint 0 9\n"))
-
-    def test_records_disagreeing_with_flags_rejected(self):
-        text = RECTANGLE + "constraint 0 2\n" + "\n".join(RECTANGLE_EDGES)
-        with pytest.raises(GeometryError, match="name different pairs"):
-            mesh_from_document(parse_document(text))
-
-
-class TestEdgeRecordsIngest:
-    """Edge records name each mesh edge exactly once, each with the flag
-    is_locally_delaunay gives it."""
-
-    def test_matching_records_are_read(self):
-        mesh = mesh_from_document(parse_document(RECTANGLE + "\n".join(RECTANGLE_EDGES)))
-        assert mesh.triangles == ((0, 1, 2), (0, 2, 3))
-
-    def test_record_naming_no_mesh_edge_rejected(self):
-        text = RECTANGLE + "\n".join(RECTANGLE_EDGES + ["edge 1 3 plain not-locally-delaunay"])
-        with pytest.raises(UnknownEdge, match="1-3 is not a mesh edge"):
-            mesh_from_document(parse_document(text))
-
-    def test_wrong_flag_rejected(self):
-        edges = [e.replace("0 2 plain locally", "0 2 plain not-locally") for e in RECTANGLE_EDGES]
-        with pytest.raises(GeometryError, match="0-2 has the wrong locally-Delaunay flag"):
-            mesh_from_document(parse_document(RECTANGLE + "\n".join(edges)))
-
-    def test_repeated_record_rejected(self):
-        text = RECTANGLE + "\n".join(RECTANGLE_EDGES + ["edge 0 2 plain locally-delaunay"])
-        with pytest.raises(GeometryError, match="0-2 has more than one record"):
-            mesh_from_document(parse_document(text))
-
-    def test_missing_record_rejected(self):
-        text = RECTANGLE + "\n".join(RECTANGLE_EDGES[:-1])
-        with pytest.raises(GeometryError, match="mesh edge 2-3 has no edge record"):
-            mesh_from_document(parse_document(text))
-
-
-def rectangle_model(**records) -> dict:
-    """RECTANGLE with its edge records, as a JSON document model, with some
-    record lists replaced."""
-    model = parse_document(RECTANGLE + "\n".join(RECTANGLE_EDGES))
-    model.update(records)
-    return model
-
-
-def edge_record(a, b, constrained=False) -> dict:
-    return {"a": a, "b": b, "constrained": constrained, "locally_delaunay": True}
-
-
-RECTANGLE_EDGE_RECORDS = [edge_record(1, 2), edge_record(2, 3), edge_record(0, 3)]
-
-
-class TestRecordShapesIngest:
-    """A record of the wrong length, a missing field, or an edge or
-    constraint end that is not an int raises ParseError naming the record,
-    before any other ingest check."""
-
-    @pytest.mark.parametrize(
-        "records,named",
-        [
-            ({"edges": [edge_record([0], 1), edge_record(0, 2)] + RECTANGLE_EDGE_RECORDS},
-             "edge record 0"),
-            ({"edges": [edge_record([0], 1, True), edge_record(0, 2)] + RECTANGLE_EDGE_RECORDS},
-             "edge record 0"),
-            ({"edges": [edge_record(True, 1), edge_record(0, 2)] + RECTANGLE_EDGE_RECORDS},
-             "edge record 0"),
-            ({"edges": [{"a": 0, "constrained": False, "locally_delaunay": True}]},
-             "edge record 0"),
-            ({"constraints": [["0", 1]]}, r"constraint record 0 \['0', 1\]"),
-            ({"constraints": [[0, 2], [[0], 1]]}, r"constraint record 1 \[\[0\], 1\]"),
-            ({"triangles": [[0, 1, 2], [0, 1]]}, r"triangle record 1 \[0, 1\] needs 3 fields"),
-            ({"sites": [["0", "0"], ["4", "0", "1"], ["4", "3"], ["0", "3"]]},
-             "site record 1 .* needs 2 fields"),
-        ],
-        ids=[
-            "edge-end-list",
-            "constrained-edge-end-list",
-            "edge-end-bool",
-            "edge-without-b",
-            "constraint-end-string",
-            "constraint-end-list",
-            "short-triangle",
-            "site-with-three-coordinates",
-        ],
-    )
-    def test_malformed_record_rejected(self, records, named):
-        with pytest.raises(ParseError, match=named):
-            mesh_from_document(rectangle_model(**records))
-
-    def test_document_without_sites_rejected(self):
-        model = rectangle_model()
-        del model["sites"]
-        with pytest.raises(ParseError, match="no site records"):
-            mesh_from_document(model)
-
-    def test_typed_rejections_keep_their_type(self):
-        with pytest.raises(IndexOutOfRange, match="site index '0' out of range"):
-            mesh_from_document(rectangle_model(triangles=[["0", 1, 2], [0, 2, 3]]))
-        edges = [edge_record(0, 9), edge_record(0, 1), edge_record(0, 2)] + RECTANGLE_EDGE_RECORDS
-        with pytest.raises(UnknownEdge, match="edge record 0-9 is not a mesh edge"):
-            mesh_from_document(rectangle_model(edges=edges))
 
 
 class TestCheckWitnesses:

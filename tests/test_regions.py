@@ -8,7 +8,6 @@ from proxitri.geometry import Point, Polygon
 from proxitri.proximity import near, triangles_near
 from proxitri.regions import (
     Region,
-    connected_components,
     extract_regions,
     is_region_convex,
     leader_neighborhoods,
@@ -70,11 +69,6 @@ class TestExtractRegions:
         mesh = strip_mesh()
         with pytest.raises(GeometryError):
             Region(mesh, frozenset({0, 2}))  # no shared edge
-
-    def test_connected_components_mode_differs(self):
-        mesh = strip_mesh()
-        comps = connected_components(mesh)
-        assert comps == [frozenset({0, 1, 2, 3})]  # one component, three regions
 
 
 class TestProximalPairs:

@@ -15,12 +15,7 @@ from proxitri.geometry import (
     is_convex_polygon,
     locate_point,
 )
-from proxitri.voronoi import (
-    cells_strongly_near,
-    closed_cell_intersection,
-    common_vertex,
-    voronoi_diagram,
-)
+from proxitri.voronoi import closed_cell_intersection, common_vertex, voronoi_diagram
 
 from oracles import (
     composed_common_vertex,
@@ -231,7 +226,6 @@ class TestStrongNearness:
         cell_p = diagram.cells[0]
         assert not cell_p.unbounded
         assert len(cell_p.polygon.vertices) == 5
-        assert cells_strongly_near(diagram, 0, 1)
         shared = closed_cell_intersection(diagram, 0, 1)
         assert isinstance(shared, Segment)
         # the oracle cells agree on the shared segment
@@ -243,12 +237,15 @@ class TestStrongNearness:
 
     def test_separated_pair(self):
         diagram = voronoi_diagram(sites_of((0, 0), (2, 0), (4, 0), (2, 1)))
-        assert not cells_strongly_near(diagram, 0, 2)
+        assert not isinstance(closed_cell_intersection(diagram, 0, 2), Segment)
 
-    def test_same_index_rejected(self, fan_sites):
+    @pytest.mark.parametrize("p,q", [(1, 1), (9, 1), (1, 9), (True, 2), (-1, 1)])
+    def test_bad_pair_rejected(self, fan_sites, p, q):
+        # A site's bisector with itself is the zero line, which every cell
+        # corner lies on, so an equal pair would give a bogus segment.
         diagram = voronoi_diagram(fan_sites)
         with pytest.raises(IndexOutOfRange):
-            cells_strongly_near(diagram, 1, 1)
+            closed_cell_intersection(diagram, p, q)
 
     def test_duality_with_mesh_edges(self, corpus):
         from itertools import combinations
@@ -256,11 +253,11 @@ class TestStrongNearness:
         for entry in corpus[:8]:
             diagram = entry.diagram
             for p, q in combinations(range(len(entry.sites)), 2):
-                assert cells_strongly_near(diagram, p, q) == diagram.mesh.has_edge(p, q)
+                shared = closed_cell_intersection(diagram, p, q)
+                assert isinstance(shared, Segment) == diagram.mesh.has_edge(p, q)
 
     def test_cocircular_square_diagonals_not_strong(self):
         diagram = voronoi_diagram(sites_of((0, 0), (2, 0), (2, 2), (0, 2)))
         # the mesh carries a tie-break diagonal, but the cells only share a point
         assert diagram.mesh.has_edge(0, 2)
-        assert not cells_strongly_near(diagram, 0, 2)
         assert closed_cell_intersection(diagram, 0, 2) == Point(1, 1)
