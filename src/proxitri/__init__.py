@@ -67,14 +67,12 @@ _EXPORTS = {
     ),
     "proximity": (
         "ProximityVerdict",
-        "Relation",
         "far",
         "near",
         "strongly_near_triangles",
         "triangles_near",
     ),
     "regions": (
-        "LeaderNeighborhood",
         "Region",
         "extract_regions",
         "is_region_convex",
@@ -84,8 +82,6 @@ _EXPORTS = {
         "region_union_polygon",
     ),
     "voronoi": (
-        "CellEdge",
-        "VoronoiCell",
         "VoronoiDiagram",
         "common_vertex",
         "default_frame",

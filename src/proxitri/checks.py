@@ -214,7 +214,7 @@ def _check_dual(diagram: VoronoiDiagram, contact: Callable) -> list[CheckResult]
     degenerate = None
     # Closed cells with disjoint boxes do not meet, so a pair that is
     # neither a box pair nor a mesh edge agrees (no edge, no contact).
-    pairs = _overlapping_boxes([diagram.cell(i).polygon.bounding_box() for i in range(n)])
+    pairs = _overlapping_boxes([diagram.cell(i).bounding_box() for i in range(n)])
     pairs.update(mesh.edges())
     for p, q in sorted(pairs):
         in_mesh = mesh.has_edge(p, q)
@@ -351,7 +351,7 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
 
 
 def _check_leader(mesh: TriMesh) -> list[CheckResult]:
-    hoods = {h.anchor: h.neighbors for h in leader_neighborhoods(mesh)}
+    hoods = leader_neighborhoods(mesh)
     # (a, b) for every family member b of anchor a; a pair that neither
     # family claims is symmetric.
     claimed = {(a, b) for a, family in hoods.items() for b in family if b != a and b in hoods}

@@ -205,7 +205,7 @@ def _resolve_selector(selector: str, kind: str, ids: list[int], mesh, diagram):
             if not mesh.has_edge(i, j):
                 raise UnknownSelector(f"{selector}: no mesh edge {i}-{j}")
             return ("e", Segment(mesh.sites[i], mesh.sites[j]), (i, j))
-        return ("v", diagram.cell(ids[0]).polygon, ids[0])
+        return ("v", diagram.cell(ids[0]), ids[0])
     except (ValueError, IndexError, GeometryError) as exc:
         raise UnknownSelector(f"cannot resolve selector {selector!r}: {exc}") from exc
 

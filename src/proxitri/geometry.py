@@ -210,10 +210,6 @@ def orientation(a: Point, b: Point, c: Point) -> Orientation:
     return _ORIENTATIONS[_turn(a, b, c)]
 
 
-def collinear(a: Point, b: Point, c: Point) -> bool:
-    return _turn(a, b, c) == 0
-
-
 @dataclass(frozen=True, slots=True)
 class CircumCircle:
     """Circle through three non-collinear points; radius kept squared so the

@@ -1,16 +1,16 @@
 """Nearness relations on closed planar sets.
 
-Two sets are near when their closures intersect, far otherwise; the
-verdict always carries an explicit witness when near. Strong nearness
-(sharing a full positive-length edge rather than a mere point) is flagged
-for convex region pairs and answered combinatorially for mesh triangles.
+Two sets are near when their closures intersect, far otherwise; a
+verdict is near exactly when it carries a witness, a common part of the
+two closures. Strong nearness (sharing a full positive-length edge
+rather than a mere point) is flagged for convex region pairs and
+answered combinatorially for mesh triangles.
 All computation is exact; there is no tolerance parameter anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Union
 
 from .delaunay import TriMesh
@@ -29,29 +29,24 @@ from .geometry import (
 GeometrySet = Union[Point, Segment, Polygon, tuple, frozenset, list]
 
 
-class Relation(Enum):
-    NEAR = "near"
-    FAR = "far"
-
-
 @dataclass(frozen=True)
 class ProximityVerdict:
-    relation: Relation
+    """Near when it carries a witness (a part the two closures share),
+    far when the witness is None."""
+
     witness: Optional[Union[Point, Segment, Polygon]] = None
     strongly: bool = False
 
     def __post_init__(self):
-        if (self.relation is Relation.NEAR) != (self.witness is not None):
-            raise ValueError("near verdicts carry a witness; far verdicts do not")
         if self.strongly and not isinstance(self.witness, Segment):
             raise ValueError("a strong verdict's witness is a shared edge segment")
 
     @property
     def is_near(self) -> bool:
-        return self.relation is Relation.NEAR
+        return self.witness is not None
 
 
-_FAR = ProximityVerdict(Relation.FAR)
+_FAR = ProximityVerdict()
 # What near() compares once point collections become sorted tuples.
 _KINDS = (tuple, Segment, Polygon)
 
@@ -91,7 +86,7 @@ def near(a: GeometrySet, b: GeometrySet) -> ProximityVerdict:
         hit = segment_intersection(ga, gb)
         if hit is None:
             return _FAR
-        return ProximityVerdict(Relation.NEAR, hit)
+        return ProximityVerdict(hit)
     if isinstance(ga, Segment) and isinstance(gb, Polygon):
         return _segment_polygon_near(ga, gb)
     if isinstance(ga, Polygon) and isinstance(gb, Segment):
@@ -108,20 +103,20 @@ def _points_near(pts: tuple[Point, ...], other) -> ProximityVerdict:
     for p in pts:
         if isinstance(other, tuple):
             if p in other:
-                return ProximityVerdict(Relation.NEAR, p)
+                return ProximityVerdict(p)
         elif locate_point(p, other) is not PointLocation.EXTERIOR:
-            return ProximityVerdict(Relation.NEAR, p)
+            return ProximityVerdict(p)
     return _FAR
 
 
 def _segment_polygon_near(seg: Segment, poly: Polygon) -> ProximityVerdict:
     for end in (seg.a, seg.b):
         if locate_point(end, poly) is not PointLocation.EXTERIOR:
-            return ProximityVerdict(Relation.NEAR, end)
+            return ProximityVerdict(end)
     for edge in poly.edges():
         hit = segment_intersection(seg, edge)
         if hit is not None:
-            return ProximityVerdict(Relation.NEAR, hit)
+            return ProximityVerdict(hit)
     return _FAR
 
 
@@ -130,21 +125,19 @@ def _polygons_near(p: Polygon, q: Polygon) -> ProximityVerdict:
         inter = convex_closed_intersection(p, q)
         if inter is None:
             return _FAR
-        return ProximityVerdict(
-            Relation.NEAR, inter, strongly=isinstance(inter, Segment)
-        )
+        return ProximityVerdict(inter, strongly=isinstance(inter, Segment))
     # General simple polygons: find some witness of closure contact.
     for v in p.vertices:
         if locate_point(v, q) is not PointLocation.EXTERIOR:
-            return ProximityVerdict(Relation.NEAR, v)
+            return ProximityVerdict(v)
     for v in q.vertices:
         if locate_point(v, p) is not PointLocation.EXTERIOR:
-            return ProximityVerdict(Relation.NEAR, v)
+            return ProximityVerdict(v)
     for e in p.edges():
         for f in q.edges():
             hit = segment_intersection(e, f)
             if hit is not None:
-                return ProximityVerdict(Relation.NEAR, hit)
+                return ProximityVerdict(hit)
     return _FAR
 
 

@@ -10,8 +10,8 @@ region is the pair of triangles on an interior edge that is no spoke of
 such a fan, and a triangle with no edge neighbor is a singleton region.
 is_region_convex tests the union reading of a region against the claim
 that regions are convex polygons, region_common_intersection gives the
-intersection reading, and leader_neighborhoods builds the Leader
-families, locally when given a scope region.
+intersection reading, and leader_neighborhoods maps each triangle to its
+Leader family, locally when given a scope region.
 """
 
 from __future__ import annotations
@@ -66,14 +66,6 @@ class Region:
 
     def members(self) -> list[int]:
         return sorted(self.triangles)
-
-
-@dataclass(frozen=True)
-class LeaderNeighborhood:
-    """All triangles near a given anchor triangle (anchor excluded)."""
-
-    anchor: int
-    neighbors: frozenset[int]
 
 
 def extract_regions(mesh: TriMesh) -> list[Region]:
@@ -184,8 +176,10 @@ def region_common_intersection(region: Region):
 
 def leader_neighborhoods(
     mesh: TriMesh, scope: Optional[Region] = None
-) -> list[LeaderNeighborhood]:
-    """Near-neighbor family of every triangle (the local topology builder).
+) -> dict[int, frozenset[int]]:
+    """Near-neighbor family of every triangle (the local topology builder):
+    each anchor triangle, in index order, maps to the triangles sharing a
+    vertex with it (anchor excluded).
 
     With a scope region, both the anchors and the neighbor candidates are
     restricted to the region's members.
@@ -193,16 +187,15 @@ def leader_neighborhoods(
     if scope is not None and scope.mesh != mesh:
         raise MixedMeshes("scope region belongs to a different mesh")
     anchors = scope.members() if scope is not None else list(range(len(mesh)))
-    allowed = set(anchors)
     vert_tris: dict[int, set[int]] = {}
     for t in anchors:
         for v in mesh.triangles[t]:
             vert_tris.setdefault(v, set()).add(t)
-    out = []
+    out = {}
     for t in anchors:
         near_set: set[int] = set()
         for v in mesh.triangles[t]:
             near_set |= vert_tris[v]
         near_set.discard(t)
-        out.append(LeaderNeighborhood(anchor=t, neighbors=frozenset(near_set & allowed)))
+        out[t] = frozenset(near_set)
     return out

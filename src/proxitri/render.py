@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .choices import WHAT_CHOICES
 from .delaunay import TriMesh
-from .geometry import Homogeneous, _hom, _lex_less, bounding_box
+from .geometry import Homogeneous, Point, _hom, _lex_less, bounding_box
 
 if TYPE_CHECKING:
     from .voronoi import VoronoiDiagram
@@ -166,34 +166,35 @@ def _site_elements(m: _Mapper, mesh: TriMesh) -> list[str]:
 
 
 def _voronoi_elements(m: _Mapper, diagram: VoronoiDiagram) -> list[str]:
+    # Reduced coordinates make the row of a point unique.
+    centers: dict[Homogeneous, Point] = {}
+    for v in diagram.vertices:
+        centers.setdefault(_hom(v), v)
     body = []
-    # Cells p and q draw their shared edge p|q from the same two corners, so
-    # the site pair identifies it; the first cell to reach it sets its direction.
-    seen: set[tuple[int, int]] = set()
+    # Circumcenters lie strictly inside the frame, so a cell edge with a
+    # circumcenter end lies on a bisector, not on the frame. The two cells on
+    # it build its ends as the same points, so its row pair identifies it;
+    # the first cell to reach it sets its direction.
+    drawn: set[frozenset[Homogeneous]] = set()
     for cell in diagram.cells:
-        for edge in cell.edges:
-            if edge.neighbor is None:
+        ring = cell.vertices
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            ra, rb = _hom(a), _hom(b)
+            key = frozenset((ra, rb))
+            if key in drawn or (ra not in centers and rb not in centers):
                 continue
-            key = (min(cell.site, edge.neighbor), max(cell.site, edge.neighbor))
-            if key in seen:
-                continue
-            seen.add(key)
+            drawn.add(key)
             body.append(
                 _line(
                     m,
-                    edge.segment.a,
-                    edge.segment.b,
+                    a,
+                    b,
                     STYLE["voronoi_color"],
                     STYLE["voronoi_width"],
                     STYLE["voronoi_dash"],
                 )
             )
-    # Reduced coordinates make the row of a point unique.
-    vseen: set[Homogeneous] = set()
-    for v in diagram.vertices:
-        if _hom(v) in vseen:
-            continue
-        vseen.add(_hom(v))
+    for v in centers.values():
         body.append(
             _circle(
                 m, v, STYLE["vertex_radius"], STYLE["vertex_fill"], STYLE["vertex_stroke"]

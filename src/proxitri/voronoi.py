@@ -4,14 +4,9 @@ Each cell is read off the fan of triangles around its site, as
 `TriMesh.fan` walks it: the circumcenters of the fan, walked
 counterclockwise, are the cell corners. Hull sites get two outward
 bisector rays which are clipped to a bounding frame, so every cell is
-represented by a closed convex polygon.
-
-Edge labels come from the fan as well. Consecutive fan triangles share a
-spoke edge (site, v), so both circumcenters lie on the site/v bisector and
-the cell edge between them belongs to neighbor v. An open (hull) fan's
-entry ray belongs to its first spoke and its exit ray to its last. Edges
-introduced purely by the clip frame get neighbor None, so proximity
-queries can tell genuine bisector contact from clipping artifacts.
+represented by a closed convex polygon. Which cells share an edge is
+read off the polygons: closed_cell_intersection slices two cells by
+their bisector.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from .geometry import (
     Point,
     Polygon,
     Rect,
-    Segment,
     _bisector,
     _det3,
     _hom,
@@ -35,23 +29,6 @@ from .geometry import (
     _overlap,
     bounding_box,
 )
-
-
-@dataclass(frozen=True)
-class CellEdge:
-    """One boundary edge of a cell: either a piece of the bisector against a
-    neighboring site, or a piece of the clip frame (neighbor None)."""
-
-    segment: Segment
-    neighbor: Optional[int]
-
-
-@dataclass(frozen=True)
-class VoronoiCell:
-    site: int
-    polygon: Polygon
-    unbounded: bool
-    edges: tuple[CellEdge, ...]
 
 
 @dataclass(frozen=True)
@@ -65,14 +42,14 @@ class VoronoiDiagram:
     vertices: tuple[Point, ...]  # circumcenter of triangle t at index t
     # Cell of a site, built once from the mesh, circumcenters and frame
     # that voronoi_diagram made the diagram with.
-    _cell_of: Callable[[int], VoronoiCell] = field(repr=False, compare=False)
+    _cell_of: Callable[[int], Polygon] = field(repr=False, compare=False)
 
-    def cell(self, site: int) -> VoronoiCell:
+    def cell(self, site: int) -> Polygon:
         self.sites.check_index(site)
         return self._cell_of(site)
 
     @property
-    def cells(self) -> tuple[VoronoiCell, ...]:
+    def cells(self) -> tuple[Polygon, ...]:
         """Every cell in site order (builds those not built yet)."""
         return tuple(map(self.cell, range(len(self.sites))))
 
@@ -103,18 +80,13 @@ def _build_cell(
     centers: Sequence[Point],
     frame: Polygon,
     site: int,
-) -> VoronoiCell:
+) -> Polygon:
     pts = mesh.sites.points
     ring, spokes = mesh.fan(site)
     if not ring:
         raise GeometryError(f"site {site} has no incident triangle")
-    chain = [centers[t] for t in ring]
-    # labels[i] is the neighbor owning the edge from corners[i] to the next corner.
-    if len(spokes) == len(ring):
-        corners = chain
-        labels: list[Optional[int]] = spokes[1:] + spokes[:1]
-        unbounded = False
-    else:
+    corners = [centers[t] for t in ring]
+    if len(spokes) != len(ring):
         p = pts[site]
         # The hull edges at this site run spokes[-1] -> site -> spokes[0]
         # counterclockwise, so the outside is left of spokes[0] -> site and
@@ -130,25 +102,8 @@ def _build_cell(
         passed = [_det3(x, e, _hom(c)) < 0 for c in box]
         first = passed.index(False)
         walk = [box[i % 4] for i in range(first, first + 4) if passed[i % 4]]
-        corners = [entry] + chain + [exit_pt] + walk
-        labels = spokes + [None] * (len(walk) + 1)
-        unbounded = True
-    # Keyed by integer rows: equal rows are equal points, and tuples of
-    # ints hash without the modular inverse a Fraction hash costs. Every
-    # polygon edge joins two consecutive corners: Polygon drops a repeated
-    # corner as a zero turn, which removes only a zero-length edge, and no
-    # three consecutive distinct corners are collinear.
-    rows = [_hom(c) for c in corners]
-    n = len(corners)
-    owner = {(rows[i], rows[(i + 1) % n]): labels[i] for i in range(n)}
-    polygon = Polygon(tuple(corners))
-    edges = []
-    for seg in polygon.edges():
-        key = (_hom(seg.a), _hom(seg.b))
-        if key not in owner:
-            raise GeometryError(f"cell edge {seg} of site {site} joins no two consecutive corners")
-        edges.append(CellEdge(segment=seg, neighbor=owner[key]))
-    return VoronoiCell(site=site, polygon=polygon, unbounded=unbounded, edges=tuple(edges))
+        corners = [entry, *corners, exit_pt, *walk]
+    return Polygon(tuple(corners))
 
 
 def voronoi_diagram(sites: SiteSet, frame: Optional[Rect] = None) -> VoronoiDiagram:
@@ -197,7 +152,7 @@ def closed_cell_intersection(diagram: VoronoiDiagram, p: int, q: int):
 def _bisector_overlap(diagram: VoronoiDiagram, p: int, q: int, *more: int):
     """Common part of the closed cells of p, q and more on the p/q bisector."""
     line = _bisector(diagram.sites[p], diagram.sites[q])
-    return _overlap(_line_slice(diagram.cell(c).polygon, line) for c in (p, q, *more))
+    return _overlap(_line_slice(diagram.cell(c), line) for c in (p, q, *more))
 
 
 def common_vertex(diagram: VoronoiDiagram, p: int, q: int, r: int) -> Optional[Point]:

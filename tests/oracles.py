@@ -90,7 +90,7 @@ from proxitri.geometry import (
     segment_intersection,
 )
 from proxitri.render import STYLE
-from proxitri.voronoi import CellEdge, closed_cell_intersection
+from proxitri.voronoi import closed_cell_intersection
 
 
 def brute_delaunay_triangles(sites: SiteSet) -> set[tuple[int, int, int]]:
@@ -271,7 +271,7 @@ def composed_common_vertex(diagram, p: int, q: int, r: int):
     first = closed_cell_intersection(diagram, p, q)
     if first is None:
         return None
-    third = diagram.cell(r).polygon
+    third = diagram.cell(r)
     if isinstance(first, Point):
         result = first if locate_point(first, third) is not PointLocation.EXTERIOR else None
     else:
@@ -383,8 +383,10 @@ def halfplane_cell(sites: SiteSet, i: int, frame: Rect) -> Polygon:
     return Polygon(tuple(ring))
 
 
-def distance_matching_edges(sites: SiteSet, site: int, polygon: Polygon) -> tuple[CellEdge, ...]:
-    """Cell edges labelled by distance matching rather than by the fan.
+def distance_matching_edges(
+    sites: SiteSet, site: int, polygon: Polygon
+) -> tuple[tuple[Segment, Optional[int]], ...]:
+    """Each cell edge with its owner, found by distance matching.
 
     An edge belongs to the site that is exactly as far from each of its
     endpoints as the cell's own site is: the two sites' bisector carries
@@ -401,7 +403,7 @@ def distance_matching_edges(sites: SiteSet, site: int, polygon: Polygon) -> tupl
             if q != site and distance_sq(seg.a, pt) == da and distance_sq(seg.b, pt) == db:
                 owner = q
                 break
-        out.append(CellEdge(segment=seg, neighbor=owner))
+        out.append((seg, owner))
     return tuple(out)
 
 
@@ -883,7 +885,7 @@ def all_pairs_check_dual(diagram) -> list[CheckResult]:
 
 def all_pairs_check_leader(mesh) -> list[CheckResult]:
     """leader/symmetry and leader/geometric-agreement over every triangle pair."""
-    hoods = {h.anchor: h.neighbors for h in checks.leader_neighborhoods(mesh)}
+    hoods = checks.leader_neighborhoods(mesh)
     sym_ok = all(
         (a in hoods[b]) == (b in hoods[a]) for a, b in combinations(range(len(mesh)), 2)
     )

@@ -283,7 +283,7 @@ def test_criterion_10_leader_neighborhoods(corpus):
     mismatches = 0
     for entry in corpus:
         mesh = entry.mesh
-        hoods = {h.anchor: h.neighbors for h in leader_neighborhoods(mesh)}
+        hoods = leader_neighborhoods(mesh)
         polys = [mesh.triangle_polygon(t) for t in range(len(mesh))]
         for a, b in combinations(range(len(mesh)), 2):
             family = b in hoods[a]

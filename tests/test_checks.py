@@ -22,7 +22,7 @@ from proxitri.checks import _check_delaunay, _check_dual, _circumdisk_scan, run_
 from proxitri.delaunay import SiteSet, TriMesh
 from proxitri.generate import generate_sites
 from proxitri.geometry import Orientation, _hom, _ring_area2, orientation
-from proxitri.regions import LeaderNeighborhood, extract_regions, region_union_polygon
+from proxitri.regions import extract_regions, region_union_polygon
 from proxitri.voronoi import closed_cell_intersection, voronoi_diagram
 
 from oracles import (
@@ -76,9 +76,9 @@ def _patch_families(monkeypatch, edit):
     build = checks.leader_neighborhoods
 
     def patched(mesh, scope=None):
-        hoods = {h.anchor: set(h.neighbors) for h in build(mesh, scope)}
+        hoods = {a: set(family) for a, family in build(mesh, scope).items()}
         edit(hoods)
-        return [LeaderNeighborhood(a, frozenset(f)) for a, f in hoods.items()]
+        return {a: frozenset(family) for a, family in hoods.items()}
 
     monkeypatch.setattr(checks, "leader_neighborhoods", patched)
 
@@ -106,7 +106,7 @@ class TestLeaderFaults:
     def test_dropped_neighbor(self, monkeypatch, diagram):
         # The pair (a, b) reads only a's family, since a < b.
         a = 7
-        b = max(checks.leader_neighborhoods(diagram.mesh)[a].neighbors)
+        b = max(checks.leader_neighborhoods(diagram.mesh)[a])
         assert a < b
         _patch_families(monkeypatch, lambda hoods: hoods[a].discard(b))
         got = self._compare(diagram)
@@ -136,7 +136,7 @@ class TestLeaderFaults:
 
     def test_triangles_near_drops_a_contact(self, monkeypatch, diagram):
         real = checks.triangles_near
-        a, b = 5, min(checks.leader_neighborhoods(diagram.mesh)[5].neighbors)
+        a, b = 5, min(checks.leader_neighborhoods(diagram.mesh)[5])
         wrong = {(a, b), (b, a)}
         monkeypatch.setattr(
             checks, "triangles_near", lambda mesh, s, t: (s, t) not in wrong and real(mesh, s, t)

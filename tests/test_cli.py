@@ -392,17 +392,16 @@ EXPORTS = {
         "circumcircle convex_closed_intersection convex_hull distance_sq in_circumcircle "
         "is_convex_polygon locate_point orientation segment_intersection"
     ),
-    "proximity": "ProximityVerdict Relation far near strongly_near_triangles triangles_near",
+    "proximity": "ProximityVerdict far near strongly_near_triangles triangles_near",
     "regions": (
-        "LeaderNeighborhood Region extract_regions is_region_convex leader_neighborhoods "
+        "Region extract_regions is_region_convex leader_neighborhoods "
         "proximal_region_pairs region_common_intersection region_union_polygon"
     ),
-    "voronoi": (
-        "CellEdge VoronoiCell VoronoiDiagram common_vertex default_frame voronoi_diagram"
-    ),
+    "voronoi": "VoronoiDiagram common_vertex default_frame voronoi_diagram",
 }
 # Exported until the library dropped them; each must now be missing.
 REMOVED = (
+    "CellEdge LeaderNeighborhood Relation VoronoiCell "
     "cells_strongly_near connected_components convex_polygon_intersection "
     "is_constrained_delaunay_edge is_delaunay_edge is_delaunay_triangle is_visible"
 )

@@ -16,7 +16,6 @@ from proxitri.geometry import (
     Polygon,
     Segment,
     circumcircle,
-    collinear,
     convex_closed_intersection,
     convex_hull,
     distance_sq,
@@ -470,7 +469,6 @@ class TestIntegerKernel:
         a, b, c = abc
         expected = fraction_orientation(a, b, c)
         assert orientation(a, b, c) is expected
-        assert collinear(a, b, c) == (expected is Orientation.COLLINEAR)
 
     @settings(max_examples=200, deadline=None)
     @given(triples())

@@ -13,7 +13,6 @@ from proxitri.geometry import (
     locate_point,
 )
 from proxitri.proximity import (
-    Relation,
     far,
     near,
     strongly_near_triangles,
@@ -33,11 +32,11 @@ class TestNearFar:
         pq = Segment(P(0, 0), P(1, 1))
         qr = Segment(P(1, 1), P(2, 0))
         verdict = near(pq, qr)
-        assert verdict.relation is Relation.NEAR
+        assert verdict.is_near
         assert verdict.witness == P(1, 1)
 
     def test_disjoint_parallel_segments(self):
-        assert near(Segment(P(0, 0), P(1, 0)), Segment(P(0, 1), P(1, 1))).relation is Relation.FAR
+        assert not near(Segment(P(0, 0), P(1, 0)), Segment(P(0, 1), P(1, 1))).is_near
 
     def test_reflexive(self):
         seg = Segment(P(0, 0), P(3, 1))
@@ -106,7 +105,7 @@ class TestNearFar:
         for a, b in pairs:
             for x, y in ((a, b), (b, a)):
                 verdict = near(x, y)
-                assert verdict.relation is Relation.FAR
+                assert not verdict.is_near
                 assert verdict.witness is None
                 assert far(x, y)
 
@@ -116,7 +115,7 @@ class TestNearFar:
         if a == b or c == d:
             return
         s, t = Segment(a, b), Segment(c, d)
-        assert near(s, t).relation is near(t, s).relation
+        assert near(s, t).is_near == near(t, s).is_near
 
     @given(points, points, points, points)
     @settings(max_examples=80)

@@ -164,7 +164,7 @@ class TestCommonIntersection:
 class TestLeaderNeighborhoods:
     def test_fan(self, fan_mesh):
         hoods = leader_neighborhoods(fan_mesh)
-        assert [(h.anchor, sorted(h.neighbors)) for h in hoods] == [
+        assert [(a, sorted(family)) for a, family in hoods.items()] == [
             (0, [1, 2]),
             (1, [0, 2]),
             (2, [0, 1]),
@@ -173,18 +173,18 @@ class TestLeaderNeighborhoods:
     def test_single_triangle_empty_family(self):
         mesh = triangulate(SiteSet.of([(0, 0), (4, 0), (0, 4)]))
         hoods = leader_neighborhoods(mesh)
-        assert len(hoods) == 1 and hoods[0].neighbors == frozenset()
+        assert hoods == {0: frozenset()}
 
     def test_strip_anchor_one(self):
         mesh = strip_mesh()
-        hoods = {h.anchor: h.neighbors for h in leader_neighborhoods(mesh)}
+        hoods = leader_neighborhoods(mesh)
         assert hoods[0] == frozenset({1, 2})  # edge partner plus vertex contact
 
     def test_scope_restriction(self):
         mesh = strip_mesh()
         scope = Region(mesh, frozenset({0, 1}))
         hoods = leader_neighborhoods(mesh, scope)
-        assert [(h.anchor, sorted(h.neighbors)) for h in hoods] == [
+        assert [(a, sorted(family)) for a, family in hoods.items()] == [
             (0, [1]),
             (1, [0]),
         ]
@@ -192,7 +192,7 @@ class TestLeaderNeighborhoods:
     def test_symmetry_and_soundness(self, corpus):
         for entry in corpus[:6]:
             mesh = entry.mesh
-            hoods = {h.anchor: h.neighbors for h in leader_neighborhoods(mesh)}
+            hoods = leader_neighborhoods(mesh)
             for anchor, neighbors in hoods.items():
                 for b in neighbors:
                     assert triangles_near(mesh, anchor, b)
@@ -205,7 +205,7 @@ class TestLeaderNeighborhoods:
         for entry in corpus[:3]:
             mesh = entry.mesh
             polys = [mesh.triangle_polygon(t) for t in range(len(mesh))]
-            hoods = {h.anchor: h.neighbors for h in leader_neighborhoods(mesh)}
+            hoods = leader_neighborhoods(mesh)
             for a in range(len(mesh)):
                 for b in range(len(mesh)):
                     if a == b:

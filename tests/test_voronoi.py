@@ -15,6 +15,7 @@ from proxitri.geometry import (
     is_convex_polygon,
     locate_point,
 )
+from proxitri.render import render_svg
 from proxitri.voronoi import closed_cell_intersection, common_vertex, voronoi_diagram
 
 from oracles import (
@@ -49,24 +50,33 @@ def caller_frame_diagrams(entries):
     return out
 
 
+def reaches_frame(diagram, site) -> bool:
+    return any(on_frame_boundary(diagram.frame, v) for v in diagram.cell(site).vertices)
+
+
 class TestConstruction:
     def test_five_site_center_cell(self):
         diagram = voronoi_diagram(sites_of((0, 0), (2, 0), (0, 2), (2, 2), (1, 1)))
-        cell = diagram.cells[4]
-        assert cell.polygon == Polygon(
+        assert diagram.cells[4] == Polygon(
             (Point(1, 0), Point(2, 1), Point(1, 2), Point(0, 1))
         )
-        assert not cell.unbounded
-        neighbors = {e.neighbor for e in cell.edges}
-        assert neighbors == {0, 1, 2, 3}
+        assert not reaches_frame(diagram, 4)
+        for q in range(4):
+            assert isinstance(closed_cell_intersection(diagram, 4, q), Segment)
 
     def test_three_site_unbounded_cells(self):
         diagram = voronoi_diagram(sites_of((0, 0), (4, 0), (0, 4)))
-        assert [c.unbounded for c in diagram.cells] == [True, True, True]
         assert diagram.vertices == (Point(2, 2),)
-        for cell in diagram.cells:
-            frame_edges = [e for e in cell.edges if e.neighbor is None]
-            assert frame_edges  # every clipped cell borders the frame
+        assert all(reaches_frame(diagram, i) for i in range(3))
+
+    def test_hull_cells_reach_frame(self, corpus, degenerate_corpus):
+        # A hull cell is closed on the frame; every other cell's corners are
+        # circumcenters, strictly inside it.
+        entries = corpus + degenerate_corpus
+        for diagram in [e.diagram for e in entries] + caller_frame_diagrams(entries):
+            hull = set(diagram.mesh.hull())
+            for i in range(len(diagram.sites)):
+                assert reaches_frame(diagram, i) == (i in hull)
 
     def test_frame_too_small(self):
         sites = sites_of((0, 0), (4, 0), (0, 4))
@@ -86,21 +96,20 @@ class TestConstruction:
 
     def test_site_interior_to_cell(self, corpus):
         for entry in corpus[:8]:
-            for cell in entry.diagram.cells:
-                site = entry.sites[cell.site]
-                assert locate_point(site, cell.polygon) is PointLocation.INTERIOR
+            for site, cell in zip(entry.sites.points, entry.diagram.cells):
+                assert locate_point(site, cell) is PointLocation.INTERIOR
 
     def test_cells_convex(self, corpus):
         for entry in corpus[:8]:
             for cell in entry.diagram.cells:
-                assert is_convex_polygon(cell.polygon)
+                assert is_convex_polygon(cell)
 
     def test_bounded_vertices_are_circumcenters(self, corpus):
         for entry in corpus[:8]:
             diagram = entry.diagram
             centers = set(diagram.vertices)
             for cell in diagram.cells:
-                for v in cell.polygon.vertices:
+                for v in cell.vertices:
                     if not on_frame_boundary(diagram.frame, v):
                         assert v in centers
 
@@ -110,16 +119,15 @@ class TestConstruction:
             f = diagram.frame
             frame_area = (f.x1 - f.x0) * (f.y1 - f.y0)
             total = sum(
-                (c.polygon.area() for c in diagram.cells), start=Fraction(0)
+                (c.area() for c in diagram.cells), start=Fraction(0)
             )
             assert total == frame_area
 
     def test_matches_halfplane_oracle(self, corpus):
         entries = corpus[:8]
         for diagram in [e.diagram for e in entries] + caller_frame_diagrams(entries):
-            for cell in diagram.cells:
-                expected = halfplane_cell(diagram.sites, cell.site, diagram.frame)
-                assert cell.polygon == expected
+            for site, cell in enumerate(diagram.cells):
+                assert cell == halfplane_cell(diagram.sites, site, diagram.frame)
 
     def test_lazy_cell_matches_full_build(self, corpus, degenerate_corpus):
         for entry in corpus + degenerate_corpus:
@@ -129,19 +137,30 @@ class TestConstruction:
                 assert lazy.cell(site) == full[site]
             assert lazy.cells == full
 
-    def test_edge_labels_match_distance_reference(self, corpus, degenerate_corpus):
+    def test_render_draws_each_edge_once(self, corpus, degenerate_corpus):
+        # One dashed line per pair of cells sharing a positive-length edge,
+        # counted from the mesh and from the distance-matched edge owners.
         entries = corpus + degenerate_corpus
         for diagram in [e.diagram for e in entries] + caller_frame_diagrams(entries):
-            for cell in diagram.cells:
-                expected = distance_matching_edges(diagram.sites, cell.site, cell.polygon)
-                assert cell.edges == expected
+            svg = render_svg("voronoi", diagram.mesh, diagram)
+            drawn = sum("stroke-dasharray" in line for line in svg.splitlines())
+            strong = [
+                (p, q) for p, q in diagram.mesh.edges()
+                if isinstance(closed_cell_intersection(diagram, p, q), Segment)
+            ]
+            owned = {
+                frozenset((site, owner))
+                for site, cell in enumerate(diagram.cells)
+                for _, owner in distance_matching_edges(diagram.sites, site, cell)
+                if owner is not None
+            }
+            assert drawn == len(strong) == len(owned)
 
     def test_nearest_site_property_on_vertices(self, corpus):
         # every cell corner is at least as close to its own site as to others
         for entry in corpus[:6]:
-            for cell in entry.diagram.cells:
-                own = entry.sites[cell.site]
-                for v in cell.polygon.vertices:
+            for own, cell in zip(entry.sites.points, entry.diagram.cells):
+                for v in cell.vertices:
                     d_own = distance_sq(v, own)
                     assert all(
                         distance_sq(v, other) >= d_own for other in entry.sites.points
@@ -223,9 +242,8 @@ class TestStrongNearness:
         diagram = voronoi_diagram(sites)
         mesh = diagram.mesh
         assert mesh.has_edge(0, 1) and mesh.has_edge(0, 2)
-        cell_p = diagram.cells[0]
-        assert not cell_p.unbounded
-        assert len(cell_p.polygon.vertices) == 5
+        assert not reaches_frame(diagram, 0)
+        assert len(diagram.cells[0].vertices) == 5
         shared = closed_cell_intersection(diagram, 0, 1)
         assert isinstance(shared, Segment)
         # the oracle cells agree on the shared segment
