@@ -9,7 +9,6 @@ and general-position duals.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -24,9 +23,7 @@ from .geometry import (
     Point,
     Rect,
     Segment,
-    _circumcenter,
     _hom,
-    _incircle_det,
     _ring_area2,
     is_convex_polygon,
     orientation,
@@ -40,7 +37,6 @@ from .regions import (
 )
 from .voronoi import (
     VoronoiDiagram,
-    _equidistant_sites,
     closed_cell_intersection,
     common_vertex,
     voronoi_diagram,
@@ -125,44 +121,12 @@ def _ranks(values: list) -> dict:
 
 def _circumdisk_scan(mesh: TriMesh) -> Callable[[int], Optional[int]]:
     """The function giving, for triangle t, the smallest index of a site
-    strictly inside its circumdisk (None when the open disk is empty).
-
-    A site inside the disk has (x - c_x)^2 < r^2. With the sites sorted by
-    x, those with (x - c_x)^2 <= r^2 form one run: the test is monotone on
-    each side of c_x, so a bisection on each side finds an end of the run.
-    Only the run is scanned, with the in-circle determinant on integer rows.
-    """
-    pts = mesh.sites.points
-    rows = mesh.sites.rows
-    by_x = sorted(range(len(pts)), key=lambda i: pts[i].x)
-    xs = [pts[i].x for i in by_x]
-    positions = range(len(by_x))
+    strictly inside its circumdisk (None when the open disk is empty)."""
 
     def scan(t: int) -> Optional[int]:
-        i, j, k = mesh.triangles[t]
-        if orientation(pts[i], pts[j], pts[k]) is not Orientation.CCW:
+        if orientation(*mesh.triangle_points(t)) is not Orientation.CCW:
             raise NotCCW(f"triangle {t} is not counterclockwise")
-        a, b, c = rows[i], rows[j], rows[k]
-        center, nx, ny, den = _circumcenter(pts[i], pts[j], pts[k])
-        # With c_x = cx / cw and r^2 = (nx^2 + ny^2) / den^2, a site X / W
-        # is in the run when (X cw - cx W)^2 den^2 <= (nx^2 + ny^2) cw^2 W^2.
-        cx, cw = center.x.numerator, center.x.denominator
-        lift = (nx * nx + ny * ny) * cw * cw
-        den2 = den * den
-
-        def in_run(pos: int) -> bool:
-            x, _, w = rows[by_x[pos]]
-            d = x * cw - cx * w
-            return d * d * den2 <= lift * w * w
-
-        # Bisections on a boolean key: the first position where it is True.
-        mid = bisect_left(xs, center.x)
-        lo = bisect_left(positions, True, 0, mid, key=in_run)
-        hi = bisect_left(positions, True, mid, key=lambda pos: not in_run(pos))
-        for d in sorted(by_x[lo:hi]):
-            if d not in (i, j, k) and _incircle_det(a, b, c, rows[d]) > 0:
-                return d
-        return None
+        return mesh.sites.disk(mesh.circumcenter(t), mesh.triangles[t][0])[0]
 
     return scan
 
@@ -224,7 +188,7 @@ def _check_dual(diagram: VoronoiDiagram, contact: Callable) -> list[CheckResult]
             continue
         # shared lies in closed cell p, so the sites as far from it as p
         # are its nearest sites.
-        if isinstance(shared, Point) and _equidistant_sites(diagram.sites, shared, p) >= 4:
+        if isinstance(shared, Point) and diagram.sites.disk(shared, p)[1] >= 4:
             degenerate = f"pair-{p}-{q}:cocircular-contact"
             continue
         bad = f"pair-{p}-{q}:mesh={in_mesh},voronoi={strong}"

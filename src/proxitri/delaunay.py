@@ -1,9 +1,10 @@
 """Delaunay and constrained Delaunay triangulation over exact coordinates.
 
-Construction is a lexicographic sweep followed by Lawson edge flips. The
-hull of the partial mesh is kept as two monotone chains, lower and upper,
-both ending at the site swept last; each new site is joined to the hull
-edges it strictly sees, which it pops off the chain ends. While it is
+Construction is a sweep over `SiteSet.order`, the site indices in
+lexicographic order, followed by Lawson edge flips. The hull of the
+partial mesh is kept as two monotone chains, lower and upper, both ending
+at the site swept last; each new site is joined to the hull edges it
+strictly sees, which it pops off the chain ends. While it is
 built, the mesh is one map from each directed edge (u, v) of each
 counterclockwise triangle (u, v, w) to its apex w: the one question a
 flip or a constraint walk asks. Flip decisions use an in-circle predicate
@@ -15,11 +16,13 @@ The predicates are geometry's determinants on its one integer form of a
 point: site i is the row `sites.rows[i]` = `_hom(site)` = (X_i, Y_i, W_i),
 W_i the lcm of the site's own two denominators, so operand sizes stay
 those of the individual sites instead of growing with the lcm of every
-denominator in the set.
+denominator in the set. `SiteSet.disk` answers which sites lie inside or
+on a circle from the run of `SiteSet.order` whose x is near its centre.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -63,6 +66,8 @@ class SiteSet:
     # Entry i is site i's integer row _hom(points[i]), derived once for every
     # layer to read; rows are canonical, so row -> index finds duplicates.
     rows: tuple[Homogeneous, ...] = field(init=False, repr=False, compare=False)
+    # The site indices in lexicographic (x, y) order, so also in x order.
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: dict[Homogeneous, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -75,7 +80,10 @@ class SiteSet:
             first = seen.setdefault(_hom(p), i)
             if first != i:
                 raise DuplicateSite(f"site {p} appears at #{first} and #{i}")
-        object.__setattr__(self, "rows", tuple(seen))  # keys in site order
+        rows = tuple(seen)  # keys in site order
+        object.__setattr__(self, "rows", rows)
+        order = sorted(range(len(rows)), key=lambda i: _row_order(rows[i]))
+        object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "_index", seen)
 
     @property
@@ -100,6 +108,48 @@ class SiteSet:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < len(self.points):
             raise IndexOutOfRange(f"site index {i!r} out of range 0..{len(self.points) - 1}")
         return i
+
+    def disk(self, u: Point, p: int) -> tuple[Optional[int], int]:
+        """Where the sites lie against the circle centred at u through site p:
+        the smallest index of a site strictly inside (None when there is
+        none), and the number of sites on the circle.
+
+        Site i is at squared distance N_i / (W_u^2 W_i^2) from u, with the
+        integer N_i = |W_u (X_i, Y_i) - W_i (X_u, Y_u)|^2, so it is inside,
+        on or outside as N_i W_p^2 is <, = or > N_p W_i^2. A site inside or
+        on has (x - u_x)^2 <= r^2; in x order those sites form one run, as
+        the test is monotone on each side of u_x, and a bisection on each
+        side finds an end of it. Only the run is tested.
+        """
+        ux, uy, uw = _hom(u)
+        rows, order = self.rows, self.order
+
+        def dist(i: int) -> tuple[int, int]:
+            x, y, w = rows[i]
+            dx = x * uw - ux * w
+            dy = y * uw - uy * w
+            return dx * dx + dy * dy, w * w
+
+        n_p, w_p2 = dist(p)
+
+        def in_run(i: int) -> bool:
+            x, _, w = rows[i]
+            dx = x * uw - ux * w
+            return dx * dx * w_p2 <= n_p * w * w
+
+        # Bisections on a boolean key: the first position where it is True.
+        mid = bisect_left(order, True, key=lambda i: rows[i][0] * uw >= ux * rows[i][2])
+        lo = bisect_left(order, True, 0, mid, key=in_run)
+        hi = bisect_left(order, True, mid, key=lambda i: not in_run(i))
+        inside, on = None, 0
+        for i in order[lo:hi]:
+            n_i, w_i2 = dist(i)
+            lhs, rhs = n_i * w_p2, n_p * w_i2
+            if lhs < rhs:
+                inside = i if inside is None else min(inside, i)
+            elif lhs == rhs:
+                on += 1
+        return inside, on
 
 
 @dataclass(frozen=True)
@@ -210,7 +260,7 @@ def _build_delaunay(sites: SiteSet) -> _MeshBuilder:
     rows = builder.rows
     lower: list[int] = []
     upper: list[int] = []
-    for p in sorted(range(n), key=lambda i: _row_order(rows[i])):
+    for p in sites.order:
         seeds = []
         while len(lower) > 1 and _det3(rows[lower[-2]], rows[lower[-1]], rows[p]) < 0:
             v = lower.pop()

@@ -18,6 +18,7 @@ slices), with one division per coordinate.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -28,13 +29,15 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import CollinearInput, NonConvexInput, NotCCW
 
 CoordinateInput = Union[Fraction, int, str]
+_LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
 def as_coord(value: CoordinateInput) -> Fraction:
     """Coerce a coordinate to an exact rational.
 
-    Accepts ints, Fractions and signed decimal or p/q literals ("-1.25",
-    "5/4"), but no exponent, which Fraction would expand first ("1e9999999").
+    Accepts ints, Fractions and signed decimal or p/q literals in ASCII
+    digits ("-1.25", ".5", "5/4"): no exponent, which Fraction would expand
+    first ("1e9999999"), and no "_", which Fraction takes only on 3.11+.
     Floats are rejected: pass the literal as a string instead.
     """
     if isinstance(value, Fraction):
@@ -44,7 +47,7 @@ def as_coord(value: CoordinateInput) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value or "E" in value:
+        if not _LITERAL.fullmatch(value):
             raise ValueError(f"bad coordinate literal {value!r}")
         try:
             return Fraction(value)

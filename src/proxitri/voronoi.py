@@ -6,7 +6,8 @@ counterclockwise, are the cell corners. Hull sites get two outward
 bisector rays which are clipped to a bounding frame, so every cell is
 represented by a closed convex polygon. Which cells share an edge is
 read off the polygons: closed_cell_intersection slices two cells by
-their bisector.
+their bisector. Whether more than three cells meet at a point is the tie
+count of `SiteSet.disk`, which reads the sites in `SiteSet.order`.
 """
 
 from __future__ import annotations
@@ -176,29 +177,9 @@ def common_vertex(diagram: VoronoiDiagram, p: int, q: int, r: int) -> Optional[P
         raise DegenerateIntersection(
             f"cells {p}, {q}, {r} share more than a point: {u}"
         )
-    tied = _equidistant_sites(diagram.sites, u, p)
+    tied = diagram.sites.disk(u, p)[1]
     if tied > 3:
         raise DegenerateIntersection(
             f"{tied} cocircular cells meet at {u}; no three-cell vertex"
         )
     return u
-
-
-def _equidistant_sites(sites: SiteSet, u: Point, p: int) -> int:
-    """Number of sites exactly as far from u as site p.
-
-    Site i is at squared distance d_i = N_i / (W_u^2 W_i^2) with the integer
-    N_i = |W_u (X_i, Y_i) - W_i (X_u, Y_u)|^2, so d_i = d_p exactly when
-    N_i W_p^2 = N_p W_i^2.
-    """
-    ux, uy, uw = _hom(u)
-
-    def scaled_dist(row: tuple[int, int, int]) -> tuple[int, int]:
-        x, y, w = row
-        dx = x * uw - ux * w
-        dy = y * uw - uy * w
-        return dx * dx + dy * dy, w * w
-
-    n_p, w_p2 = scaled_dist(sites.rows[p])
-    return sum(1 for n_i, w_i2 in map(scaled_dist, sites.rows) if n_i * w_p2 == n_p * w_i2)
-

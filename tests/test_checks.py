@@ -21,7 +21,15 @@ from proxitri import checks
 from proxitri.checks import _check_delaunay, _check_dual, _circumdisk_scan, run_checks
 from proxitri.delaunay import SiteSet, TriMesh
 from proxitri.generate import generate_sites
-from proxitri.geometry import Orientation, _hom, _ring_area2, orientation
+from proxitri.geometry import (
+    Orientation,
+    Point,
+    _hom,
+    _ring_area2,
+    bounding_box,
+    distance_sq,
+    orientation,
+)
 from proxitri.regions import extract_regions, region_union_polygon
 from proxitri.voronoi import closed_cell_intersection, voronoi_diagram
 
@@ -236,9 +244,10 @@ def test_overlapping_boxes_match_all_pairs(boxes):
     assert checks._overlapping_boxes(boxes) == expected
 
 
-def test_circumdisk_scan_matches_full_scan():
-    """Arbitrary counterclockwise triples, not only Delaunay triangles, so
-    that many disks hold sites and the smallest intruder is compared."""
+def _triple_meshes():
+    """For each distribution and seeds 0-2, a random generator and a mesh of
+    150 arbitrary counterclockwise triples of 30 sites: not only Delaunay
+    triangles, so that many circumdisks hold sites."""
     for distribution in ("uniform", "clustered", "cocircular", "collinear-heavy"):
         for seed in range(3):
             sites = SiteSet(tuple(generate_sites(30, seed, distribution)))
@@ -248,11 +257,48 @@ def test_circumdisk_scan_matches_full_scan():
                 tri = tuple(rng.sample(range(len(sites)), 3))
                 if orientation(*(sites[v] for v in tri)) is Orientation.CCW:
                     triples.add(_canonical(tri))
-            mesh = TriMesh(sites, tuple(sorted(triples)), frozenset())
-            scan = _circumdisk_scan(mesh)
-            got = [scan(t) for t in range(len(mesh))]
-            assert got == [scan_site_inside_circumdisk(mesh, t) for t in range(len(mesh))]
-            assert any(hit is not None for hit in got)
+            yield rng, TriMesh(sites, tuple(sorted(triples)), frozenset())
+
+
+def test_circumdisk_scan_matches_full_scan():
+    """The smallest intruder of each circumdisk of arbitrary triples."""
+    for _, mesh in _triple_meshes():
+        scan = _circumdisk_scan(mesh)
+        got = [scan(t) for t in range(len(mesh))]
+        assert got == [scan_site_inside_circumdisk(mesh, t) for t in range(len(mesh))]
+        assert any(hit is not None for hit in got)
+
+
+def _disk_reference(sites, u, p):
+    """SiteSet.disk over every site, on Fraction distances."""
+    d = [distance_sq(u, s) for s in sites.points]
+    inside = next((i for i, d_i in enumerate(d) if d_i < d[p]), None)
+    return inside, d.count(d[p])
+
+
+def test_disk_matches_all_sites():
+    """The disk query at circumcentres of arbitrary counterclockwise
+    triples, at grid points, and at each site with p that site."""
+    ties = 0
+    for rng, mesh in _triple_meshes():
+        sites = mesh.sites
+        n = len(sites)
+        assert list(sites.order) == sorted(range(n), key=lambda i: sites[i].key())
+        for t, (i, _, _) in enumerate(mesh.triangles):
+            u = mesh.circumcenter(t)
+            inside, on = sites.disk(u, i)
+            assert inside == scan_site_inside_circumdisk(mesh, t)
+            assert on == _disk_reference(sites, u, i)[1]
+            ties += on > 3
+        x0, y0, x1, y1 = bounding_box(sites.points)
+        for a in range(-1, 8):
+            for b in range(-1, 8):
+                u = Point(x0 + (x1 - x0) * Fraction(a, 6), y0 + (y1 - y0) * Fraction(b, 6))
+                p = rng.randrange(n)
+                assert sites.disk(u, p) == _disk_reference(sites, u, p)
+        for p in range(n):
+            assert sites.disk(sites[p], p) == _disk_reference(sites, sites[p], p) == (None, 1)
+    assert ties > 0
 
 
 def test_region_areas_on_integers(corpus, degenerate_corpus):

@@ -62,6 +62,13 @@ class TestCoordinates:
         assert p.x == Fraction(1, 10)
         assert p.y == Fraction(1, 3)
 
+    @pytest.mark.parametrize(
+        "literal, value",
+        [("-.5", Fraction(-1, 2)), ("5.", Fraction(5)), ("+3", Fraction(3)), ("5/4", Fraction(5, 4))],
+    )
+    def test_grammar_literals_accepted(self, literal, value):
+        assert P(literal, 0).x == value
+
     def test_floats_are_rejected(self):
         with pytest.raises(TypeError):
             P(0.5, 1)

@@ -86,6 +86,17 @@ class TestSiteFiles:
         with pytest.raises(ValueError):
             Point(literal, 0)
 
+    # Fraction takes "_" only on Python 3.11+ and non-ASCII digits on every
+    # version; the grammar rejects both on every version, as it does a
+    # decimal numerator and a bare point.
+    @pytest.mark.parametrize("literal", ["1_000", "1_0.5", "1/2_0", "١٢", "１", "1.5/2", "."])
+    def test_literal_outside_grammar_rejected(self, literal):
+        with pytest.raises(ParseError, match="bad coordinate literal") as err:
+            parse_site_file(f"proxitri-sites 1\n0 0\n{literal} 1\n")
+        assert ":3:" in str(err.value)
+        with pytest.raises(ValueError):
+            Point(literal, 0)
+
     def test_long_plain_literal_rejected(self):
         with pytest.raises(ParseError, match="bad coordinate literal"):
             parse_site_file("proxitri-sites 1\n0 " + "1" * 5000 + "\n")
