@@ -9,7 +9,6 @@ and general-position duals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
@@ -23,6 +22,7 @@ from .geometry import (
     Point,
     Rect,
     Segment,
+    _Frozen,
     _hom,
     _ring_area2,
     is_convex_polygon,
@@ -43,11 +43,18 @@ from .voronoi import (
 )
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str  # pass | fail | degenerate-skip
-    witness: str = "-"
+class CheckResult(_Frozen):
+    """One verdict record: unlike the geometric values, mutable and unhashable."""
+
+    __slots__ = _fields = ("name", "status", "witness")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, status: str, witness: str = "-"):
+        self.name = name
+        self.status = status  # pass | fail | degenerate-skip
+        self.witness = witness
 
     @property
     def failed(self) -> bool:
@@ -68,8 +75,10 @@ def run_checks(
     results: list[CheckResult] = []
     stats: dict = {}
     # Per-triangle and per-site-pair results that two suites read, computed
-    # once per run. Cell contacts are keyed by the ordered pair (p < q).
-    intruder = cache(_circumdisk_scan(mesh))
+    # once per run. Cell contacts are keyed by the ordered pair (p < q). The
+    # intruder and the common vertex's tie count of a triangle are one
+    # query of the diagram's disk.
+    intruder = cache(_circumdisk_scan(mesh, diagram._disk))
     vertex = cache(partial(_triangle_vertex, diagram))
     contact = cache(partial(closed_cell_intersection, diagram))
     if "delaunay" in wanted:
@@ -119,14 +128,15 @@ def _ranks(values: list) -> dict:
     return {v: r for r, v in enumerate(sorted(set(values)))}
 
 
-def _circumdisk_scan(mesh: TriMesh) -> Callable[[int], Optional[int]]:
+def _circumdisk_scan(mesh: TriMesh, disk: Callable) -> Callable[[int], Optional[int]]:
     """The function giving, for triangle t, the smallest index of a site
-    strictly inside its circumdisk (None when the open disk is empty)."""
+    strictly inside its circumdisk (None when the open disk is empty),
+    asked of disk, which is mesh.sites.disk or a cache of it."""
 
     def scan(t: int) -> Optional[int]:
         if orientation(*mesh.triangle_points(t)) is not Orientation.CCW:
             raise NotCCW(f"triangle {t} is not counterclockwise")
-        return mesh.sites.disk(mesh.circumcenter(t), mesh.triangles[t][0])[0]
+        return disk(mesh.circumcenter(t), mesh.triangles[t][0])[0]
 
     return scan
 
@@ -188,7 +198,7 @@ def _check_dual(diagram: VoronoiDiagram, contact: Callable) -> list[CheckResult]
             continue
         # shared lies in closed cell p, so the sites as far from it as p
         # are its nearest sites.
-        if isinstance(shared, Point) and diagram.sites.disk(shared, p)[1] >= 4:
+        if isinstance(shared, Point) and diagram._disk(shared, p)[1] >= 4:
             degenerate = f"pair-{p}-{q}:cocircular-contact"
             continue
         bad = f"pair-{p}-{q}:mesh={in_mesh},voronoi={strong}"

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -43,6 +42,7 @@ from .geometry import (
     Point,
     Polygon,
     Segment,
+    _Frozen,
     _between,
     _circumcenter,
     _det3,
@@ -54,24 +54,22 @@ from .geometry import (
     segment_intersection,
 )
 
-@dataclass(frozen=True)
-class SiteSet:
+class SiteSet(_Frozen):
     """Ordered, duplicate-free collection of sites.
 
     Insertion order is retained: it is the tie-break authority for
     cocircular configurations and therefore part of the value.
     """
 
-    points: tuple[Point, ...]
-    # Entry i is site i's integer row _hom(points[i]), derived once for every
-    # layer to read; rows are canonical, so row -> index finds duplicates.
-    rows: tuple[Homogeneous, ...] = field(init=False, repr=False, compare=False)
-    # The site indices in lexicographic (x, y) order, so also in x order.
-    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _index: dict[Homogeneous, int] = field(init=False, repr=False, compare=False)
+    # Entry i of rows is site i's integer row _hom(points[i]), derived once
+    # for every layer to read; rows are canonical, so _index (row -> index)
+    # finds duplicates. order holds the site indices in lexicographic (x, y)
+    # order, so also in x order.
+    __slots__ = ("points", "rows", "order", "_index")
+    _fields = ("points",)
 
-    def __post_init__(self):
-        pts = tuple(self.points)
+    def __init__(self, points: Iterable[Point]):
+        pts = tuple(points)
         object.__setattr__(self, "points", pts)
         seen: dict[Homogeneous, int] = {}
         for i, p in enumerate(pts):
@@ -152,14 +150,13 @@ class SiteSet:
         return inside, on
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(_Frozen):
     """Segments that a constrained triangulation must contain as edges."""
 
-    segments: tuple[Segment, ...]
+    __slots__ = _fields = ("segments",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __init__(self, segments: Iterable[Segment]):
+        object.__setattr__(self, "segments", tuple(segments))
 
     @classmethod
     def of(cls, coords: Iterable[tuple]) -> "ConstraintSet":
@@ -282,8 +279,7 @@ def _build_delaunay(sites: SiteSet) -> _MeshBuilder:
 # Frozen mesh.
 
 
-@dataclass(frozen=True)
-class TriMesh:
+class TriMesh(_Frozen):
     """Immutable indexed triangle mesh.
 
     Triangles are CCW index triples, each rotated so its smallest vertex
@@ -293,15 +289,15 @@ class TriMesh:
     start spoke per site; neither takes part in equality.
     """
 
-    sites: SiteSet
-    triangles: tuple[tuple[int, int, int], ...]
-    constrained: frozenset[tuple[int, int]]
-    _tri_of: dict = field(init=False, repr=False, compare=False)
-    _spoke: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("sites", "triangles", "constrained", "_tri_of", "_spoke")
+    _fields = ("sites", "triangles", "constrained")
 
-    def __post_init__(self):
+    def __init__(self, sites: SiteSet, triangles: tuple, constrained: frozenset):
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "triangles", triangles)
+        object.__setattr__(self, "constrained", constrained)
         tri_of: dict[tuple[int, int], int] = {}
-        for tid, (i, j, k) in enumerate(self.triangles):
+        for tid, (i, j, k) in enumerate(triangles):
             tri_of[(i, j)] = tri_of[(j, k)] = tri_of[(k, i)] = tid
         # A site's fan starts at its outgoing hull edge, whose reverse has
         # no triangle; an interior site's fan may start at any spoke.

@@ -14,12 +14,15 @@ is an integer triple (a, b, c) whose value at (X, Y, W) is aX + bY + cW,
 W times the affine value, so it has the same sign. Fractions are built
 only for constructed points (segment crossings, circumcenters, line
 slices), with one division per coordinate.
+
+The value classes, here and in the modules that import this one, are slotted
+classes on one `_Frozen` base with written-out methods, so building them
+at import generates no code and loads no `inspect`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
@@ -78,18 +81,58 @@ class PointLocation(Enum):
     EXTERIOR = "exterior"
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
-    x: Fraction
-    y: Fraction
-    # Homogeneous integer form, filled in by the first predicate that reads it.
-    _homogeneous: Optional[tuple[int, int, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+class _Frozen:
+    """Immutable value: equal to another of its class with equal `_fields`,
+    hashed, shown and pickled by those fields alone. A subclass declares
+    every slot, cache slots included, and sets each once in `__init__`
+    through object.__setattr__."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_coord(self.x))
-        object.__setattr__(self, "y", as_coord(self.y))
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+
+class Point(_Frozen):
+    # _homogeneous is the integer form, filled in by the first predicate
+    # that reads it.
+    __slots__ = ("x", "y", "_homogeneous")
+    _fields = ("x", "y")
+
+    def __init__(self, x: CoordinateInput, y: CoordinateInput):
+        object.__setattr__(self, "x", as_coord(x))
+        object.__setattr__(self, "y", as_coord(y))
+        object.__setattr__(self, "_homogeneous", None)
+
+    def __eq__(self, other):
+        if other.__class__ is Point:
+            return self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y))
 
     def key(self) -> tuple[Fraction, Fraction]:
         """Lexicographic sort key."""
@@ -99,14 +142,14 @@ class Point:
         return f"({self.x}, {self.y})"
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    a: Point
-    b: Point
+class Segment(_Frozen):
+    __slots__ = _fields = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"degenerate segment at {self.a}")
+    def __init__(self, a: Point, b: Point):
+        if a == b:
+            raise ValueError(f"degenerate segment at {a}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __str__(self) -> str:
         return f"[{self.a} - {self.b}]"
@@ -213,13 +256,15 @@ def orientation(a: Point, b: Point, c: Point) -> Orientation:
     return _ORIENTATIONS[_turn(a, b, c)]
 
 
-@dataclass(frozen=True, slots=True)
-class CircumCircle:
+class CircumCircle(_Frozen):
     """Circle through three non-collinear points; radius kept squared so the
     representation stays rational."""
 
-    center: Point
-    radius_sq: Fraction
+    __slots__ = _fields = ("center", "radius_sq")
+
+    def __init__(self, center: Point, radius_sq: Fraction):
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius_sq", radius_sq)
 
 
 def circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
@@ -308,8 +353,7 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
     return _line_point(d3, d4, sa, sb)
 
 
-@dataclass(frozen=True, slots=True)
-class Polygon:
+class Polygon(_Frozen):
     """Simple polygon with counterclockwise boundary.
 
     Construction reads each vertex's integer row once and decides
@@ -323,16 +367,15 @@ class Polygon:
     closed segments.
     """
 
-    vertices: tuple[Point, ...]
-    # Bounding box, filled in by the first call of bounding_box().
-    _box: Optional[tuple[Fraction, Fraction, Fraction, Fraction]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # No boundary turn is right: the verdict of is_convex_polygon().
-    _convex: bool = field(init=False, repr=False, compare=False)
+    # _box is the bounding box, filled in by the first call of
+    # bounding_box(); _convex, no boundary turn is right, is the verdict of
+    # is_convex_polygon().
+    __slots__ = ("vertices", "_box", "_convex")
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        verts = list(self.vertices)
+    def __init__(self, vertices: Sequence[Point]):
+        object.__setattr__(self, "_box", None)
+        verts = list(vertices)
         n = len(verts)
         if n >= 3:
             rows = [_hom(v) for v in verts]
@@ -634,20 +677,14 @@ def convex_closed_intersection(p: Polygon, q: Polygon) -> ClosedIntersection:
     return Polygon(tuple(hull))
 
 
-@dataclass(frozen=True, slots=True)
-class Rect:
+class Rect(_Frozen):
     """Axis-aligned rectangle, used as the Voronoi clip frame."""
 
-    x0: Fraction
-    y0: Fraction
-    x1: Fraction
-    y1: Fraction
+    __slots__ = _fields = ("x0", "y0", "x1", "y1")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", as_coord(self.x0))
-        object.__setattr__(self, "y0", as_coord(self.y0))
-        object.__setattr__(self, "x1", as_coord(self.x1))
-        object.__setattr__(self, "y1", as_coord(self.y1))
+    def __init__(self, x0, y0, x1, y1):  # each a CoordinateInput
+        for name, value in zip(self._fields, (x0, y0, x1, y1)):
+            object.__setattr__(self, name, as_coord(value))
         if self.x0 >= self.x1 or self.y0 >= self.y1:
             raise ValueError("rectangle must have positive width and height")
 

@@ -10,7 +10,6 @@ All computation is exact; there is no tolerance parameter anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .delaunay import TriMesh
@@ -20,6 +19,7 @@ from .geometry import (
     PointLocation,
     Polygon,
     Segment,
+    _Frozen,
     convex_closed_intersection,
     is_convex_polygon,
     locate_point,
@@ -29,17 +29,17 @@ from .geometry import (
 GeometrySet = Union[Point, Segment, Polygon, tuple, frozenset, list]
 
 
-@dataclass(frozen=True)
-class ProximityVerdict:
+class ProximityVerdict(_Frozen):
     """Near when it carries a witness (a part the two closures share),
     far when the witness is None."""
 
-    witness: Optional[Union[Point, Segment, Polygon]] = None
-    strongly: bool = False
+    __slots__ = _fields = ("witness", "strongly")
 
-    def __post_init__(self):
-        if self.strongly and not isinstance(self.witness, Segment):
+    def __init__(self, witness: Union[None, Point, Segment, Polygon] = None, strongly=False):
+        if strongly and not isinstance(witness, Segment):
             raise ValueError("a strong verdict's witness is a shared edge segment")
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "strongly", strongly)
 
     @property
     def is_near(self) -> bool:

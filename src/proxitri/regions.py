@@ -16,9 +16,8 @@ Leader family, locally when given a scope region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Optional
 
 from .delaunay import TriMesh
 from .errors import GeometryError, MixedMeshes, UnionHasHole
@@ -27,6 +26,7 @@ from .geometry import (
     PointLocation,
     Polygon,
     Segment,
+    _Frozen,
     _interval,
     _line_slice,
     _line_through,
@@ -38,8 +38,7 @@ from .geometry import (
 from .proximity import strongly_near_triangles
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(_Frozen):
     """Pairwise edge-adjacent triangle collection from one mesh.
 
     Construction checks the clique property. Maximality is a property of
@@ -47,11 +46,11 @@ class Region:
     (they are what the union/convexity queries get exercised on).
     """
 
-    mesh: TriMesh
-    triangles: frozenset[int]
+    __slots__ = _fields = ("mesh", "triangles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "triangles", frozenset(self.triangles))
+    def __init__(self, mesh: TriMesh, triangles: Iterable[int]):
+        object.__setattr__(self, "mesh", mesh)
+        object.__setattr__(self, "triangles", frozenset(triangles))
         if not self.triangles:
             raise GeometryError("region needs at least one triangle")
         members = sorted(self.triangles)

@@ -7,15 +7,15 @@ bisector rays which are clipped to a bounding frame, so every cell is
 represented by a closed convex polygon. Which cells share an edge is
 read off the polygons: closed_cell_intersection slices two cells by
 their bisector. Whether more than three cells meet at a point is the tie
-count of `SiteSet.disk`, which reads the sites in `SiteSet.order`.
+count of `SiteSet.disk`, which reads the sites in `SiteSet.order`; the
+diagram asks it once per circle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .delaunay import SiteSet, TriMesh, triangulate
 from .errors import DegenerateIntersection, FrameTooSmall, GeometryError, IndexOutOfRange
@@ -23,6 +23,7 @@ from .geometry import (
     Point,
     Polygon,
     Rect,
+    _Frozen,
     _bisector,
     _det3,
     _hom,
@@ -32,18 +33,28 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class VoronoiDiagram:
+class VoronoiDiagram(_Frozen):
     """The dual of a Delaunay mesh. Cells are built on first use and
     cached, so a query that reads two cells builds two."""
 
-    sites: SiteSet
-    mesh: TriMesh
-    frame: Rect
-    vertices: tuple[Point, ...]  # circumcenter of triangle t at index t
-    # Cell of a site, built once from the mesh, circumcenters and frame
-    # that voronoi_diagram made the diagram with.
-    _cell_of: Callable[[int], Polygon] = field(repr=False, compare=False)
+    # vertices holds the circumcenter of triangle t at index t; _cell_of
+    # gives the cell of a site, built once from the mesh, circumcenters and
+    # frame that voronoi_diagram made the diagram with. _disk is
+    # sites.disk, asked once per circle: a vertex's tie count and its
+    # triangle's circumdisk intruder are one query.
+    __slots__ = ("sites", "mesh", "frame", "vertices", "_cell_of", "_disk")
+    _fields = ("sites", "mesh", "frame", "vertices")
+
+    def __init__(self, sites: SiteSet, mesh: TriMesh, frame: Rect, vertices: tuple, _cell_of):
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "mesh", mesh)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_cell_of", _cell_of)
+        object.__setattr__(self, "_disk", cache(sites.disk))
+
+    def __reduce__(self):
+        return (VoronoiDiagram, (*self._values(), self._cell_of))
 
     def cell(self, site: int) -> Polygon:
         self.sites.check_index(site)
@@ -177,7 +188,7 @@ def common_vertex(diagram: VoronoiDiagram, p: int, q: int, r: int) -> Optional[P
         raise DegenerateIntersection(
             f"cells {p}, {q}, {r} share more than a point: {u}"
         )
-    tied = diagram.sites.disk(u, p)[1]
+    tied = diagram._disk(u, p)[1]
     if tied > 3:
         raise DegenerateIntersection(
             f"{tied} cocircular cells meet at {u}; no three-cell vertex"

@@ -6,7 +6,6 @@ same module, so both sides see the fault) or by handing the suites a mesh
 with one edge flipped. The records must equal the references' records.
 """
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +30,7 @@ from proxitri.geometry import (
     orientation,
 )
 from proxitri.regions import extract_regions, region_union_polygon
-from proxitri.voronoi import closed_cell_intersection, voronoi_diagram
+from proxitri.voronoi import VoronoiDiagram, closed_cell_intersection, voronoi_diagram
 
 from oracles import (
     all_pairs_check_dual,
@@ -74,7 +73,7 @@ def _flip_first_edge(mesh):
 
 def _with_mesh(monkeypatch, diagram, mesh):
     """Make run_checks see the diagram with its mesh replaced."""
-    faulty = dataclasses.replace(diagram, mesh=mesh)
+    faulty = VoronoiDiagram(diagram.sites, mesh, diagram.frame, diagram.vertices, diagram._cell_of)
     monkeypatch.setattr(checks, "voronoi_diagram", lambda sites, frame=None: faulty)
     return faulty
 
@@ -263,10 +262,29 @@ def _triple_meshes():
 def test_circumdisk_scan_matches_full_scan():
     """The smallest intruder of each circumdisk of arbitrary triples."""
     for _, mesh in _triple_meshes():
-        scan = _circumdisk_scan(mesh)
+        scan = _circumdisk_scan(mesh, mesh.sites.disk)
         got = [scan(t) for t in range(len(mesh))]
         assert got == [scan_site_inside_circumdisk(mesh, t) for t in range(len(mesh))]
         assert any(hit is not None for hit in got)
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "collinear-heavy"])
+def test_all_suites_ask_one_disk_query_per_triangle(monkeypatch, distribution):
+    """A triangle's circumdisk intruder and the tie count at its Voronoi
+    vertex are one SiteSet.disk query, shared by the suites that read them."""
+    asked = []
+    disk = SiteSet.disk
+
+    def counted(self, u, p):
+        asked.append((u, p))
+        return disk(self, u, p)
+
+    monkeypatch.setattr(SiteSet, "disk", counted)
+    sites = SiteSet(tuple(generate_sites(200, 1, distribution)))
+    results, _ = run_checks("all", sites)
+    triangles = len(voronoi_diagram(sites).mesh)
+    assert not any(r.failed for r in results)
+    assert len(asked) == len(set(asked)) == triangles
 
 
 def _disk_reference(sites, u, p):

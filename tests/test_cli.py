@@ -359,14 +359,20 @@ def fresh_python(tmp_path, *args) -> subprocess.CompletedProcess:
     )
 
 
+# Standard modules a command should load only when it uses them.
+STDLIB_WATCHED = {"json", "dataclasses", "inspect"}
+
+
 def footprint(tmp_path, *argv) -> tuple[int, set[str]]:
     """Exit code of one CLI run in a fresh interpreter, and the proxitri
-    submodules (short names) plus json that it loaded."""
+    submodules (short names) plus the STDLIB_WATCHED modules it loaded."""
     listing = tmp_path / "modules.txt"
     fresh_python(tmp_path, "-c", _FOOTPRINT, str(listing), *argv)
     code, *modules = listing.read_text().split("\n")
     return int(code), {
-        m.removeprefix("proxitri.") for m in modules if m.startswith("proxitri.") or m == "json"
+        m.removeprefix("proxitri.")
+        for m in modules
+        if m.startswith("proxitri.") or m in STDLIB_WATCHED
     }
 
 
@@ -427,19 +433,32 @@ class TestImportFootprint:
                 ["render", "{sites}", "--what", "delaunay", "--out", "d.svg"],
                 {"regions", "proximity", "voronoi", "checks", "generate"},
             ),
+            (
+                ["render", "{sites}", "--what", "regions", "--out", "r.svg"],
+                {"checks", "generate"},
+            ),
+            (
+                ["query", "{sites}", "strong", "v:0", "v:1"],
+                {"regions", "checks", "render", "generate"},
+            ),
         ],
-        ids=["version", "gen", "triangulate", "query-t", "query-e", "render-delaunay"],
+        ids=[
+            "version", "gen", "triangulate", "query-t", "query-e", "render-delaunay",
+            "render-regions", "query-v",
+        ],
     )
     def test_command_leaves_modules_unloaded(self, tmp_path, fan_file, argv, unloaded):
         code, loaded = footprint(tmp_path, *(a.format(sites=fan_file) for a in argv))
         assert code == 0
-        assert not loaded & (unloaded | {"json"})
+        assert not loaded & (unloaded | STDLIB_WATCHED)
 
     def test_json_and_every_module_load_when_used(self, tmp_path, fan_file):
-        # the probe sees what a command loads: check runs every module
+        # the probe sees what a command loads: check runs every module, and
+        # the value classes it builds need neither dataclasses nor inspect
         code, loaded = footprint(tmp_path, "--format", "json-like", "check", fan_file)
         assert code == 0
         assert loaded >= (COMPUTATIONAL - {"generate", "render"}) | {"json"}
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_import_proxitri_loads_no_submodule(self, tmp_path):
         done = fresh_python(

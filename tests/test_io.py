@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -25,7 +24,7 @@ from proxitri.io import (
     render_document,
 )
 from proxitri.regions import Region
-from proxitri.voronoi import voronoi_diagram
+from proxitri.voronoi import VoronoiDiagram, voronoi_diagram
 
 
 class TestCoordLiterals:
@@ -222,7 +221,7 @@ class TestCheckWitnesses:
         bad = TriMesh(sites, ((0, 1, 3), (1, 2, 3)), frozenset())
         diagram = voronoi_diagram(sites)
         centers = tuple(bad.circumcenter(t) for t in range(len(bad)))
-        faulty = replace(diagram, mesh=bad, vertices=centers)
+        faulty = VoronoiDiagram(sites, bad, diagram.frame, centers, diagram._cell_of)
         results = _check_lemma2(faulty, partial(_triangle_vertex, faulty))
         assert [r.status for r in results] == ["fail", "fail"]
         assert results[0].witness == "circumcenter-point(2,1.75)!=vertex--"
