@@ -23,7 +23,6 @@ from .geometry import (
     Rect,
     Segment,
     _Frozen,
-    _hom,
     _ring_area2,
     is_convex_polygon,
     orientation,
@@ -310,7 +309,7 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
         corners = [[rows[v] for v in mesh.triangles[t]] for t in region.members()]
         scale = lcm(*(w for tri in corners for _, _, w in tri))
         total = sum(_ring_area2(tri, scale) for tri in corners)
-        if _ring_area2([_hom(v) for v in poly.vertices], scale) != total:
+        if _ring_area2([v.row for v in poly.vertices], scale) != total:
             area_ok = False
             area_witness = f"region-{idx}:union-area-mismatch"
         if is_convex_polygon(poly):

@@ -12,11 +12,11 @@ that never reports a tie: exactly cocircular quadruples are resolved by a
 symbolic perturbation that favors the lower site index, so the produced
 mesh is canonical and identical runs are bit-for-bit reproducible.
 
-The predicates are geometry's determinants on its one integer form of a
-point: site i is the row `sites.rows[i]` = `_hom(site)` = (X_i, Y_i, W_i),
-W_i the lcm of the site's own two denominators, so operand sizes stay
-those of the individual sites instead of growing with the lcm of every
-denominator in the set. `SiteSet.disk` answers which sites lie inside or
+The predicates are geometry's determinants on the one number form of a
+point, its canonical integer row: site i is `sites.rows[i]` =
+`sites[i].row` = (X_i, Y_i, W_i), W_i the lcm of the site's own two
+reduced denominators, so operand sizes stay those of the individual
+sites instead of growing with the lcm of every denominator in the set. `SiteSet.disk` answers which sites lie inside or
 on a circle from the run of `SiteSet.order` whose x is near its centre.
 """
 
@@ -46,7 +46,6 @@ from .geometry import (
     _between,
     _circumcenter,
     _det3,
-    _hom,
     _incircle_det,
     _lex_less,
     _row_order,
@@ -61,7 +60,7 @@ class SiteSet(_Frozen):
     cocircular configurations and therefore part of the value.
     """
 
-    # Entry i of rows is site i's integer row _hom(points[i]), derived once
+    # Entry i of rows is site i's stored row points[i].row, gathered once
     # for every layer to read; rows are canonical, so _index (row -> index)
     # finds duplicates. order holds the site indices in lexicographic (x, y)
     # order, so also in x order.
@@ -75,7 +74,7 @@ class SiteSet(_Frozen):
         for i, p in enumerate(pts):
             if not isinstance(p, Point):
                 raise TypeError(f"site #{i} is not a Point")
-            first = seen.setdefault(_hom(p), i)
+            first = seen.setdefault(p.row, i)
             if first != i:
                 raise DuplicateSite(f"site {p} appears at #{first} and #{i}")
         rows = tuple(seen)  # keys in site order
@@ -100,7 +99,7 @@ class SiteSet(_Frozen):
         return self.points[i]
 
     def index_of(self, p: Point) -> Optional[int]:
-        return self._index.get(_hom(p))
+        return self._index.get(p.row)
 
     def check_index(self, i: int) -> int:
         if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < len(self.points):
@@ -119,7 +118,7 @@ class SiteSet(_Frozen):
         the test is monotone on each side of u_x, and a bisection on each
         side finds an end of it. Only the run is tested.
         """
-        ux, uy, uw = _hom(u)
+        ux, uy, uw = u.row
         rows, order = self.rows, self.order
 
         def dist(i: int) -> tuple[int, int]:

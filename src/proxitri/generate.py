@@ -47,11 +47,11 @@ def generate_sites(n: int, seed: int, distribution: str) -> list[Point]:
 
 def _fill_distinct(rng: random.Random, n: int, draw, start: list[Point]) -> list[Point]:
     points = list(start)
-    seen = set(points)
+    seen = {p.row for p in points}  # rows are canonical: equal rows, equal points
     while len(points) < n:
         p = draw(rng)
-        if p not in seen:
-            seen.add(p)
+        if p.row not in seen:
+            seen.add(p.row)
             points.append(p)
     return points
 

@@ -4,16 +4,18 @@ Coordinates are arbitrary-precision rationals (`fractions.Fraction`).
 Floats are rejected at the boundary so binary rounding error can never
 leak into a construction.
 
-Every sign test is decided on integers, with no tolerance anywhere. This
-module owns the one integer form of a point: `_hom` reads x/d_x, y/d_y
-as homogeneous (X, Y, W) with W = lcm(d_x, d_y) > 0, cached on the Point.
-Each predicate is a determinant whose rows are scaled by positive
-weights, which leaves its sign unchanged; the Delaunay construction uses
-the same orientation and in-circle determinants on the same rows. A line
-is an integer triple (a, b, c) whose value at (X, Y, W) is aX + bY + cW,
-W times the affine value, so it has the same sign. Fractions are built
-only for constructed points (segment crossings, circumcenters, line
-slices), with one division per coordinate.
+Every sign test is decided on integers, with no tolerance anywhere. A
+point is stored as one integer form, its canonical homogeneous row
+`Point.row` = (X, Y, W): x = X / W and y = Y / W with W > 0 and
+gcd(X, Y, W) = 1, so W is the lcm of the reduced denominators. Each
+predicate is a determinant whose rows are scaled by positive weights,
+which leaves its sign unchanged; the Delaunay construction uses the same
+orientation and in-circle determinants on the same rows. A line is an
+integer triple (a, b, c) whose value at (X, Y, W) is aX + bY + cW, W
+times the affine value, so it has the same sign. A constructed point
+(segment crossing, circumcenter, line slice) is an integer row divided
+by its gcd. Fractions are built only to print a coordinate or hand one
+to a caller.
 
 The value classes, here and in the modules that import this one, are slotted
 classes on one `_Frozen` base with written-out methods, so building them
@@ -23,13 +25,14 @@ at import generates no code and loads no `inspect`.
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import CollinearInput, NonConvexInput, NotCCW
+from .errors import CollinearInput, InputError, NonConvexInput, NotCCW
 
 CoordinateInput = Union[Fraction, int, str]
 _LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
@@ -116,30 +119,75 @@ class _Frozen:
 
 
 class Point(_Frozen):
-    # _homogeneous is the integer form, filled in by the first predicate
-    # that reads it.
-    __slots__ = ("x", "y", "_homogeneous")
+    """A point stored as its canonical integer row (X, Y, W): x = X / W,
+    y = Y / W, W > 0 and gcd(X, Y, W) = 1. Equal points have equal rows,
+    and x and y are Fractions built on each read."""
+
+    __slots__ = ("row",)
     _fields = ("x", "y")
 
     def __init__(self, x: CoordinateInput, y: CoordinateInput):
-        object.__setattr__(self, "x", as_coord(x))
-        object.__setattr__(self, "y", as_coord(y))
-        object.__setattr__(self, "_homogeneous", None)
+        x = as_coord(x)
+        y = as_coord(y)
+        xd = x.denominator
+        yd = y.denominator
+        # W = lcm(xd, yd) is canonical: each prime power of W divides one
+        # reduced denominator fully, and that numerator is prime to it.
+        w = lcm(xd, yd)
+        object.__setattr__(self, "row", (x.numerator * (w // xd), y.numerator * (w // yd), w))
+
+    @classmethod
+    def _at(cls, x: int, y: int, w: int) -> Point:
+        """The point (x / w, y / w) of an integer row with w != 0."""
+        g = gcd(x, y, w)
+        if w < 0:
+            g = -g
+        p = object.__new__(cls)
+        object.__setattr__(p, "row", (x // g, y // g, w // g))
+        return p
+
+    @property
+    def x(self) -> Fraction:
+        return Fraction(self.row[0], self.row[2])
+
+    @property
+    def y(self) -> Fraction:
+        return Fraction(self.row[1], self.row[2])
 
     def __eq__(self, other):
         if other.__class__ is Point:
-            return self.x == other.x and self.y == other.y
+            return self.row == other.row
         return NotImplemented
 
     def __hash__(self):
         return hash((self.x, self.y))
 
-    def key(self) -> tuple[Fraction, Fraction]:
-        """Lexicographic sort key."""
-        return (self.x, self.y)
-
     def __str__(self) -> str:
-        return f"({self.x}, {self.y})"
+        return f"({_fraction_str(self.x)}, {_fraction_str(self.y)})"
+
+
+def _int_str(n: int) -> str:
+    """str(n); an integer with more digits than the interpreter converts
+    (sys.get_int_max_str_digits()) is an InputError."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    n = abs(n)
+    digits = int((n.bit_length() - 1) * 0.30102999566398120)  # <= log10(n)
+    while 10**digits <= n:
+        digits += 1
+    limit = sys.get_int_max_str_digits()
+    raise InputError(
+        f"cannot print a {digits}-digit coordinate integer: the interpreter "
+        f"converts at most {limit} digits (sys.get_int_max_str_digits())"
+    )
+
+
+def _fraction_str(v: Fraction) -> str:
+    """str(v), through _int_str."""
+    num = _int_str(v.numerator)
+    return num if v.denominator == 1 else f"{num}/{_int_str(v.denominator)}"
 
 
 class Segment(_Frozen):
@@ -159,23 +207,6 @@ class Segment(_Frozen):
 # Integer sign kernel.
 
 Homogeneous = tuple[int, int, int]
-
-
-def _hom(p: Point) -> Homogeneous:
-    """Integer (X, Y, W) with W = lcm(den x, den y) and p = (X / W, Y / W)."""
-    h = p._homogeneous
-    if h is None:
-        x = p.x
-        y = p.y
-        xd = x.denominator
-        yd = y.denominator
-        if xd == yd:
-            h = (x.numerator, y.numerator, xd)
-        else:
-            w = lcm(xd, yd)
-            h = (x.numerator * (w // xd), y.numerator * (w // yd), w)
-        object.__setattr__(p, "_homogeneous", h)
-    return h
 
 
 def _sign(value: int) -> int:
@@ -234,17 +265,16 @@ def _line_point(fa: int, fb: int, a: Homogeneous, b: Homogeneous) -> Point:
 
     fa and fb are W_a f(a) and W_b f(b), both times one positive constant,
     and have opposite signs. The crossing (f(a) b - f(b) a) / (f(a) - f(b))
-    then takes one division per coordinate.
+    is then one integer row.
     """
     ax, ay, aw = a
     bx, by, bw = b
-    den = fa * bw - fb * aw
-    return Point(Fraction(fa * bx - fb * ax, den), Fraction(fa * by - fb * ay, den))
+    return Point._at(fa * bx - fb * ax, fa * by - fb * ay, fa * bw - fb * aw)
 
 
 def _turn(o: Point, a: Point, b: Point) -> int:
     """Sign of the turn (o, a, b): 1 left, -1 right, 0 collinear."""
-    return _sign(_det3(_hom(o), _hom(a), _hom(b)))
+    return _sign(_det3(o.row, a.row, b.row))
 
 
 _ORIENTATIONS = (Orientation.COLLINEAR, Orientation.CCW, Orientation.CW)
@@ -280,9 +310,9 @@ def _circumcenter(a: Point, b: Point, c: Point) -> tuple[Point, int, int, int]:
     """Center of the circle through a, b, c, and integers (nx, ny, den)
     with center - a = (nx, ny) / den, so a caller that needs no radius
     builds no radius Fraction."""
-    ax, ay, aw = _hom(a)
-    bx, by, bw = _hom(b)
-    cx, cy, cw = _hom(c)
+    ax, ay, aw = a.row
+    bx, by, bw = b.row
+    cx, cy, cw = c.row
     # B = W_a W_b (b - a) and C = W_a W_c (c - a); k = B x C has the sign of the turn.
     bdx = bx * aw - ax * bw
     bdy = by * aw - ay * bw
@@ -298,7 +328,7 @@ def _circumcenter(a: Point, b: Point, c: Point) -> tuple[Point, int, int, int]:
     ny = bw * bdx * clift - cw * cdx * blift
     e = 2 * bw * cw * k
     den = aw * e
-    center = Point(Fraction(ax * e + nx, den), Fraction(ay * e + ny, den))
+    center = Point._at(ax * e + nx, ay * e + ny, den)
     return center, nx, ny, den
 
 
@@ -306,14 +336,14 @@ def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
     """Exact position of d relative to the circle through the CCW triple a, b, c."""
     if orientation(a, b, c) is not Orientation.CCW:
         raise NotCCW(f"defining triple {a}, {b}, {c} is not counterclockwise")
-    return _CIRCLE_POSITIONS[_sign(_incircle_det(_hom(a), _hom(b), _hom(c), _hom(d)))]
+    return _CIRCLE_POSITIONS[_sign(_incircle_det(a.row, b.row, c.row, d.row))]
 
 
 def _on_segment(p: Point, a: Point, b: Point) -> bool:
     """True when p lies on the closed segment ab (a != b)."""
-    hp = _hom(p)
-    ha = _hom(a)
-    hb = _hom(b)
+    hp = p.row
+    ha = a.row
+    hb = b.row
     return _det3(ha, hb, hp) == 0 and _between(hp, ha, hb)
 
 
@@ -326,10 +356,10 @@ def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
     Returns None when disjoint, the Point of a single-point contact, or the
     Segment of a positive-length collinear overlap.
     """
-    sa = _hom(s.a)
-    sb = _hom(s.b)
-    ta = _hom(t.a)
-    tb = _hom(t.b)
+    sa = s.a.row
+    sb = s.b.row
+    ta = t.a.row
+    tb = t.b.row
     d1 = _det3(sa, sb, ta)
     d2 = _det3(sa, sb, tb)
     if d1 == 0 and d2 == 0:
@@ -367,18 +397,16 @@ class Polygon(_Frozen):
     closed segments.
     """
 
-    # _box is the bounding box, filled in by the first call of
-    # bounding_box(); _convex, no boundary turn is right, is the verdict of
+    # _convex, no boundary turn is right, is the verdict of
     # is_convex_polygon().
-    __slots__ = ("vertices", "_box", "_convex")
+    __slots__ = ("vertices", "_convex")
     _fields = ("vertices",)
 
     def __init__(self, vertices: Sequence[Point]):
-        object.__setattr__(self, "_box", None)
         verts = list(vertices)
         n = len(verts)
         if n >= 3:
-            rows = [_hom(v) for v in verts]
+            rows = [v.row for v in verts]
             turns = [_det3(rows[i - 1], rows[i], rows[(i + 1) % n]) for i in range(n)]
             while n >= 3 and 0 in turns:
                 # Deleting a vertex changes the turns of its two neighbours only.
@@ -416,16 +444,12 @@ class Polygon(_Frozen):
         return [Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def area(self) -> Fraction:
-        rows = [_hom(v) for v in self.vertices]
+        rows = [v.row for v in self.vertices]
         scale = lcm(*(w for _, _, w in rows))
         return Fraction(_ring_area2(rows, scale), 2 * scale * scale)
 
     def bounding_box(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        box = self._box
-        if box is None:
-            box = bounding_box(self.vertices)
-            object.__setattr__(self, "_box", box)
-        return box
+        return bounding_box(self.vertices)
 
     def __str__(self) -> str:
         return "[" + ", ".join(str(p) for p in self.vertices) + "]"
@@ -444,7 +468,8 @@ def _ring_area2(rows: Sequence[Homogeneous], scale: int) -> int:
 
 
 def _lex_less(a: Homogeneous, b: Homogeneous) -> bool:
-    """Lexicographic (x, y) order of two rows, the order of Point.key."""
+    """Lexicographic (x, y) order of two rows: a.x < b.x, or a.x == b.x
+    and a.y < b.y, cross-multiplied by the positive weights."""
     ax, ay, aw = a
     bx, by, bw = b
     left = ax * bw
@@ -497,7 +522,7 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     degenerate inputs.
     """
     # Rows are canonical, so equal rows are equal points.
-    by_row = {_hom(p): p for p in points}
+    by_row = {p.row: p for p in points}
     rows = sorted(by_row, key=_row_order)
     if len(rows) <= 2:
         return [by_row[r] for r in rows]
@@ -529,9 +554,9 @@ def locate_point(p: Point, g: Union[Segment, Polygon]) -> PointLocation:
         if _on_segment(p, g.a, g.b):
             return PointLocation.INTERIOR
         return PointLocation.EXTERIOR
-    hp = _hom(p)
+    hp = p.row
     py, pw = hp[1], hp[2]
-    hs = [_hom(v) for v in g.vertices]
+    hs = [v.row for v in g.vertices]
     above = [y * pw > py * w for _, y, w in hs]  # vertex strictly above p
     n = len(hs)
     inside = False
@@ -557,17 +582,17 @@ Interval = tuple[Point, Point]  # closed; ends in _lex_less order
 
 def _line_through(a: Point, b: Point) -> Line:
     """The line through a and b: the cross product of their rows, so its
-    value at v is _det3(_hom(a), _hom(b), _hom(v))."""
-    ax, ay, aw = _hom(a)
-    bx, by, bw = _hom(b)
+    value at v is _det3(a.row, b.row, v.row)."""
+    ax, ay, aw = a.row
+    bx, by, bw = b.row
     return (ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx)
 
 
 def _bisector(p: Point, q: Point) -> Line:
     """The bisector 2(q - p) . x = |q|^2 - |p|^2 of p and q, times
     W_p^2 W_q^2; positive on q's side."""
-    px, py, pw = _hom(p)
-    qx, qy, qw = _hom(q)
+    px, py, pw = p.row
+    qx, qy, qw = q.row
     return (
         2 * pw * qw * (qx * pw - px * qw),
         2 * pw * qw * (qy * pw - py * qw),
@@ -582,7 +607,7 @@ def _line_slice(poly: Polygon, line: Line) -> Optional[Interval]:
     fa, fb, fc = line
     verts = poly.vertices
     n = len(verts)
-    homs = [_hom(v) for v in verts]
+    homs = [v.row for v in verts]
     vals = [fa * x + fb * y + fc * w for x, y, w in homs]
     lo = hi = None
     for i in range(n):
@@ -594,7 +619,7 @@ def _line_slice(poly: Polygon, line: Line) -> Optional[Interval]:
             hit = _line_point(va, vb, homs[i], homs[j])
         else:
             continue
-        row = _hom(hit)
+        row = hit.row
         if lo is None:
             lo, lo_row, hi, hi_row = hit, row, hit, row
         elif _lex_less(row, lo_row):
@@ -607,7 +632,7 @@ def _line_slice(poly: Polygon, line: Line) -> Optional[Interval]:
 
 
 def _interval(s: Segment) -> Interval:
-    return (s.a, s.b) if _lex_less(_hom(s.a), _hom(s.b)) else (s.b, s.a)
+    return (s.a, s.b) if _lex_less(s.a.row, s.b.row) else (s.b, s.a)
 
 
 def _overlap(intervals: Iterable[Optional[Interval]]) -> Union[None, Point, Segment]:
@@ -618,12 +643,12 @@ def _overlap(intervals: Iterable[Optional[Interval]]) -> Union[None, Point, Segm
         if interval is None:
             return None
         a, b = interval
-        if lo is None or _lex_less(_hom(lo), _hom(a)):
+        if lo is None or _lex_less(lo.row, a.row):
             lo = a
-        if hi is None or _lex_less(_hom(b), _hom(hi)):
+        if hi is None or _lex_less(b.row, hi.row):
             hi = b
-    lo_row = _hom(lo)
-    hi_row = _hom(hi)
+    lo_row = lo.row
+    hi_row = hi.row
     if _lex_less(hi_row, lo_row):
         return None
     if lo_row == hi_row:
@@ -645,8 +670,8 @@ def convex_closed_intersection(p: Polygon, q: Polygon) -> ClosedIntersection:
         raise NonConvexInput("first polygon is not convex")
     if not is_convex_polygon(q):
         raise NonConvexInput("second polygon is not convex")
-    p_rows = [_hom(v) for v in p.vertices]
-    q_rows = [_hom(v) for v in q.vertices]
+    p_rows = [v.row for v in p.vertices]
+    q_rows = [v.row for v in q.vertices]
     p_edges = list(zip(p_rows, p_rows[1:] + p_rows[:1]))
     q_edges = list(zip(q_rows, q_rows[1:] + q_rows[:1]))
     # The corners of the intersection: each ring's vertices that lie in the
@@ -689,7 +714,15 @@ class Rect(_Frozen):
             raise ValueError("rectangle must have positive width and height")
 
     def contains_strict(self, p: Point) -> bool:
-        return self.x0 < p.x < self.x1 and self.y0 < p.y < self.y1
+        # Each bound against X / W or Y / W, cross-multiplied by W > 0.
+        x, y, w = p.row
+        x0, y0, x1, y1 = self.x0, self.y0, self.x1, self.y1
+        return (
+            x0.numerator * w < x * x0.denominator
+            and x * x1.denominator < x1.numerator * w
+            and y0.numerator * w < y * y0.denominator
+            and y * y1.denominator < y1.numerator * w
+        )
 
     def corners(self) -> tuple[Point, Point, Point, Point]:
         """Counterclockwise from the lower-left corner."""
@@ -702,10 +735,29 @@ class Rect(_Frozen):
 
 
 def bounding_box(points: Sequence[Point]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(min x, min y, max x, max y) of a nonempty point collection."""
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return (min(xs), min(ys), max(xs), max(ys))
+    """(min x, min y, max x, max y) of a nonempty point collection.
+
+    The extremes are found on the rows, cross-multiplied by the weights,
+    and only those four coordinates become Fractions.
+    """
+    x0 = x1 = y0 = y1 = points[0].row
+    for p in points:
+        r = p.row
+        x, y, w = r
+        if x * x0[2] < x0[0] * w:
+            x0 = r
+        elif x * x1[2] > x1[0] * w:
+            x1 = r
+        if y * y0[2] < y0[1] * w:
+            y0 = r
+        elif y * y1[2] > y1[1] * w:
+            y1 = r
+    return (
+        Fraction(x0[0], x0[2]),
+        Fraction(y0[1], y0[2]),
+        Fraction(x1[0], x1[2]),
+        Fraction(y1[1], y1[2]),
+    )
 
 
 def distance_sq(a: Point, b: Point) -> Fraction:

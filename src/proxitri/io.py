@@ -17,7 +17,16 @@ from typing import Union
 
 from .delaunay import ConstraintSet, SiteSet, TriMesh, is_locally_delaunay
 from .errors import ParseError
-from .geometry import Homogeneous, Point, Polygon, Rect, Segment, _hom, as_coord
+from .geometry import (
+    Homogeneous,
+    Point,
+    Polygon,
+    Rect,
+    Segment,
+    _fraction_str,
+    _int_str,
+    as_coord,
+)
 
 SITES_HEADER = "proxitri-sites 1"
 DOCUMENT_HEADER = "proxitri-document 1"
@@ -26,10 +35,11 @@ SCHEMA = "proxitri-document/1"
 
 def coord_literal(value: Fraction) -> str:
     """Canonical exact literal: decimal when the denominator allows it,
-    otherwise a rational p/q literal."""
+    otherwise a rational p/q literal. An integer in it with more digits
+    than the interpreter converts is an InputError."""
     den = value.denominator
     if den == 1:
-        return str(value.numerator)
+        return _int_str(value.numerator)
     d = den
     twos = fives = 0
     while d % 2 == 0:
@@ -39,11 +49,11 @@ def coord_literal(value: Fraction) -> str:
         d //= 5
         fives += 1
     if d != 1:
-        return f"{value.numerator}/{value.denominator}"
+        return _fraction_str(value)
     k = max(twos, fives)
     scaled = abs(value.numerator) * 10**k // den
     sign = "-" if value.numerator < 0 else ""
-    digits = str(scaled).rjust(k + 1, "0")
+    digits = _int_str(scaled).rjust(k + 1, "0")
     return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
@@ -87,7 +97,7 @@ def parse_site_file(text: str, path: str = "") -> SiteSet:
         if len(parts) != 2:
             raise ParseError(f"expected two coordinates, found {len(parts)}", path, lineno)
         p = Point(parse_coord(parts[0], path, lineno), parse_coord(parts[1], path, lineno))
-        row = _hom(p)
+        row = p.row
         if row in seen:
             raise ParseError(
                 f"duplicate site {p} (first at line {seen[row]})", path, lineno

@@ -20,6 +20,7 @@ from .geometry import (
     Polygon,
     Segment,
     _Frozen,
+    _row_order,
     convex_closed_intersection,
     is_convex_polygon,
     locate_point,
@@ -60,7 +61,7 @@ def _as_points(g) -> Optional[tuple[Point, ...]]:
             raise TypeError("point sets must contain only Points")
         if not items:
             raise ValueError("empty point set has no proximity relation")
-        return tuple(sorted(items, key=Point.key))
+        return tuple(sorted(items, key=lambda p: _row_order(p.row)))
     return None
 
 

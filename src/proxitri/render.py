@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .choices import WHAT_CHOICES
 from .delaunay import TriMesh
-from .geometry import Homogeneous, Point, _hom, _lex_less, bounding_box
+from .geometry import Homogeneous, Point, _lex_less, bounding_box
 
 if TYPE_CHECKING:
     from .voronoi import VoronoiDiagram
@@ -81,7 +81,7 @@ class _Mapper:
         self._mapped: dict[Homogeneous, tuple[str, str]] = {}
 
     def point(self, p) -> tuple[str, str]:
-        h = _hom(p)
+        h = p.row
         xy = self._mapped.get(h)
         if xy is None:
             x, y, w = h
@@ -169,7 +169,7 @@ def _voronoi_elements(m: _Mapper, diagram: VoronoiDiagram) -> list[str]:
     # Reduced coordinates make the row of a point unique.
     centers: dict[Homogeneous, Point] = {}
     for v in diagram.vertices:
-        centers.setdefault(_hom(v), v)
+        centers.setdefault(v.row, v)
     body = []
     # Circumcenters lie strictly inside the frame, so a cell edge with a
     # circumcenter end lies on a bisector, not on the frame. The two cells on
@@ -179,7 +179,7 @@ def _voronoi_elements(m: _Mapper, diagram: VoronoiDiagram) -> list[str]:
     for cell in diagram.cells:
         ring = cell.vertices
         for a, b in zip(ring, ring[1:] + ring[:1]):
-            ra, rb = _hom(a), _hom(b)
+            ra, rb = a.row, b.row
             key = frozenset((ra, rb))
             if key in drawn or (ra not in centers and rb not in centers):
                 continue

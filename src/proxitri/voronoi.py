@@ -26,7 +26,6 @@ from .geometry import (
     _Frozen,
     _bisector,
     _det3,
-    _hom,
     _line_slice,
     _overlap,
     bounding_box,
@@ -84,7 +83,7 @@ def _ray_end(frame: Polygon, a: Point, b: Point) -> Point:
     strictly inside the frame, so exactly one end of its slice is there.
     """
     lo, hi = _line_slice(frame, _bisector(a, b))
-    return lo if _det3(_hom(a), _hom(b), _hom(lo)) > 0 else hi
+    return lo if _det3(a.row, b.row, lo.row) > 0 else hi
 
 
 def _build_cell(
@@ -109,9 +108,9 @@ def _build_cell(
         # those strictly right of that chord, one cyclic run taken from its
         # start. Not every corner is there, or the cell would hold the
         # whole frame and the other sites in it.
-        x, e = _hom(exit_pt), _hom(entry)
+        x, e = exit_pt.row, entry.row
         box = frame.vertices
-        passed = [_det3(x, e, _hom(c)) < 0 for c in box]
+        passed = [_det3(x, e, c.row) < 0 for c in box]
         first = passed.index(False)
         walk = [box[i % 4] for i in range(first, first + 4) if passed[i % 4]]
         corners = [entry, *corners, exit_pt, *walk]

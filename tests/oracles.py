@@ -78,7 +78,6 @@ from proxitri.geometry import (
     Rect,
     Segment,
     _det3,
-    _hom,
     _incircle_det,
     _line_point,
     _row_order,
@@ -135,6 +134,11 @@ def brute_delaunay_triangles(sites: SiteSet) -> set[tuple[int, int, int]]:
             tri = (i, j, k) if turn > 0 else (i, k, j)
             out.add(tri)
     return out
+
+
+def _fraction_key(p: Point) -> tuple[Fraction, Fraction]:
+    """Lexicographic sort key on the Fraction coordinates, not the rows."""
+    return (p.x, p.y)
 
 
 def _fraction_cross(o: Point, a: Point, b: Point) -> Fraction:
@@ -204,11 +208,11 @@ def fraction_segment_intersection(s: Segment, t: Segment):
     if denom == 0:
         if _fraction_cross(s.a, s.b, t.a) != 0:
             return None
-        pts = sorted([s.a, s.b], key=Point.key)
-        qts = sorted([t.a, t.b], key=Point.key)
-        lo = max(pts[0], qts[0], key=Point.key)
-        hi = min(pts[1], qts[1], key=Point.key)
-        if lo.key() > hi.key():
+        pts = sorted([s.a, s.b], key=_fraction_key)
+        qts = sorted([t.a, t.b], key=_fraction_key)
+        lo = max(pts[0], qts[0], key=_fraction_key)
+        hi = min(pts[1], qts[1], key=_fraction_key)
+        if _fraction_key(lo) > _fraction_key(hi):
             return None
         if lo == hi:
             return lo
@@ -238,7 +242,7 @@ def fraction_line_slice(poly: Polygon, fa, fb, fc):
             hits.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
     if not hits:
         return None
-    return (min(hits, key=Point.key), max(hits, key=Point.key))
+    return (min(hits, key=_fraction_key), max(hits, key=_fraction_key))
 
 
 def segment_polygon_closed(seg: Segment, poly: Polygon):
@@ -257,7 +261,7 @@ def segment_polygon_closed(seg: Segment, poly: Polygon):
             candidates.add(hit.b)
     if not candidates:
         return None
-    ordered = sorted(candidates, key=Point.key)
+    ordered = sorted(candidates, key=_fraction_key)
     lo, hi = ordered[0], ordered[-1]
     if lo == hi:
         return lo
@@ -607,7 +611,7 @@ def is_visible(
         raise IndexOutOfRange("visibility query needs two distinct sites")
     rows = sites.rows
     a, b = rows[p], rows[q]
-    ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
+    ends = [(c.a.row, c.b.row) for c in constraints.segments]
     return _blocked(a, b, rows, [e for e in ends if e != (a, b) and e != (b, a)]) is None
 
 
@@ -640,7 +644,7 @@ def _visible_from_open_edge(
     for t0, t1 in zip(ordered, ordered[1:]):
         t = (t0 + t1) / 2  # the viewpoint a + t (b - a)
         x = _line_point(t.numerator * aw, (t.numerator - t.denominator) * bw, a, b)
-        if _blocked(_hom(x), w, rows, ends) is None:
+        if _blocked(x.row, w, rows, ends) is None:
             return True
     return False
 
@@ -664,7 +668,7 @@ def is_constrained_delaunay_edge(
         raise IndexOutOfRange("edge query needs two distinct sites")
     rows = sites.rows
     a, b = rows[p], rows[q]
-    ends = [(_hom(c.a), _hom(c.b)) for c in constraints.segments]
+    ends = [(c.a.row, c.b.row) for c in constraints.segments]
     if (a, b) in ends or (b, a) in ends:
         return True
     if _blocked(a, b, rows, ends) is not None:
@@ -739,7 +743,7 @@ def brute_maximal_cliques(adjacency: dict[int, set[int]]) -> set[frozenset[int]]
 
 def fraction_convex_hull(points) -> list[Point]:
     """Monotone chain over the points sorted by their Fraction keys."""
-    pts = sorted(set(points), key=Point.key)
+    pts = sorted(set(points), key=_fraction_key)
     if len(pts) <= 2:
         return pts
     lower: list[Point] = []
@@ -764,7 +768,7 @@ def reference_polygon(points):
     none.
 
     Zero turns are dropped one at a time, each time the lowest-indexed one
-    of the ring left, and the ring is rotated to its smallest Point.key.
+    of the ring left, and the ring is rotated to its smallest (x, y).
     The shoelace area on Fractions must be positive. A ring with every
     turn left whose edge directions wrap once is simple; any other ring
     must have adjacent edges meeting only at their shared vertex and
@@ -782,7 +786,7 @@ def reference_polygon(points):
     n = len(vs)
     if n < 3:
         return CollinearInput, "polygon degenerates to fewer than 3 vertices"
-    start = min(range(n), key=lambda i: vs[i].key())
+    start = min(range(n), key=lambda i: _fraction_key(vs[i]))
     vs = vs[start:] + vs[:start]
     if sum(a.x * b.y - b.x * a.y for a, b in zip(vs, vs[1:] + vs[:1])) <= 0:
         return ValueError, "polygon boundary must be counterclockwise"
@@ -939,7 +943,7 @@ def all_pairs_proximal_region_pairs(regions) -> list[tuple[int, int]]:
 
 class _ReferenceBuilder:
     def __init__(self, sites: SiteSet):
-        self.rows = [_hom(p) for p in sites.points]
+        self.rows = [p.row for p in sites.points]
         self.tris: dict[int, tuple[int, int, int]] = {}
         self.edge: dict[tuple[int, int], int] = {}  # directed edge -> tid
         self.constrained: set[tuple[int, int]] = set()

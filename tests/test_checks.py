@@ -23,7 +23,6 @@ from proxitri.generate import generate_sites
 from proxitri.geometry import (
     Orientation,
     Point,
-    _hom,
     _ring_area2,
     bounding_box,
     distance_sq,
@@ -301,7 +300,7 @@ def test_disk_matches_all_sites():
     for rng, mesh in _triple_meshes():
         sites = mesh.sites
         n = len(sites)
-        assert list(sites.order) == sorted(range(n), key=lambda i: sites[i].key())
+        assert list(sites.order) == sorted(range(n), key=lambda i: (sites[i].x, sites[i].y))
         for t, (i, _, _) in enumerate(mesh.triangles):
             u = mesh.circumcenter(t)
             inside, on = sites.disk(u, i)
@@ -322,14 +321,14 @@ def test_disk_matches_all_sites():
 def test_region_areas_on_integers(corpus, degenerate_corpus):
     for entry in corpus[::5] + degenerate_corpus:
         mesh = entry.mesh
-        rows = [_hom(p) for p in mesh.sites.points]
+        rows = [p.row for p in mesh.sites.points]
         for region in extract_regions(mesh):
             corners = [[rows[v] for v in mesh.triangles[t]] for t in region.members()]
             scale = lcm(*(w for tri in corners for _, _, w in tri))
             for t, tri in zip(region.members(), corners):
                 assert Fraction(_ring_area2(tri, scale), 2 * scale * scale) == fraction_triangle_area(mesh, t)
             poly = region_union_polygon(region)
-            twice = _ring_area2([_hom(v) for v in poly.vertices], scale)
+            twice = _ring_area2([v.row for v in poly.vertices], scale)
             assert Fraction(twice, 2 * scale * scale) == poly.area()
 
 

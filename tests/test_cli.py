@@ -11,6 +11,8 @@ import pytest
 
 import proxitri
 from proxitri.cli import main
+from proxitri.errors import InputError
+from proxitri.geometry import Point
 from proxitri.io import parse_document, parse_site_file, render_document
 
 
@@ -310,6 +312,22 @@ class TestQuery:
             assert code == 2
             assert out == ""
             assert "two distinct triangles or cells" in err
+
+    def test_witness_too_long_to_print_is_usage_error(self, tmp_path):
+        # Each literal is legal, but the shared edge of cells 0 and 1 ends
+        # at a point with a 4503-digit integer in a coordinate.
+        d = "1" + "0" * 1500
+        path = tmp_path / "big.sites"
+        path.write_text(f"proxitri-sites 1\n0 0\n{d} 1/3\n1/7 {d}\n{d} {d}7\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        code, out, err = run_cli("query", str(path), "strong", "v:0", "v:1")
+        if not limit or limit >= 4503:
+            assert code == 0 and out.startswith("proxitri-document 1")
+            return
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "4503-digit coordinate integer" in err and f"at most {limit} digits" in err
+        with pytest.raises(InputError, match=f"{limit + 1}-digit"):
+            str(Point._at(10**limit, 1, 1))
 
 
 class TestGlobalFlags:

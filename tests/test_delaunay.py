@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,6 @@ from proxitri.geometry import (
     Point,
     Segment,
     _det3,
-    _hom,
     _incircle_det,
     _sign,
     circumcircle,
@@ -102,7 +102,7 @@ def cocircular_quadruples(draw):
 
 
 def assert_kernel_matches_fractions(pts):
-    rows = [_hom(p) for p in pts]
+    rows = [p.row for p in pts]
     a, b, c, d = pts
     turn = fraction_orientation(a, b, c).value
     assert _sign(_det3(rows[0], rows[1], rows[2])) == turn
@@ -128,19 +128,42 @@ class TestKernel:
 
     def test_homogeneous_form_uses_the_lcm_weight(self):
         # W = lcm(4, 6) = 12, not the product 24; SiteSet.scaled reads the same form
-        assert _hom(Point("3/4", "-1/6")) == (9, -2, 12)
-        assert _hom(Point("2/3", 5)) == (2, 15, 3)
+        assert Point("3/4", "-1/6").row == (9, -2, 12)
+        assert Point("2/3", 5).row == (2, 15, 3)
         sites = sites_of(("3/4", "-1/6"), ("2/3", 5), (1, 2))
         assert sites.scaled == ((9, -2), (2, 15), (1, 2))
-        assert all(sites.rows[i] == _hom(sites[i]) for i in range(len(sites)))
+        assert all(sites.rows[i] == sites[i].row for i in range(len(sites)))
         assert sites.scaled == tuple(r[:2] for r in sites.rows)
         assert sites.index_of(Point("0.75", "-1/6")) == 0
         assert sites.index_of(Point("3/4", "1/6")) is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_coords, kernel_coords)
+    def test_row_is_canonical(self, x, y):
+        p = Point(x, y)
+        px, py, pw = p.row
+        assert pw > 0 and gcd(px, py, pw) == 1
+        assert p.x == x and p.y == y
+        assert pw == lcm(x.denominator, y.denominator)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_coords, kernel_coords)
+    def test_row_constructor_reduces_any_multiple(self, x, y):
+        p = Point(x, y)
+        px, py, pw = p.row
+        for k in (-3, -1, 2):
+            q = Point._at(k * px, k * py, k * pw)
+            assert q == p and q.row == p.row and hash(q) == hash(p)
+
+    def test_one_value_written_three_ways_is_one_point(self):
+        points = [Point("0.5", 1), Point("1/2", 1), Point(Fraction(2, 4), 1)]
+        assert all(p == points[0] and p.row == (1, 2, 2) for p in points)
+        assert len({hash(p) for p in points}) == 1
+
     def test_per_site_operands_stay_small(self):
         # a common denominator of these sets would exceed 3000 bits
         for seed in (0, 1):
-            rows = [_hom(p) for p in generate_sites(1000, seed, "cocircular")]
+            rows = [p.row for p in generate_sites(1000, seed, "cocircular")]
             assert max(abs(v).bit_length() for row in rows for v in row) <= 64
 
 
@@ -429,7 +452,7 @@ def assert_pairs_match_references(sites, constraints):
 
 
 def has_four_cocircular(sites: SiteSet) -> bool:
-    rows = [_hom(p) for p in sites.points]
+    rows = [p.row for p in sites.points]
     for i, j, k, l in combinations(range(len(rows)), 4):
         turn = _det3(rows[i], rows[j], rows[k])
         if turn and _incircle_det(rows[i], rows[j], rows[k], rows[l]) == 0:

@@ -1,6 +1,6 @@
 """The contract of the twelve value classes: equality and hash by their
 compared fields, immutability, and pickle / copy round trips. Cache slots
-(a Point's integer row, a Polygon's box) take no part in any of these."""
+(a Voronoi diagram's cells and disk answers) take no part in any of these."""
 
 import copy
 import pickle
@@ -9,7 +9,7 @@ import pytest
 
 from proxitri.checks import CheckResult
 from proxitri.delaunay import ConstraintSet, SiteSet, TriMesh, triangulate
-from proxitri.geometry import CircumCircle, Point, Polygon, Rect, Segment, _hom, circumcircle
+from proxitri.geometry import CircumCircle, Point, Polygon, Rect, Segment, circumcircle
 from proxitri.proximity import ProximityVerdict
 from proxitri.regions import Region
 from proxitri.voronoi import VoronoiDiagram, voronoi_diagram
@@ -83,16 +83,14 @@ def test_hash_is_the_hash_of_the_compared_fields(cls):
 
 
 def test_filled_cache_slots_take_no_part():
-    p, q = Point(3, "5/7"), Point(3, "5/7")
-    _hom(p)
-    assert p._homogeneous is not None and q._homogeneous is None
-    assert p == q and hash(p) == hash(q)
-    square = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-    boxed, plain = Polygon(tuple(square)), Polygon(tuple(square))
-    boxed.bounding_box()
-    assert boxed._box is not None and plain._box is None
-    assert boxed == plain and hash(boxed) == hash(plain)
-    assert repr(boxed) == repr(plain)
+    filled, fresh = _diagram(), _diagram()
+    shown = (hash(fresh), repr(fresh))
+    filled.cells
+    filled._disk(filled.vertices[0], 0)
+    for cache in ("_cell_of", "_disk"):
+        assert getattr(filled, cache).cache_info().currsize > 0
+        assert getattr(fresh, cache).cache_info().currsize == 0
+    assert filled == fresh and (hash(filled), repr(filled)) == shown == (hash(fresh), repr(fresh))
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
@@ -139,4 +137,4 @@ def test_repr_names_the_compared_fields():
     assert repr(ProximityVerdict()) == "ProximityVerdict(witness=None, strongly=False)"
     assert repr(CheckResult("a", "pass")) == "CheckResult(name='a', status='pass', witness='-')"
     assert repr(_diagram()).startswith("VoronoiDiagram(sites=SiteSet(points=(Point(x=")
-    assert "_cell_of" not in repr(_diagram()) and "_box" not in repr(VALUES[Polygon][0]())
+    assert "_cell_of" not in repr(_diagram()) and "_convex" not in repr(VALUES[Polygon][0]())
