@@ -15,7 +15,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence
 
 from .choices import SUITES
-from .delaunay import SiteSet, TriMesh, adjacency
+from .delaunay import SiteSet, TriMesh, adjacency, triangulate
 from .errors import DegenerateIntersection, NotCCW
 from .geometry import (
     Orientation,
@@ -69,15 +69,20 @@ def run_checks(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     wanted = SUITES[:-1] if suite == "all" else (suite,)
-    diagram = voronoi_diagram(sites, frame)
-    mesh = diagram.mesh
+    # Only the Voronoi suites build the diagram, so only they read the frame.
+    if {"dual", "lemma2", "theorem-equivalence"}.intersection(wanted):
+        diagram = voronoi_diagram(sites, frame)
+        mesh, disk = diagram.mesh, diagram._disk
+    else:
+        diagram = None
+        mesh, disk = triangulate(sites), sites.disk
     results: list[CheckResult] = []
     stats: dict = {}
     # Per-triangle and per-site-pair results that two suites read, computed
     # once per run. Cell contacts are keyed by the ordered pair (p < q). The
     # intruder and the common vertex's tie count of a triangle are one
     # query of the diagram's disk.
-    intruder = cache(_circumdisk_scan(mesh, diagram._disk))
+    intruder = cache(_circumdisk_scan(mesh, disk))
     vertex = cache(partial(_triangle_vertex, diagram))
     contact = cache(partial(closed_cell_intersection, diagram))
     if "delaunay" in wanted:

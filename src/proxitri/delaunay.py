@@ -43,11 +43,11 @@ from .geometry import (
     Polygon,
     Segment,
     _Frozen,
-    _between,
     _circumcenter,
     _det3,
     _incircle_det,
     _lex_less,
+    _on_segment,
     _row_order,
     _sign,
     segment_intersection,
@@ -430,12 +430,6 @@ def triangulate(sites: SiteSet) -> TriMesh:
 _Ends = tuple[Homogeneous, Homogeneous]
 
 
-def _in_open_segment(s: Homogeneous, a: Homogeneous, b: Homogeneous) -> bool:
-    """Row s lies on the segment ab strictly between its ends (rows are
-    canonical, so equal rows are equal points)."""
-    return s != a and s != b and _det3(a, b, s) == 0 and _between(s, a, b)
-
-
 def _open_segments_meet(a: Homogeneous, b: Homogeneous, c: Homogeneous, d: Homogeneous) -> bool:
     """The open segments ab and cd share a point: they cross properly, or
     they lie on one line and overlap along a positive length."""
@@ -458,10 +452,11 @@ def _blocked(
     a: Homogeneous, b: Homogeneous, rows: Sequence[Homogeneous], ends: Sequence[_Ends]
 ) -> Optional[int]:
     """Position of the first blocker of the open segment ab, counting rows
-    and then ends, or None: a row inside the open segment, or an end pair
-    whose open segment shares a point with it."""
+    and then ends, or None: a row inside the open segment (rows are
+    canonical, so equal rows are equal points), or an end pair whose open
+    segment shares a point with it."""
     for k, s in enumerate(rows):
-        if _in_open_segment(s, a, b):
+        if s != a and s != b and _on_segment(s, a, b):
             return k
     for k, (c, d) in enumerate(ends, len(rows)):
         if _open_segments_meet(a, b, c, d):

@@ -15,7 +15,9 @@ integer triple (a, b, c) whose value at (X, Y, W) is aX + bY + cW, W
 times the affine value, so it has the same sign. A constructed point
 (segment crossing, circumcenter, line slice) is an integer row divided
 by its gcd. Fractions are built only to print a coordinate or hand one
-to a caller.
+to a caller. One kernel, convex_closed_intersection, meets any two
+closed convex sets (Point, Segment, convex Polygon): the hull of each
+set's corners in the other and the proper crossings of their sides.
 
 The value classes, here and in the modules that import this one, are slotted
 classes on one `_Frozen` base with written-out methods, so building them
@@ -160,7 +162,7 @@ class Point(_Frozen):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.x, self.y))
+        return hash(self.row)
 
     def __str__(self) -> str:
         return f"({_fraction_str(self.x)}, {_fraction_str(self.y)})"
@@ -339,48 +341,18 @@ def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
     return _CIRCLE_POSITIONS[_sign(_incircle_det(a.row, b.row, c.row, d.row))]
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    """True when p lies on the closed segment ab (a != b)."""
-    hp = p.row
-    ha = a.row
-    hb = b.row
-    return _det3(ha, hb, hp) == 0 and _between(hp, ha, hb)
+def _on_segment(p: Homogeneous, a: Homogeneous, b: Homogeneous) -> bool:
+    """Row p lies on the closed segment ab (a != b)."""
+    return _det3(a, b, p) == 0 and _between(p, a, b)
 
 
-SegmentIntersection = Union[None, Point, Segment]
-
-
-def segment_intersection(s: Segment, t: Segment) -> SegmentIntersection:
+def segment_intersection(s: Segment, t: Segment) -> Union[None, Point, Segment]:
     """Exact intersection of two closed segments.
 
     Returns None when disjoint, the Point of a single-point contact, or the
     Segment of a positive-length collinear overlap.
     """
-    sa = s.a.row
-    sb = s.b.row
-    ta = t.a.row
-    tb = t.b.row
-    d1 = _det3(sa, sb, ta)
-    d2 = _det3(sa, sb, tb)
-    if d1 == 0 and d2 == 0:
-        return _overlap((_interval(s), _interval(t)))  # collinear
-    if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
-        return None  # t strictly on one side of s's carrier line
-    d3 = _det3(ta, tb, sa)
-    d4 = _det3(ta, tb, sb)
-    if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
-        return None
-    # The carrier lines meet in one point; an endpoint on the other
-    # segment's line is that point.
-    if d1 == 0:
-        return t.a
-    if d2 == 0:
-        return t.b
-    if d3 == 0:
-        return s.a
-    if d4 == 0:
-        return s.b
-    return _line_point(d3, d4, sa, sb)
+    return convex_closed_intersection(s, t)
 
 
 class Polygon(_Frozen):
@@ -551,7 +523,7 @@ def locate_point(p: Point, g: Union[Segment, Polygon]) -> PointLocation:
     if isinstance(g, Segment):
         if p == g.a or p == g.b:
             return PointLocation.BOUNDARY
-        if _on_segment(p, g.a, g.b):
+        if _on_segment(p.row, g.a.row, g.b.row):
             return PointLocation.INTERIOR
         return PointLocation.EXTERIOR
     hp = p.row
@@ -578,14 +550,6 @@ def locate_point(p: Point, g: Union[Segment, Polygon]) -> PointLocation:
 
 Line = tuple[int, int, int]
 Interval = tuple[Point, Point]  # closed; ends in _lex_less order
-
-
-def _line_through(a: Point, b: Point) -> Line:
-    """The line through a and b: the cross product of their rows, so its
-    value at v is _det3(a.row, b.row, v.row)."""
-    ax, ay, aw = a.row
-    bx, by, bw = b.row
-    return (ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx)
 
 
 def _bisector(p: Point, q: Point) -> Line:
@@ -631,10 +595,6 @@ def _line_slice(poly: Polygon, line: Line) -> Optional[Interval]:
     return (lo, hi)
 
 
-def _interval(s: Segment) -> Interval:
-    return (s.a, s.b) if _lex_less(s.a.row, s.b.row) else (s.b, s.a)
-
-
 def _overlap(intervals: Iterable[Optional[Interval]]) -> Union[None, Point, Segment]:
     """Common part of closed intervals on one line (None for an empty
     one, which ends the scan): None, a Point or a Segment."""
@@ -657,34 +617,50 @@ def _overlap(intervals: Iterable[Optional[Interval]]) -> Union[None, Point, Segm
 
 
 ClosedIntersection = Union[None, Point, Segment, Polygon]
+ConvexSet = Union[Point, Segment, Polygon]
 
 
-def convex_closed_intersection(p: Polygon, q: Polygon) -> ClosedIntersection:
-    """Intersection of two convex polygons as closed point sets.
+def _corners(g: ConvexSet, which: str) -> tuple[Sequence[Point], list[Homogeneous], list]:
+    """A closed convex set's corners, their rows and its sides as row
+    pairs: a Point is one corner with no side, a Segment two corners with
+    one side, a convex Polygon its ring."""
+    if isinstance(g, Polygon):
+        if not g._convex:
+            raise NonConvexInput(f"{which} polygon is not convex")
+        rows = [v.row for v in g.vertices]
+        return g.vertices, rows, list(zip(rows, rows[1:] + rows[:1]))
+    if isinstance(g, Segment):
+        rows = [g.a.row, g.b.row]
+        return (g.a, g.b), rows, [tuple(rows)]
+    return (g,), [g.row], []
+
+
+def convex_closed_intersection(p: ConvexSet, q: ConvexSet) -> ClosedIntersection:
+    """Intersection of two closed convex sets: Points, Segments or convex
+    Polygons.
 
     The result can be empty (None), a single Point, a positive-length
     Segment, or a Polygon with positive area. Raises NonConvexInput when
-    either argument has a reflex vertex.
+    a Polygon argument has a reflex vertex.
     """
-    if not is_convex_polygon(p):
-        raise NonConvexInput("first polygon is not convex")
-    if not is_convex_polygon(q):
-        raise NonConvexInput("second polygon is not convex")
-    p_rows = [v.row for v in p.vertices]
-    q_rows = [v.row for v in q.vertices]
-    p_edges = list(zip(p_rows, p_rows[1:] + p_rows[:1]))
-    q_edges = list(zip(q_rows, q_rows[1:] + q_rows[:1]))
-    # The corners of the intersection: each ring's vertices that lie in the
-    # other closed ring (left of or on every edge), and proper crossings of
-    # two edges. A touch or collinear overlap of two edges ends at a vertex
-    # lying on the other edge, which the vertex loop keeps.
+    p_set = _corners(p, "first")
+    q_set = _corners(q, "second")
+    # The corners of the intersection: each set's corners that lie in the
+    # other closed set, and proper crossings of two sides. A touch or
+    # collinear overlap of two sides ends at a corner lying on the other
+    # side, which the corner loop keeps.
     candidates: list[Point] = []
-    for verts, rows, edges in ((p.vertices, p_rows, q_edges), (q.vertices, q_rows, p_edges)):
-        for v, r in zip(verts, rows):
-            if all(_det3(a, b, r) >= 0 for a, b in edges):
-                candidates.append(v)
-    for ea, eb in p_edges:
-        for fa, fb in q_edges:
+    for (corners, rows, _), (_, other, sides) in ((p_set, q_set), (q_set, p_set)):
+        if len(other) > 2:  # in a ring: left of or on every side
+            for v, r in zip(corners, rows):
+                if all(_det3(a, b, r) >= 0 for a, b in sides):
+                    candidates.append(v)
+        elif len(other) == 2:
+            candidates += [v for v, r in zip(corners, rows) if _on_segment(r, *other)]
+        else:
+            candidates += [v for v, r in zip(corners, rows) if r == other[0]]
+    for ea, eb in p_set[2]:
+        for fa, fb in q_set[2]:
             d1 = _det3(ea, eb, fa)
             d2 = _det3(ea, eb, fb)
             if (d1 > 0 > d2) or (d1 < 0 < d2):

@@ -9,9 +9,11 @@ clique), and no four triangles are pairwise adjacent. Every other maximal
 region is the pair of triangles on an interior edge that is no spoke of
 such a fan, and a triangle with no edge neighbor is a singleton region.
 is_region_convex tests the union reading of a region against the claim
-that regions are convex polygons, region_common_intersection gives the
-intersection reading, and leader_neighborhoods maps each triangle to its
-Leader family, locally when given a scope region.
+that regions are convex polygons. region_common_intersection gives the
+intersection reading, which is convex because each closed triangle is:
+one fold of geometry's closed convex intersection kernel over the
+members. leader_neighborhoods maps each triangle to its Leader family,
+locally when given a scope region.
 """
 
 from __future__ import annotations
@@ -22,18 +24,10 @@ from typing import Iterable, Optional
 from .delaunay import TriMesh
 from .errors import GeometryError, MixedMeshes, UnionHasHole
 from .geometry import (
-    Point,
-    PointLocation,
     Polygon,
-    Segment,
     _Frozen,
-    _interval,
-    _line_slice,
-    _line_through,
-    _overlap,
     convex_closed_intersection,
     is_convex_polygon,
-    locate_point,
 )
 from .proximity import strongly_near_triangles
 
@@ -153,23 +147,17 @@ def region_common_intersection(region: Region):
     The alternative reading of a region as an intersection rather than a
     union: a single triangle yields itself, an edge-sharing pair yields
     the shared edge, and larger cliques collapse to an edge or a vertex.
-    Returns a Polygon, Segment, Point, or None.
+    Each closed triangle is convex, so the intersection is one fold of
+    convex_closed_intersection, stopped at the first empty part. Returns
+    a Polygon, Segment, Point, or None.
     """
     mesh = region.mesh
     members = region.members()
     acc = mesh.triangle_polygon(members[0])
     for t in members[1:]:
-        poly = mesh.triangle_polygon(t)
+        acc = convex_closed_intersection(acc, mesh.triangle_polygon(t))
         if acc is None:
             return None
-        if isinstance(acc, Point):
-            if locate_point(acc, poly) is PointLocation.EXTERIOR:
-                return None
-        elif isinstance(acc, Segment):
-            carrier = _line_through(acc.a, acc.b)
-            acc = _overlap((_interval(acc), _line_slice(poly, carrier)))
-        else:
-            acc = convex_closed_intersection(acc, poly)
     return acc
 
 

@@ -144,17 +144,16 @@ def _mesh_elements(m: _Mapper, mesh: TriMesh) -> list[str]:
                 first = r
         ring = [pts[tri[(first + r) % 3]] for r in range(3)]
         body.append(_polygon_el(m, ring, "none", STYLE["edge_color"], STYLE["edge_width"]))
-    for a, b in mesh.edges():
-        if mesh.is_constrained(a, b):
-            body.append(
-                _line(
-                    m,
-                    mesh.sites[a],
-                    mesh.sites[b],
-                    STYLE["constrained_color"],
-                    STYLE["constrained_width"],
-                )
+    for a, b in sorted(mesh.constrained):
+        body.append(
+            _line(
+                m,
+                mesh.sites[a],
+                mesh.sites[b],
+                STYLE["constrained_color"],
+                STYLE["constrained_width"],
             )
+        )
     return body
 
 

@@ -8,7 +8,8 @@ spokes, and visibility from parametric intersection rather than
 point-location classification. The fraction_* references are the plain
 Fraction formulas that geometry's integer sign kernel replaces (for
 constrained Delaunay edges, bisector bounds rather than one in-circle
-sign per side), and the
+sign per side; for the closed convex intersection, every contact of two
+sides rather than proper crossings only), and the
 composed_* references build three-cell and region intersections edge by
 edge instead of slicing along one line. FractionMapper is render's screen
 transform on Fractions, which the integer-row mapper replaces. The
@@ -835,6 +836,51 @@ def candidate_hull_intersection(p: Polygon, q: Polygon):
             elif isinstance(hit, Segment):
                 candidates.add(hit.a)
                 candidates.add(hit.b)
+    if not candidates:
+        return None
+    hull = fraction_convex_hull(candidates)
+    if len(hull) == 1:
+        return hull[0]
+    if len(hull) == 2:
+        return Segment(hull[0], hull[1])
+    return Polygon(tuple(hull))
+
+
+def _fraction_corners_and_sides(g):
+    if isinstance(g, Point):
+        return [g], []
+    if isinstance(g, Segment):
+        return [g.a, g.b], [g]
+    return list(g.vertices), g.edges()
+
+
+def _fraction_contains(g, p: Point) -> bool:
+    """p lies in the closed set g, on Fraction cross and dot products."""
+    if isinstance(g, Point):
+        return p == g
+    if isinstance(g, Segment):
+        dot = (g.a.x - p.x) * (g.b.x - p.x) + (g.a.y - p.y) * (g.b.y - p.y)
+        return fraction_orientation(g.a, g.b, p) is Orientation.COLLINEAR and dot <= 0
+    return all(fraction_orientation(e.a, e.b, p) is not Orientation.CW for e in g.edges())
+
+
+def fraction_closed_intersection(g, h):
+    """Closed intersection of two closed convex sets (Point, Segment or
+    convex Polygon) on Fractions: the hull of each set's corners that lie
+    in the other and of every contact of two sides, with the collinear
+    overlaps of fraction_segment_intersection in place of the proper
+    crossings alone."""
+    g_corners, g_sides = _fraction_corners_and_sides(g)
+    h_corners, h_sides = _fraction_corners_and_sides(h)
+    candidates = {v for v in g_corners if _fraction_contains(h, v)}
+    candidates |= {v for v in h_corners if _fraction_contains(g, v)}
+    for e in g_sides:
+        for f in h_sides:
+            hit = fraction_segment_intersection(e, f)
+            if isinstance(hit, Point):
+                candidates.add(hit)
+            elif isinstance(hit, Segment):
+                candidates |= {hit.a, hit.b}
     if not candidates:
         return None
     hull = fraction_convex_hull(candidates)

@@ -71,9 +71,11 @@ def _flip_first_edge(mesh):
 
 
 def _with_mesh(monkeypatch, diagram, mesh):
-    """Make run_checks see the diagram with its mesh replaced."""
+    """Make run_checks see the diagram with its mesh replaced, and the mesh
+    alone where a suite reads no diagram."""
     faulty = VoronoiDiagram(diagram.sites, mesh, diagram.frame, diagram.vertices, diagram._cell_of)
     monkeypatch.setattr(checks, "voronoi_diagram", lambda sites, frame=None: faulty)
+    monkeypatch.setattr(checks, "triangulate", lambda sites: mesh)
     return faulty
 
 

@@ -340,6 +340,18 @@ class TestGlobalFlags:
         assert code == 1
         assert "FrameTooSmall" in err
 
+    @pytest.mark.parametrize("suite", ["leader", "regions", "delaunay"])
+    def test_mesh_suites_read_no_frame(self, tmp_path, suite):
+        # The frame (0,0)-(1,1) holds no site strictly inside; only the
+        # Voronoi suites read it.
+        path = tmp_path / "tri.sites"
+        path.write_text("proxitri-sites 1\n0 0\n2 0\n0 2\n")
+        framed = run_cli("check", str(path), "--suite", suite, "--frame=0,0,1,1")
+        assert framed == run_cli("check", str(path), "--suite", suite)
+        assert framed[0] == 0
+        code, _, err = run_cli("check", str(path), "--suite", "lemma2", "--frame=0,0,1,1")
+        assert code == 1 and "FrameTooSmall" in err
+
     def test_flags_after_subcommand(self, fan_file):
         code, _, _ = run_cli("check", fan_file, "--suite", "dual", "--frame=-20,-20,20,20")
         assert code == 0

@@ -31,6 +31,7 @@ from oracles import (
     candidate_hull_intersection,
     circle_position,
     clip_convex_intersection,
+    fraction_closed_intersection,
     fraction_convex_hull,
     fraction_circumcircle,
     fraction_in_circumcircle,
@@ -514,7 +515,9 @@ class TestIntegerKernel:
     @given(segment_pairs())
     def test_segment_intersection_matches_reference(self, st_pair):
         s, t = st_pair
-        assert segment_intersection(s, t) == fraction_segment_intersection(s, t)
+        got = segment_intersection(s, t)
+        assert got == fraction_segment_intersection(s, t)
+        assert got == segment_intersection(t, s) == convex_closed_intersection(s, t)
 
     def test_touch_returns_the_touching_endpoint(self):
         s = Segment(P("1/3", "1/7"), P("7/3", "15/7"))
@@ -527,3 +530,77 @@ class TestIntegerKernel:
     def test_line_slice_matches_reference(self, case):
         poly, fa, fb, fc = case
         assert _line_slice(poly, (fa, fb, fc)) == fraction_line_slice(poly, fa, fb, fc)
+
+
+KINDS = ("Point", "Segment", "Polygon")
+
+
+@st.composite
+def convex_sets(draw, kind: str):
+    """A closed convex set of the kind, with corners on the 5 x 5 grid with
+    thirds, where shared corners, touching sides and collinear overlaps
+    are common, or anywhere in mixed position."""
+    pool = draw(st.sampled_from((ring_points, mixed_points)))
+    if kind == "Point":
+        return draw(pool)
+    if kind == "Segment":
+        return Segment(*draw(st.lists(pool, min_size=2, max_size=2, unique=True)))
+    hull = fraction_convex_hull(draw(st.lists(pool, min_size=3, max_size=7)))
+    assume(len(hull) >= 3)
+    return Polygon(tuple(hull))
+
+
+class TestClosedConvexKernel:
+    """convex_closed_intersection on every pair of kinds, against the
+    Fraction references rather than segment_intersection, which is the
+    kernel itself."""
+
+    @pytest.mark.parametrize("first", KINDS)
+    @pytest.mark.parametrize("second", KINDS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_reference(self, first, second, data):
+        g = data.draw(convex_sets(first))
+        h = data.draw(convex_sets(second))
+        got = convex_closed_intersection(g, h)
+        assert got == fraction_closed_intersection(g, h)
+        assert convex_closed_intersection(h, g) == got
+        if isinstance(g, Polygon) and isinstance(h, Polygon):
+            assert (got if isinstance(got, Polygon) else None) == clip_convex_intersection(g, h)
+
+    def test_each_contact_kind(self):
+        seg = Segment(P(0, 0), P(2, 2))
+        assert convex_closed_intersection(P(1, 1), seg) == P(1, 1)
+        assert convex_closed_intersection(P(1, 0), seg) is None
+        assert convex_closed_intersection(P(2, 2), P(2, 2)) == P(2, 2)
+        assert convex_closed_intersection(P(2, 2), P(2, 1)) is None
+        assert convex_closed_intersection(P(1, 2), unit_square) == P(1, 2)
+        assert convex_closed_intersection(Segment(P(3, 3), P(-1, -1)), unit_square) == Segment(
+            P(0, 0), P(2, 2)
+        )
+        assert convex_closed_intersection(unit_square, Segment(P(2, 3), P(2, 1))) == Segment(
+            P(2, 1), P(2, 2)
+        )
+        assert convex_closed_intersection(unit_square, Segment(P(3, -1), P(1, 3))) == Segment(
+            P("3/2", 2), P(2, 1)
+        )
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            ("bad", "square", "first polygon is not convex"),
+            ("square", "bad", "second polygon is not convex"),
+            ("bad", "bad", "first polygon is not convex"),
+            ("point", "bad", "second polygon is not convex"),
+            ("bad", "segment", "first polygon is not convex"),
+        ],
+    )
+    def test_nonconvex_messages(self, first, second, message):
+        sets = {
+            "bad": Polygon((P(0, 0), P(4, 0), P(1, 1), P(0, 4))),
+            "square": unit_square,
+            "point": P(1, 1),
+            "segment": Segment(P(0, 0), P(1, 1)),
+        }
+        with pytest.raises(NonConvexInput, match=f"^{message}$"):
+            convex_closed_intersection(sets[first], sets[second])

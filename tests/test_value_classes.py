@@ -1,6 +1,7 @@
 """The contract of the twelve value classes: equality and hash by their
-compared fields, immutability, and pickle / copy round trips. Cache slots
-(a Voronoi diagram's cells and disk answers) take no part in any of these."""
+compared fields (a Point's by its row), immutability, and pickle / copy
+round trips. Cache slots (a Voronoi diagram's cells and disk answers)
+take no part in any of these."""
 
 import copy
 import pickle
@@ -78,7 +79,9 @@ def test_equal_values_compare_equal(cls):
 def test_hash_is_the_hash_of_the_compared_fields(cls):
     make, names = VALUES[cls]
     a, b = make(), make()
-    assert hash(a) == hash(b) == hash(_fields(a, names))
+    # A Point compares its canonical row, so it hashes the row.
+    compared = a.row if cls is Point else _fields(a, names)
+    assert hash(a) == hash(b) == hash(compared)
     assert len({a, b}) == 1
 
 
