@@ -213,7 +213,7 @@ def _resolve_selector(selector: str, kind: str, ids: list[int], mesh, diagram):
 def cmd_query(args) -> int:
     from .delaunay import triangulate
     from .io import SCHEMA, geometry_literal, parse_site_file, render_document
-    from .proximity import near, strongly_near_triangles
+    from .proximity import near
 
     # Selector syntax needs no mesh, so a typo fails before the build.
     parsed_a, parsed_b = _parse_selector(args.a), _parse_selector(args.b)
@@ -231,7 +231,6 @@ def cmd_query(args) -> int:
     kind_a, geom_a, ref_a = _resolve_selector(args.a, *parsed_a, mesh, diagram)
     kind_b, geom_b, ref_b = _resolve_selector(args.b, *parsed_b, mesh, diagram)
 
-    witness = None
     if args.relation == "strong":
         if kind_a != kind_b or kind_a == "e":
             raise UnknownSelector(
@@ -239,21 +238,13 @@ def cmd_query(args) -> int:
             )
         if ref_a == ref_b:
             raise UnknownSelector("strong proximity needs two distinct triangles or cells")
-        if kind_a == "t":
-            verdict = strongly_near_triangles(mesh, ref_a, ref_b)
-            if verdict:
-                witness = near(geom_a, geom_b).witness
-        else:
-            from .geometry import Segment
-            from .voronoi import closed_cell_intersection
-
-            # Cells are strongly near when their closures share an edge,
-            # which is the witness.
-            shared = closed_cell_intersection(diagram, ref_a, ref_b)
-            verdict = isinstance(shared, Segment)
-            witness = shared if verdict else None
+    # Triangles and cells are convex polygons: they are strongly near when
+    # their closed intersection is a segment, which is the witness.
+    result = near(geom_a, geom_b)
+    if args.relation == "strong":
+        verdict = result.strongly
+        witness = result.witness if verdict else None
     else:
-        result = near(geom_a, geom_b)
         verdict = result.is_near if args.relation == "near" else not result.is_near
         witness = result.witness
 
@@ -264,7 +255,7 @@ def cmd_query(args) -> int:
                 "relation": args.relation,
                 "a": args.a,
                 "b": args.b,
-                "verdict": bool(verdict),
+                "verdict": verdict,
                 "witness": geometry_literal(witness),
             }
         ],

@@ -472,7 +472,7 @@ def _resolve_constraints(
         a = sites.index_of(seg.a)
         b = sites.index_of(seg.b)
         if a is None or b is None:
-            raise GeometryError(f"constraint endpoint {seg.a if a is None else seg.b} is not a site")
+            raise IndexOutOfRange(f"constraint endpoint {seg.a if a is None else seg.b} is not a site")
         pairs.append((a, b))
     return pairs
 

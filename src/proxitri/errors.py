@@ -34,8 +34,9 @@ class DuplicateSite(GeometryError):
 
 
 class IndexOutOfRange(GeometryError):
-    """A site/triangle/edge index does not resolve, or indices coincide
-    where distinct ones are required."""
+    """A site/triangle/edge index does not resolve (a constraint endpoint
+    that is not a site among them), or indices coincide where distinct
+    ones are required."""
 
 
 class UnknownEdge(GeometryError):

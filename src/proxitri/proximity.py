@@ -2,9 +2,11 @@
 
 Two sets are near when their closures intersect, far otherwise; a
 verdict is near exactly when it carries a witness, a common part of the
-two closures. Strong nearness (sharing a full positive-length edge
-rather than a mere point) is flagged for convex region pairs and
-answered combinatorially for mesh triangles.
+two closures. Two convex polygons are strongly near when their closed
+intersection is a positive-length segment; `near` flags it, and the CLI
+decides strong nearness of triangles and of cells that way.
+`strongly_near_triangles` is the index form (two shared vertices),
+equal to it on every mesh that `triangulate` builds.
 All computation is exact; there is no tolerance parameter anywhere.
 """
 

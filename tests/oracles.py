@@ -82,7 +82,6 @@ from proxitri.geometry import (
     _incircle_det,
     _line_point,
     _row_order,
-    convex_closed_intersection,
     distance_sq,
     in_circumcircle,
     is_convex_polygon,
@@ -248,13 +247,14 @@ def fraction_line_slice(poly: Polygon, fa, fb, fc):
 
 def segment_polygon_closed(seg: Segment, poly: Polygon):
     """Closed intersection of a segment with a convex polygon, from the
-    segment's ends inside it and its contacts with every polygon edge."""
+    segment's ends inside it and its Fraction contacts with every polygon
+    edge."""
     candidates: set[Point] = set()
     for end in (seg.a, seg.b):
         if locate_point(end, poly) is not PointLocation.EXTERIOR:
             candidates.add(end)
     for edge in poly.edges():
-        hit = segment_intersection(seg, edge)
+        hit = fraction_segment_intersection(seg, edge)
         if isinstance(hit, Point):
             candidates.add(hit)
         elif isinstance(hit, Segment):
@@ -293,7 +293,7 @@ def composed_common_vertex(diagram, p: int, q: int, r: int):
 
 def composed_region_common_intersection(region):
     """Intersection of a region's closed triangles, folded pairwise with
-    convex_closed_intersection, locate_point and segment_polygon_closed."""
+    fraction_closed_intersection, locate_point and segment_polygon_closed."""
     mesh = region.mesh
     members = region.members()
     acc = mesh.triangle_polygon(members[0])
@@ -307,7 +307,7 @@ def composed_region_common_intersection(region):
         elif isinstance(acc, Segment):
             acc = segment_polygon_closed(acc, poly)
         else:
-            acc = convex_closed_intersection(acc, poly)
+            acc = fraction_closed_intersection(acc, poly)
     return acc
 
 

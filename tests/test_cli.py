@@ -109,8 +109,13 @@ class TestTriangulate:
                 "error: ConstraintThroughSite: constraint [(0, 0) - (4, 0)] passes "
                 "through site #1 (2, 0)\n",
             ),
+            (
+                "0 0\n4 0\n4 3\n0 3\n",
+                "4 0 5 5\n",
+                "error: IndexOutOfRange: constraint endpoint (5, 5) is not a site\n",
+            ),
         ],
-        ids=["crossing", "through-site"],
+        ids=["crossing", "through-site", "stray-endpoint"],
     )
     def test_invalid_constraints_exit_1(self, tmp_path, site_lines, constraint_lines, expected):
         sites = tmp_path / "bad.sites"
@@ -460,6 +465,10 @@ class TestImportFootprint:
                 {"voronoi", "regions", "checks", "render", "generate"},
             ),
             (
+                ["query", "{sites}", "strong", "t:0", "t:1"],
+                {"voronoi", "regions", "checks", "render", "generate"},
+            ),
+            (
                 ["render", "{sites}", "--what", "delaunay", "--out", "d.svg"],
                 {"regions", "proximity", "voronoi", "checks", "generate"},
             ),
@@ -473,8 +482,8 @@ class TestImportFootprint:
             ),
         ],
         ids=[
-            "version", "gen", "triangulate", "query-t", "query-e", "render-delaunay",
-            "render-regions", "query-v",
+            "version", "gen", "triangulate", "query-t", "query-e", "query-strong-t",
+            "render-delaunay", "render-regions", "query-v",
         ],
     )
     def test_command_leaves_modules_unloaded(self, tmp_path, fan_file, argv, unloaded):

@@ -725,8 +725,18 @@ class TestConstrainedTriangulate:
                 CrossingConstraints,
                 "constraints [(0, 0) - (4, 3)] and [(4, 3) - (0, 0)] overlap along [(0, 0) - (4, 3)]",
             ),
+            # An endpoint that is no site is an index that does not resolve.
+            (
+                [(0, 0), (4, 0), (4, 3), (0, 3)],
+                [(4, 0, 5, 5)],
+                IndexOutOfRange,
+                "constraint endpoint (5, 5) is not a site",
+            ),
         ],
-        ids=["through-site", "crossing", "collinear-overlap", "duplicate", "reversed-duplicate"],
+        ids=[
+            "through-site", "crossing", "collinear-overlap", "duplicate", "reversed-duplicate",
+            "stray-endpoint",
+        ],
     )
     def test_invalid_constraints_error_and_message(self, coords, segments, error, message):
         with pytest.raises(error) as caught:

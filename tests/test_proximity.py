@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxitri.delaunay import SiteSet, triangulate
+from proxitri.delaunay import SiteSet, adjacency, triangulate
 from proxitri.errors import IndexOutOfRange
 from proxitri.geometry import (
     Point,
@@ -186,11 +186,16 @@ class TestTriangleRelations:
                 if s:
                     assert triangles_near(mesh, t1, t2)
 
-    def test_combinatorial_matches_geometric(self, corpus):
+    def test_combinatorial_matches_geometric(self, corpus, degenerate_corpus):
+        # Shared vertex indices and the closed intersection agree on
+        # nearness, and on strong nearness with the mesh's edge neighbours.
         from itertools import combinations
 
-        for entry in corpus[:4]:
+        for entry in corpus + degenerate_corpus:
             mesh = entry.mesh
             polys = [mesh.triangle_polygon(t) for t in range(len(mesh))]
             for t1, t2 in combinations(range(len(mesh)), 2):
-                assert triangles_near(mesh, t1, t2) == near(polys[t1], polys[t2]).is_near
+                verdict = near(polys[t1], polys[t2])
+                assert triangles_near(mesh, t1, t2) == verdict.is_near
+                strong = strongly_near_triangles(mesh, t1, t2)
+                assert strong == verdict.strongly == (t2 in adjacency(mesh, t1))

@@ -15,6 +15,7 @@ from proxitri.geometry import (
     is_convex_polygon,
     locate_point,
 )
+from proxitri.proximity import near
 from proxitri.render import render_svg
 from proxitri.voronoi import closed_cell_intersection, common_vertex, voronoi_diagram
 
@@ -273,6 +274,20 @@ class TestStrongNearness:
             for p, q in combinations(range(len(entry.sites)), 2):
                 shared = closed_cell_intersection(diagram, p, q)
                 assert isinstance(shared, Segment) == diagram.mesh.has_edge(p, q)
+
+    def test_near_reads_the_cell_contact(self, corpus, degenerate_corpus):
+        # near's witness for two cells is their closed intersection, and it
+        # is strong exactly when that is a segment.
+        from itertools import combinations
+
+        entries = corpus + degenerate_corpus
+        for diagram in [e.diagram for e in entries] + caller_frame_diagrams(entries):
+            cells = diagram.cells
+            for p, q in combinations(range(len(cells)), 2):
+                verdict = near(cells[p], cells[q])
+                contact = closed_cell_intersection(diagram, p, q)
+                assert verdict.witness == contact
+                assert verdict.strongly == isinstance(contact, Segment)
 
     def test_cocircular_square_diagonals_not_strong(self):
         diagram = voronoi_diagram(sites_of((0, 0), (2, 0), (2, 2), (0, 2)))
