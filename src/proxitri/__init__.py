@@ -47,27 +47,20 @@ _EXPORTS = {
         "UnwritablePath",
     ),
     "geometry": (
-        "CirclePosition",
-        "CircumCircle",
         "Orientation",
         "Point",
         "PointLocation",
         "Polygon",
         "Rect",
         "Segment",
-        "circumcircle",
         "convex_closed_intersection",
         "convex_hull",
-        "distance_sq",
-        "in_circumcircle",
         "is_convex_polygon",
         "locate_point",
         "orientation",
-        "segment_intersection",
     ),
     "proximity": (
         "ProximityVerdict",
-        "far",
         "near",
         "strongly_near_triangles",
         "triangles_near",

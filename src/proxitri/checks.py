@@ -28,7 +28,7 @@ from .geometry import (
     orientation,
 )
 from .io import geometry_literal
-from .proximity import near, triangles_near
+from .proximity import near, strongly_near_triangles, triangles_near
 from .regions import (
     extract_regions,
     leader_neighborhoods,
@@ -286,10 +286,7 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
         for t in sorted(adjacency(mesh, members[0])):
             if t in region.triangles:
                 continue
-            if all(
-                len(set(mesh.triangles[t]) & set(mesh.triangles[u])) == 2
-                for u in members
-            ):
+            if all(strongly_near_triangles(mesh, t, u) for u in members):
                 sound = False
                 witness = f"region-{idx}:not-maximal:misses-{t}"
                 break

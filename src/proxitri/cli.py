@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import __version__
 from .choices import DISTRIBUTIONS, SUITES, WHAT_CHOICES
 from .errors import GeometryError, InputError, ParseError, UnknownSelector, UnwritablePath
-
-if TYPE_CHECKING:
-    from .geometry import Rect
 
 
 def _add_global_options(parser, suppress: bool) -> None:
@@ -110,12 +107,6 @@ def _write_output(path: Optional[str], text: str, quiet: bool) -> None:
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _frame_from_args(args) -> Optional[Rect]:
-    from .io import parse_frame
-
-    return parse_frame(args.frame) if args.frame else None
-
-
 def cmd_gen(args) -> int:
     from .generate import generate_sites
     from .io import format_site_file
@@ -151,7 +142,7 @@ def cmd_check(args) -> int:
     from .io import SCHEMA, parse_site_file, render_document
 
     sites = parse_site_file(_read_text(args.input), args.input)
-    results, stats = run_checks(args.suite, sites, _frame_from_args(args))
+    results, stats = run_checks(args.suite, sites, args.frame)
     model = {
         "schema": SCHEMA,
         "checks": [
@@ -173,7 +164,7 @@ def cmd_render(args) -> int:
     if args.what in ("voronoi", "overlay"):
         from .voronoi import voronoi_diagram
 
-        diagram = voronoi_diagram(sites, _frame_from_args(args))
+        diagram = voronoi_diagram(sites, args.frame)
         svg = render_svg(args.what, diagram.mesh, diagram)
     else:
         svg = render_svg(args.what, triangulate(sites))
@@ -223,7 +214,7 @@ def cmd_query(args) -> int:
     if "v" in (parsed_a[0], parsed_b[0]):
         from .voronoi import voronoi_diagram
 
-        diagram = voronoi_diagram(sites, _frame_from_args(args))
+        diagram = voronoi_diagram(sites, args.frame)
         mesh = diagram.mesh
     else:
         diagram = None
@@ -279,6 +270,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     if not 0 <= args.seed < 2**64:
         parser.error("--seed must fit in an unsigned 64-bit integer")
     try:
+        # Every command takes --frame, so a malformed one is a usage error
+        # even where no Voronoi diagram is built; args.frame becomes a Rect.
+        if args.frame is not None:
+            from .io import parse_frame
+
+            args.frame = parse_frame(args.frame)
         return COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

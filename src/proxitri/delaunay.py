@@ -50,7 +50,7 @@ from .geometry import (
     _on_segment,
     _row_order,
     _sign,
-    segment_intersection,
+    convex_closed_intersection,
 )
 
 class SiteSet(_Frozen):
@@ -324,7 +324,9 @@ class TriMesh(_Frozen):
         return Polygon(self.triangle_points(t))
 
     def circumcenter(self, t: int) -> Point:
-        return _circumcenter(*self.triangle_points(t))[0]
+        rows = self.sites.rows
+        i, j, k = self.check_triangle(t)
+        return _circumcenter(rows[i], rows[j], rows[k])
 
     def edges(self) -> list[tuple[int, int]]:
         tri_of = self._tri_of
@@ -491,7 +493,7 @@ def _validate_constraints(
         j = _blocked(a, b, (), ends[i + 1 :])
         if j is not None:
             other = segs[i + 1 + j]
-            hit = segment_intersection(segs[i], other)
+            hit = convex_closed_intersection(segs[i], other)
             how = "overlap along" if isinstance(hit, Segment) else "cross at"
             raise CrossingConstraints(f"constraints {segs[i]} and {other} {how} {hit}")
 

@@ -10,7 +10,9 @@ point is stored as one integer form, its canonical homogeneous row
 gcd(X, Y, W) = 1, so W is the lcm of the reduced denominators. Each
 predicate is a determinant whose rows are scaled by positive weights,
 which leaves its sign unchanged; the Delaunay construction uses the same
-orientation and in-circle determinants on the same rows. A line is an
+orientation and in-circle determinants on the same rows. A circle is
+never built: `_incircle_det` places a fourth row against the circle
+through three rows, and `_circumcenter` gives its centre. A line is an
 integer triple (a, b, c) whose value at (X, Y, W) is aX + bY + cW, W
 times the affine value, so it has the same sign. A constructed point
 (segment crossing, circumcenter, line slice) is an integer row divided
@@ -34,7 +36,7 @@ from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import CollinearInput, InputError, NonConvexInput, NotCCW
+from .errors import CollinearInput, InputError, NonConvexInput
 
 CoordinateInput = Union[Fraction, int, str]
 _LITERAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
@@ -72,12 +74,6 @@ class Orientation(Enum):
     CCW = 1
     COLLINEAR = 0
     CW = -1
-
-
-class CirclePosition(Enum):
-    INSIDE = 1
-    ON = 0
-    OUTSIDE = -1
 
 
 class PointLocation(Enum):
@@ -280,7 +276,6 @@ def _turn(o: Point, a: Point, b: Point) -> int:
 
 
 _ORIENTATIONS = (Orientation.COLLINEAR, Orientation.CCW, Orientation.CW)
-_CIRCLE_POSITIONS = (CirclePosition.ON, CirclePosition.INSIDE, CirclePosition.OUTSIDE)
 
 
 def orientation(a: Point, b: Point, c: Point) -> Orientation:
@@ -288,33 +283,14 @@ def orientation(a: Point, b: Point, c: Point) -> Orientation:
     return _ORIENTATIONS[_turn(a, b, c)]
 
 
-class CircumCircle(_Frozen):
-    """Circle through three non-collinear points; radius kept squared so the
-    representation stays rational."""
-
-    __slots__ = _fields = ("center", "radius_sq")
-
-    def __init__(self, center: Point, radius_sq: Fraction):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius_sq", radius_sq)
-
-
-def circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
-    """Center and squared radius of the circle through a, b, c.
+def _circumcenter(a: Homogeneous, b: Homogeneous, c: Homogeneous) -> Point:
+    """Center of the circle through the rows a, b, c.
 
     Raises CollinearInput when no finite circle exists.
     """
-    center, nx, ny, den = _circumcenter(a, b, c)
-    return CircumCircle(center, Fraction(nx * nx + ny * ny, den * den))
-
-
-def _circumcenter(a: Point, b: Point, c: Point) -> tuple[Point, int, int, int]:
-    """Center of the circle through a, b, c, and integers (nx, ny, den)
-    with center - a = (nx, ny) / den, so a caller that needs no radius
-    builds no radius Fraction."""
-    ax, ay, aw = a.row
-    bx, by, bw = b.row
-    cx, cy, cw = c.row
+    ax, ay, aw = a
+    bx, by, bw = b
+    cx, cy, cw = c
     # B = W_a W_b (b - a) and C = W_a W_c (c - a); k = B x C has the sign of the turn.
     bdx = bx * aw - ax * bw
     bdy = by * aw - ay * bw
@@ -322,6 +298,7 @@ def _circumcenter(a: Point, b: Point, c: Point) -> tuple[Point, int, int, int]:
     cdy = cy * aw - ay * cw
     k = bdx * cdy - bdy * cdx
     if k == 0:
+        a, b, c = (Point._at(*r) for r in (a, b, c))
         raise CollinearInput(f"no circumcircle through collinear {a}, {b}, {c}")
     blift = bdx * bdx + bdy * bdy
     clift = cdx * cdx + cdy * cdy
@@ -329,30 +306,12 @@ def _circumcenter(a: Point, b: Point, c: Point) -> tuple[Point, int, int, int]:
     nx = cw * cdy * blift - bw * bdy * clift
     ny = bw * bdx * clift - cw * cdx * blift
     e = 2 * bw * cw * k
-    den = aw * e
-    center = Point._at(ax * e + nx, ay * e + ny, den)
-    return center, nx, ny, den
-
-
-def in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
-    """Exact position of d relative to the circle through the CCW triple a, b, c."""
-    if orientation(a, b, c) is not Orientation.CCW:
-        raise NotCCW(f"defining triple {a}, {b}, {c} is not counterclockwise")
-    return _CIRCLE_POSITIONS[_sign(_incircle_det(a.row, b.row, c.row, d.row))]
+    return Point._at(ax * e + nx, ay * e + ny, aw * e)
 
 
 def _on_segment(p: Homogeneous, a: Homogeneous, b: Homogeneous) -> bool:
     """Row p lies on the closed segment ab (a != b)."""
     return _det3(a, b, p) == 0 and _between(p, a, b)
-
-
-def segment_intersection(s: Segment, t: Segment) -> Union[None, Point, Segment]:
-    """Exact intersection of two closed segments.
-
-    Returns None when disjoint, the Point of a single-point contact, or the
-    Segment of a positive-length collinear overlap.
-    """
-    return convex_closed_intersection(s, t)
 
 
 class Polygon(_Frozen):
@@ -734,9 +693,3 @@ def bounding_box(points: Sequence[Point]) -> tuple[Fraction, Fraction, Fraction,
         Fraction(x1[0], x1[2]),
         Fraction(y1[1], y1[2]),
     )
-
-
-def distance_sq(a: Point, b: Point) -> Fraction:
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy

@@ -2,9 +2,11 @@
 
 Two sets are near when their closures intersect, far otherwise; a
 verdict is near exactly when it carries a witness, a common part of the
-two closures. Two convex polygons are strongly near when their closed
-intersection is a positive-length segment; `near` flags it, and the CLI
-decides strong nearness of triangles and of cells that way.
+two closures, so far is `not near(a, b).is_near`. Two segments, and two
+convex polygons, meet in geometry's one kernel,
+`convex_closed_intersection`. Two convex polygons are strongly near when
+their closed intersection is a positive-length segment; `near` flags it,
+and the CLI decides strong nearness of triangles and of cells that way.
 `strongly_near_triangles` is the index form (two shared vertices),
 equal to it on every mesh that `triangulate` builds.
 All computation is exact; there is no tolerance parameter anywhere.
@@ -26,7 +28,6 @@ from .geometry import (
     convex_closed_intersection,
     is_convex_polygon,
     locate_point,
-    segment_intersection,
 )
 
 GeometrySet = Union[Point, Segment, Polygon, tuple, frozenset, list]
@@ -86,7 +87,7 @@ def near(a: GeometrySet, b: GeometrySet) -> ProximityVerdict:
     if pb is not None:
         return _points_near(pb, ga)
     if isinstance(ga, Segment) and isinstance(gb, Segment):
-        hit = segment_intersection(ga, gb)
+        hit = convex_closed_intersection(ga, gb)
         if hit is None:
             return _FAR
         return ProximityVerdict(hit)
@@ -95,11 +96,6 @@ def near(a: GeometrySet, b: GeometrySet) -> ProximityVerdict:
     if isinstance(ga, Polygon) and isinstance(gb, Segment):
         return _segment_polygon_near(gb, ga)
     return _polygons_near(ga, gb)
-
-
-def far(a: GeometrySet, b: GeometrySet) -> bool:
-    """True when the closures of a and b do not meet."""
-    return not near(a, b).is_near
 
 
 def _points_near(pts: tuple[Point, ...], other) -> ProximityVerdict:
@@ -117,7 +113,7 @@ def _segment_polygon_near(seg: Segment, poly: Polygon) -> ProximityVerdict:
         if locate_point(end, poly) is not PointLocation.EXTERIOR:
             return ProximityVerdict(end)
     for edge in poly.edges():
-        hit = segment_intersection(seg, edge)
+        hit = convex_closed_intersection(seg, edge)
         if hit is not None:
             return ProximityVerdict(hit)
     return _FAR
@@ -138,7 +134,7 @@ def _polygons_near(p: Polygon, q: Polygon) -> ProximityVerdict:
             return ProximityVerdict(v)
     for e in p.edges():
         for f in q.edges():
-            hit = segment_intersection(e, f)
+            hit = convex_closed_intersection(e, f)
             if hit is not None:
                 return ProximityVerdict(hit)
     return _FAR

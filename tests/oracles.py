@@ -18,7 +18,7 @@ which the sort-and-sweep broad phase replaces; they reach the library
 through the `proxitri.checks` module, so a fault patched into it reaches
 them as well. reference_polygon is Polygon construction as separate
 passes over Points (normalise, area sign, convexity, all edge pairs
-through segment_intersection), which the one pass over integer rows
+through fraction_segment_intersection), which the one pass over integer rows
 replaces. reference_mesh is the mesh builder that keeps numbered
 triangles beside a directed edge -> triangle map, which the one directed
 edge -> apex map replaces. It also keeps the old sweep, whose hull is one
@@ -69,8 +69,6 @@ from proxitri.errors import (
     TooFewSites,
 )
 from proxitri.geometry import (
-    CircumCircle,
-    CirclePosition,
     Homogeneous,
     Orientation,
     Point,
@@ -82,11 +80,9 @@ from proxitri.geometry import (
     _incircle_det,
     _line_point,
     _row_order,
-    distance_sq,
-    in_circumcircle,
+    convex_closed_intersection,
     is_convex_polygon,
     locate_point,
-    segment_intersection,
 )
 from proxitri.render import STYLE
 from proxitri.voronoi import closed_cell_intersection
@@ -145,6 +141,12 @@ def _fraction_cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
+def fraction_distance_sq(a: Point, b: Point) -> Fraction:
+    dx = a.x - b.x
+    dy = a.y - b.y
+    return dx * dx + dy * dy
+
+
 def fraction_orientation(a: Point, b: Point, c: Point) -> Orientation:
     d = _fraction_cross(a, b, c)
     if d > 0:
@@ -154,7 +156,9 @@ def fraction_orientation(a: Point, b: Point, c: Point) -> Orientation:
     return Orientation.COLLINEAR
 
 
-def fraction_circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
+def fraction_circumcircle(a: Point, b: Point, c: Point) -> tuple[Point, Fraction]:
+    """Centre and squared radius of the circle through a, b, c, from the
+    closed-form solve of the two perpendicular-bisector equations."""
     d = 2 * _fraction_cross(a, b, c)
     if d == 0:
         raise CollinearInput("collinear")
@@ -163,10 +167,12 @@ def fraction_circumcircle(a: Point, b: Point, c: Point) -> CircumCircle:
     sc = c.x * c.x + c.y * c.y
     ux = (sa * (b.y - c.y) + sb * (c.y - a.y) + sc * (a.y - b.y)) / d
     uy = (sa * (c.x - b.x) + sb * (a.x - c.x) + sc * (b.x - a.x)) / d
-    return CircumCircle(Point(ux, uy), (a.x - ux) ** 2 + (a.y - uy) ** 2)
+    return Point(ux, uy), (a.x - ux) ** 2 + (a.y - uy) ** 2
 
 
-def fraction_in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> CirclePosition:
+def fraction_in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> int:
+    """1, 0 or -1 as d lies inside, on or outside the circle through the
+    counterclockwise triple a, b, c: the sign of the lifted determinant."""
     if fraction_orientation(a, b, c) is not Orientation.CCW:
         raise NotCCW("not counterclockwise")
     adx, ady = a.x - d.x, a.y - d.y
@@ -177,22 +183,14 @@ def fraction_in_circumcircle(a: Point, b: Point, c: Point, d: Point) -> CirclePo
         - (bdx * bdx + bdy * bdy) * (adx * cdy - ady * cdx)
         + (cdx * cdx + cdy * cdy) * (adx * bdy - ady * bdx)
     )
-    if det > 0:
-        return CirclePosition.INSIDE
-    if det < 0:
-        return CirclePosition.OUTSIDE
-    return CirclePosition.ON
+    return (det > 0) - (det < 0)
 
 
-def circle_position(circle: CircumCircle, p: Point) -> CirclePosition:
-    """Position of p against a circle, from its squared distance to the
-    centre and the squared radius."""
-    d = distance_sq(p, circle.center)
-    if d < circle.radius_sq:
-        return CirclePosition.INSIDE
-    if d > circle.radius_sq:
-        return CirclePosition.OUTSIDE
-    return CirclePosition.ON
+def circle_position(center: Point, radius_sq: Fraction, p: Point) -> int:
+    """1, 0 or -1 as p lies inside, on or outside a circle, from its
+    squared distance to the centre and the squared radius."""
+    d = fraction_distance_sq(p, center)
+    return (d < radius_sq) - (d > radius_sq)
 
 
 def reversed_segment(s: Segment) -> Segment:
@@ -285,8 +283,8 @@ def composed_common_vertex(diagram, p: int, q: int, r: int):
         return None
     if not isinstance(result, Point):
         raise DegenerateIntersection(f"cells {p}, {q}, {r} share {result}")
-    d = distance_sq(result, diagram.sites[p])
-    if sum(distance_sq(result, s) == d for s in diagram.sites.points) > 3:
+    d = fraction_distance_sq(result, diagram.sites[p])
+    if sum(fraction_distance_sq(result, s) == d for s in diagram.sites.points) > 3:
         raise DegenerateIntersection(f"cocircular cells meet at {result}")
     return result
 
@@ -401,11 +399,15 @@ def distance_matching_edges(
     p = sites[site]
     out = []
     for seg in polygon.edges():
-        da = distance_sq(seg.a, p)
-        db = distance_sq(seg.b, p)
+        da = fraction_distance_sq(seg.a, p)
+        db = fraction_distance_sq(seg.b, p)
         owner = None
         for q, pt in enumerate(sites.points):
-            if q != site and distance_sq(seg.a, pt) == da and distance_sq(seg.b, pt) == db:
+            if (
+                q != site
+                and fraction_distance_sq(seg.a, pt) == da
+                and fraction_distance_sq(seg.b, pt) == db
+            ):
                 owner = q
                 break
         out.append((seg, owner))
@@ -711,7 +713,7 @@ def random_constraints(rng, sites: SiteSet, most: int) -> ConstraintSet:
             continue
         crossing = False
         for other in chosen:
-            hit = segment_intersection(seg, other)
+            hit = fraction_segment_intersection(seg, other)
             if isinstance(hit, Segment):
                 crossing = True
             elif isinstance(hit, Point):
@@ -800,7 +802,7 @@ def reference_polygon(points):
     edges = [Segment(vs[i], vs[(i + 1) % n]) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            hit = segment_intersection(edges[i], edges[j])
+            hit = fraction_segment_intersection(edges[i], edges[j])
             if j == i + 1:
                 ok = hit == vs[j]
             elif i == 0 and j == n - 1:
@@ -814,7 +816,12 @@ def reference_polygon(points):
 
 def candidate_hull_intersection(p: Polygon, q: Polygon):
     """Closed intersection of two convex polygons as the hull of every
-    vertex located in the other polygon and every edge-edge contact."""
+    vertex located in the other polygon and every edge-edge contact.
+
+    The edge contacts come from the kernel under test,
+    convex_closed_intersection, on two segments: taking them from
+    fraction_segment_intersection roughly doubles the time of the mesh
+    triangle pair tests. The location and the hull stay independent."""
     if not is_convex_polygon(p) or not is_convex_polygon(q):
         raise NonConvexInput("not convex")
     px0, py0, px1, py1 = p.bounding_box()
@@ -830,7 +837,7 @@ def candidate_hull_intersection(p: Polygon, q: Polygon):
             candidates.add(v)
     for e in p.edges():
         for f in q.edges():
-            hit = segment_intersection(e, f)
+            hit = convex_closed_intersection(e, f)
             if isinstance(hit, Point):
                 candidates.add(hit)
             elif isinstance(hit, Segment):
@@ -895,18 +902,18 @@ def scan_site_inside_circumdisk(mesh, t: int):
     """The first site, in index order over every site, strictly inside
     triangle t's circumdisk, or None."""
     i, j, k = mesh.triangles[t]
-    pts = mesh.sites.points
-    for d in range(len(pts)):
+    rows = mesh.sites.rows
+    for d in range(len(rows)):
         if d in (i, j, k):
             continue
-        if in_circumcircle(pts[i], pts[j], pts[k], pts[d]) is CirclePosition.INSIDE:
+        if _incircle_det(rows[i], rows[j], rows[k], rows[d]) > 0:
             return d
     return None
 
 
 def _nearest_tied(diagram, u: Point) -> bool:
     """Four or more sites jointly nearest to u, on sorted Fraction distances."""
-    dists = sorted(distance_sq(u, s) for s in diagram.sites.points)
+    dists = sorted(fraction_distance_sq(u, s) for s in diagram.sites.points)
     return len(dists) >= 4 and dists[0] == dists[3]
 
 

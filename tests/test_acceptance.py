@@ -22,13 +22,11 @@ from proxitri.delaunay import (
 from proxitri.errors import DegenerateIntersection
 from proxitri.generate import generate_sites
 from proxitri.geometry import (
-    CirclePosition,
     Point,
     Polygon,
     Segment,
     convex_closed_intersection,
     convex_hull,
-    in_circumcircle,
     is_convex_polygon,
 )
 from proxitri.proximity import near
@@ -48,6 +46,7 @@ from oracles import (
     is_visible,
     mesh_triangle_set,
     random_constraints,
+    scan_site_inside_circumdisk,
     visibility_oracle,
 )
 
@@ -118,15 +117,9 @@ def test_criterion_04_four_way_equivalence(corpus):
     triangles = 0
     for entry in corpus:
         mesh, diagram = entry.mesh, entry.diagram
-        pts = entry.sites.points
         for t, (i, j, k) in enumerate(mesh.triangles):
             triangles += 1
-            empty_disk = all(
-                in_circumcircle(pts[i], pts[j], pts[k], pts[d])
-                is not CirclePosition.INSIDE
-                for d in range(len(pts))
-                if d not in (i, j, k)
-            )
+            empty_disk = scan_site_inside_circumdisk(mesh, t) is None
             center_is_vertex = common_vertex(diagram, i, j, k) == diagram.vertices[t]
             pairwise_strong = all(
                 isinstance(closed_cell_intersection(diagram, a, b), Segment)

@@ -25,7 +25,6 @@ from proxitri.geometry import (
     Point,
     _ring_area2,
     bounding_box,
-    distance_sq,
     orientation,
 )
 from proxitri.regions import extract_regions, region_union_polygon
@@ -34,6 +33,7 @@ from proxitri.voronoi import VoronoiDiagram, closed_cell_intersection, voronoi_d
 from oracles import (
     all_pairs_check_dual,
     all_pairs_check_leader,
+    fraction_distance_sq,
     fraction_triangle_area,
     scan_site_inside_circumdisk,
 )
@@ -290,7 +290,7 @@ def test_all_suites_ask_one_disk_query_per_triangle(monkeypatch, distribution):
 
 def _disk_reference(sites, u, p):
     """SiteSet.disk over every site, on Fraction distances."""
-    d = [distance_sq(u, s) for s in sites.points]
+    d = [fraction_distance_sq(u, s) for s in sites.points]
     inside = next((i for i, d_i in enumerate(d) if d_i < d[p]), None)
     return inside, d.count(d[p])
 

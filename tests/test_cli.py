@@ -361,6 +361,30 @@ class TestGlobalFlags:
         code, _, _ = run_cli("check", fan_file, "--suite", "dual", "--frame=-20,-20,20,20")
         assert code == 0
 
+    @pytest.mark.parametrize("frame", ["garbage", "1,2", "", "0,0,0,1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "5", "--out", "-"],
+            ["triangulate", "{sites}"],
+            ["render", "{sites}", "--what", "delaunay", "--out", "{tmp}/d.svg"],
+            ["render", "{sites}", "--what", "regions", "--out", "{tmp}/r.svg"],
+            ["query", "{sites}", "near", "t:0", "e:0-1"],
+            ["check", "{sites}", "--suite", "leader"],
+            ["query", "{sites}", "strong", "v:0", "v:1"],
+        ],
+        ids=["gen", "triangulate", "render-delaunay", "render-regions", "query-t-e", "check", "query-v"],
+    )
+    def test_malformed_frame_is_usage_error(self, tmp_path, fan_file, argv, frame):
+        args = [a.format(sites=fan_file, tmp=tmp_path) for a in argv]
+        code, out, err = run_cli(*args, f"--frame={frame}")
+        assert (code, out) == (2, "")
+        if frame == "0,0,0,1":
+            assert err == "error: rectangle must have positive width and height\n"
+        else:
+            assert err == f"error: frame needs x0,y0,x1,y1; got {frame!r}\n"
+        assert not list(tmp_path.glob("*.svg"))
+
     def test_seed_range_enforced(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("--seed", "-1", "gen", "5", "--out", str(tmp_path / "x"))
@@ -429,11 +453,10 @@ EXPORTS = {
         "UnknownEdge UnknownSelector UnwritablePath"
     ),
     "geometry": (
-        "CirclePosition CircumCircle Orientation Point PointLocation Polygon Rect Segment "
-        "circumcircle convex_closed_intersection convex_hull distance_sq in_circumcircle "
-        "is_convex_polygon locate_point orientation segment_intersection"
+        "Orientation Point PointLocation Polygon Rect Segment convex_closed_intersection "
+        "convex_hull is_convex_polygon locate_point orientation"
     ),
-    "proximity": "ProximityVerdict far near strongly_near_triangles triangles_near",
+    "proximity": "ProximityVerdict near strongly_near_triangles triangles_near",
     "regions": (
         "Region extract_regions is_region_convex leader_neighborhoods "
         "proximal_region_pairs region_common_intersection region_union_polygon"
@@ -442,9 +465,10 @@ EXPORTS = {
 }
 # Exported until the library dropped them; each must now be missing.
 REMOVED = (
-    "CellEdge LeaderNeighborhood Relation VoronoiCell "
-    "cells_strongly_near connected_components convex_polygon_intersection "
-    "is_constrained_delaunay_edge is_delaunay_edge is_delaunay_triangle is_visible"
+    "CellEdge CircumCircle CirclePosition LeaderNeighborhood Relation VoronoiCell "
+    "cells_strongly_near circumcircle connected_components convex_polygon_intersection "
+    "distance_sq far in_circumcircle is_constrained_delaunay_edge is_delaunay_edge "
+    "is_delaunay_triangle is_visible segment_intersection"
 )
 SUBMODULES = COMPUTATIONAL | {"choices", "cli", "errors"}
 
@@ -519,6 +543,11 @@ class TestImportFootprint:
             with pytest.raises(AttributeError):
                 getattr(proxitri, name)
         assert not hasattr(proxitri.io, "mesh_from_document")
+
+    def test_readme_library_tour_names_every_export(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        tour = readme.partition("\n## Library tour\n")[2].partition("\n## ")[0]
+        assert [name for name in proxitri.__all__ if f"`{name}`" not in tour] == []
 
     def test_star_import(self):
         namespace: dict = {}

@@ -25,22 +25,14 @@ from proxitri.errors import (
     UnknownEdge,
 )
 from proxitri.generate import generate_sites
-from proxitri.geometry import (
-    CirclePosition,
-    Point,
-    Segment,
-    _det3,
-    _incircle_det,
-    _sign,
-    circumcircle,
-    in_circumcircle,
-)
+from proxitri.geometry import Point, Segment, _det3, _incircle_det, _sign
 from proxitri.voronoi import closed_cell_intersection, common_vertex, voronoi_diagram
 
 from conftest import EXACTLY_COCIRCULAR
 from oracles import (
     brute_delaunay_triangles,
     edges_of_triangles,
+    fraction_circumcircle,
     fraction_in_circumcircle,
     fraction_is_constrained_delaunay_edge,
     fraction_orientation,
@@ -50,6 +42,7 @@ from oracles import (
     random_constraints,
     reference_fan,
     reference_mesh,
+    scan_site_inside_circumdisk,
     visibility_oracle,
 )
 
@@ -110,7 +103,7 @@ def assert_kernel_matches_fractions(pts):
     if turn == 0:
         return None
     i, j, k = (0, 1, 2) if turn > 0 else (0, 2, 1)
-    expected = fraction_in_circumcircle(pts[i], pts[j], pts[k], d).value
+    expected = fraction_in_circumcircle(pts[i], pts[j], pts[k], d)
     assert _sign(_incircle_det(rows[i], rows[j], rows[k], rows[3])) == expected
     return expected
 
@@ -124,7 +117,7 @@ class TestKernel:
     @settings(max_examples=100, deadline=None)
     @given(cocircular_quadruples())
     def test_cocircular_quadruples_are_on(self, pts):
-        assert assert_kernel_matches_fractions(pts) == CirclePosition.ON.value
+        assert assert_kernel_matches_fractions(pts) == 0
 
     def test_homogeneous_form_uses_the_lcm_weight(self):
         # W = lcm(4, 6) = 12, not the product 24; SiteSet.scaled reads the same form
@@ -219,21 +212,14 @@ class TestTriangulate:
     def test_empty_circumdisk_property(self, corpus):
         # spot-check a slice of the corpus here; acceptance covers all of it
         for entry in corpus[:10]:
-            pts = entry.sites.points
-            for (i, j, k) in entry.mesh.triangles:
-                for d in range(len(pts)):
-                    if d in (i, j, k):
-                        continue
-                    assert (
-                        in_circumcircle(pts[i], pts[j], pts[k], pts[d])
-                        is not CirclePosition.INSIDE
-                    )
+            for t in range(len(entry.mesh)):
+                assert scan_site_inside_circumdisk(entry.mesh, t) is None
 
     def test_circumcenter_is_circumcircle_center(self, corpus, degenerate_corpus):
         for entry in corpus + degenerate_corpus:
             mesh = entry.mesh
             for t in range(len(mesh)):
-                assert mesh.circumcenter(t) == circumcircle(*mesh.triangle_points(t)).center
+                assert mesh.circumcenter(t) == fraction_circumcircle(*mesh.triangle_points(t))[0]
 
 
 class TestHullCoverage:
@@ -358,10 +344,8 @@ class TestDelaunayEdgeAndTriangle:
 
         bad = TriMesh(sites, ((0, 1, 3), (1, 2, 3)), frozenset())
         diagram = voronoi_diagram(sites)
-        pts = sites.points
-        assert (
-            in_circumcircle(pts[0], pts[1], pts[3], pts[2]) is CirclePosition.INSIDE
-        )
+        rows = sites.rows
+        assert _incircle_det(rows[0], rows[1], rows[3], rows[2]) > 0
         for t in range(len(bad)):
             assert common_vertex(diagram, *bad.triangles[t]) != bad.circumcenter(t)
 

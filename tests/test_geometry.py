@@ -7,24 +7,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from proxitri.checks import _circumdisk_scan
+from proxitri.delaunay import SiteSet, TriMesh
 from proxitri.errors import CollinearInput, GeometryError, NonConvexInput, NotCCW
 from proxitri.geometry import (
-    CirclePosition,
     Orientation,
     Point,
     PointLocation,
     Polygon,
     Segment,
-    circumcircle,
+    _circumcenter,
+    _incircle_det,
+    _line_slice,
+    _sign,
     convex_closed_intersection,
     convex_hull,
-    distance_sq,
-    in_circumcircle,
     is_convex_polygon,
     locate_point,
     orientation,
-    _line_slice,
-    segment_intersection,
 )
 
 from oracles import (
@@ -34,6 +34,7 @@ from oracles import (
     fraction_closed_intersection,
     fraction_convex_hull,
     fraction_circumcircle,
+    fraction_distance_sq,
     fraction_in_circumcircle,
     fraction_line_slice,
     fraction_orientation,
@@ -55,6 +56,16 @@ ring_points = st.builds(Point, ring_coords, ring_coords)
 
 def P(x, y) -> Point:
     return Point(x, y)
+
+
+def circumcenter(a: Point, b: Point, c: Point) -> Point:
+    return _circumcenter(a.row, b.row, c.row)
+
+
+def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
+    """1, 0 or -1 as d lies inside, on or outside the circle through the
+    counterclockwise triple a, b, c."""
+    return _sign(_incircle_det(a.row, b.row, c.row, d.row))
 
 
 class TestCoordinates:
@@ -98,80 +109,91 @@ class TestOrientation:
 
 
 class TestCircumcircle:
+    """The centre of the circle through three rows."""
+
     def test_right_triangle(self):
-        cc = circumcircle(P(0, 0), P(4, 0), P(0, 4))
-        assert cc.center == P(2, 2)
-        assert cc.radius_sq == 8
+        center = circumcenter(P(0, 0), P(4, 0), P(0, 4))
+        assert center == P(2, 2)
+        assert fraction_distance_sq(center, P(0, 0)) == 8
 
     def test_bisector_solution(self):
         # perpendicular-bisector equations solved by hand for this triple
-        cc = circumcircle(P(0, 0), P(2, 0), P(1, 1))
-        assert cc.center == P(1, 0)
-        assert cc.radius_sq == 1
+        center = circumcenter(P(0, 0), P(2, 0), P(1, 1))
+        assert center == P(1, 0)
+        assert fraction_distance_sq(center, P(1, 1)) == 1
 
     def test_collinear_rejected(self):
-        with pytest.raises(CollinearInput):
-            circumcircle(P(0, 0), P(1, 1), P(2, 2))
+        with pytest.raises(
+            CollinearInput, match=r"^no circumcircle through collinear \(0, 0\), \(1/2, 1\), \(2, 4\)$"
+        ):
+            circumcenter(P(0, 0), P("1/2", 1), P(2, 4))
 
     @given(points, points, points)
     def test_center_equidistant(self, a, b, c):
         if orientation(a, b, c) is Orientation.COLLINEAR:
             with pytest.raises(CollinearInput):
-                circumcircle(a, b, c)
+                circumcenter(a, b, c)
             return
-        cc = circumcircle(a, b, c)
-        assert distance_sq(cc.center, a) == cc.radius_sq
-        assert distance_sq(cc.center, b) == cc.radius_sq
-        assert distance_sq(cc.center, c) == cc.radius_sq
+        center = circumcenter(a, b, c)
+        radius_sq = fraction_distance_sq(center, a)
+        assert fraction_distance_sq(center, b) == radius_sq
+        assert fraction_distance_sq(center, c) == radius_sq
 
 
 class TestInCircumcircle:
+    """The sign of the in-circle determinant on rows."""
+
     def test_spec_examples(self):
         a, b, c = P(0, 0), P(4, 0), P(0, 4)
-        assert in_circumcircle(a, b, c, P(1, 1)) is CirclePosition.INSIDE
-        assert in_circumcircle(a, b, c, P(4, 4)) is CirclePosition.ON
-        assert in_circumcircle(a, b, c, P(5, 5)) is CirclePosition.OUTSIDE
+        assert incircle(a, b, c, P(1, 1)) == 1
+        assert incircle(a, b, c, P(4, 4)) == 0
+        assert incircle(a, b, c, P(5, 5)) == -1
 
     def test_not_ccw_rejected(self):
-        with pytest.raises(NotCCW):
-            in_circumcircle(P(0, 0), P(0, 4), P(4, 0), P(1, 1))
+        # The one circumdisk question `check` asks of a triangle guards its turn.
+        sites = SiteSet.of([(0, 0), (0, 4), (4, 0), (1, 1)])
+        clockwise = TriMesh(sites, ((0, 1, 2),), frozenset())
+        with pytest.raises(NotCCW, match="^triangle 0 is not counterclockwise$"):
+            _circumdisk_scan(clockwise, sites.disk)(0)
 
     @given(points, points, points)
     def test_defining_points_are_on(self, a, b, c):
         if orientation(a, b, c) is not Orientation.CCW:
             return
         for d in (a, b, c):
-            assert in_circumcircle(a, b, c, d) is CirclePosition.ON
+            assert incircle(a, b, c, d) == 0
 
     @given(points, points, points, points)
     def test_matches_circumcircle_distance(self, a, b, c, d):
         if orientation(a, b, c) is not Orientation.CCW:
             return
-        cc = circumcircle(a, b, c)
-        assert in_circumcircle(a, b, c, d) is circle_position(cc, d)
+        center = circumcenter(a, b, c)
+        assert incircle(a, b, c, d) == circle_position(center, fraction_distance_sq(center, a), d)
 
 
 class TestSegmentIntersection:
+    """The closed-convex kernel on two segments."""
+
     def test_crossing_diagonals(self):
-        got = segment_intersection(
+        got = convex_closed_intersection(
             Segment(P(0, 0), P(2, 2)), Segment(P(0, 2), P(2, 0))
         )
         assert got == P(1, 1)
 
     def test_collinear_overlap(self):
-        got = segment_intersection(
+        got = convex_closed_intersection(
             Segment(P(0, 0), P(2, 0)), Segment(P(1, 0), P(3, 0))
         )
         assert got == Segment(P(1, 0), P(2, 0))
 
     def test_parallel_disjoint(self):
         assert (
-            segment_intersection(Segment(P(0, 0), P(1, 0)), Segment(P(0, 1), P(1, 1)))
+            convex_closed_intersection(Segment(P(0, 0), P(1, 0)), Segment(P(0, 1), P(1, 1)))
             is None
         )
 
     def test_endpoint_touch(self):
-        got = segment_intersection(
+        got = convex_closed_intersection(
             Segment(P(0, 0), P(1, 0)), Segment(P(1, 0), P(2, 5))
         )
         assert got == P(1, 0)
@@ -181,14 +203,14 @@ class TestSegmentIntersection:
         if a == b or c == d:
             return
         s, t = Segment(a, b), Segment(c, d)
-        assert segment_intersection(s, t) == segment_intersection(t, s)
+        assert convex_closed_intersection(s, t) == convex_closed_intersection(t, s)
 
     @given(points, points, points, points)
     def test_witness_lies_on_both(self, a, b, c, d):
         if a == b or c == d:
             return
         s, t = Segment(a, b), Segment(c, d)
-        got = segment_intersection(s, t)
+        got = convex_closed_intersection(s, t)
         if isinstance(got, Point):
             assert locate_point(got, s) is not PointLocation.EXTERIOR
             assert locate_point(got, t) is not PointLocation.EXTERIOR
@@ -483,9 +505,11 @@ class TestIntegerKernel:
         a, b, c = abc
         if fraction_orientation(a, b, c) is Orientation.COLLINEAR:
             with pytest.raises(CollinearInput):
-                circumcircle(a, b, c)
+                circumcenter(a, b, c)
             return
-        assert circumcircle(a, b, c) == fraction_circumcircle(a, b, c)
+        center, radius_sq = fraction_circumcircle(a, b, c)
+        assert circumcenter(a, b, c) == center
+        assert fraction_distance_sq(center, a) == radius_sq
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -499,31 +523,33 @@ class TestIntegerKernel:
         a, b, c, d = (pts[i] for i in order)
         if fraction_orientation(a, b, c) is not Orientation.CCW:
             with pytest.raises(NotCCW):
-                in_circumcircle(a, b, c, d)
+                fraction_in_circumcircle(a, b, c, d)
             return
-        assert in_circumcircle(a, b, c, d) is fraction_in_circumcircle(a, b, c, d)
-        assert circle_position(circumcircle(a, b, c), d) is fraction_in_circumcircle(a, b, c, d)
+        expected = fraction_in_circumcircle(a, b, c, d)
+        assert incircle(a, b, c, d) == expected
+        assert circle_position(*fraction_circumcircle(a, b, c), d) == expected
 
     def test_cocircular_mixed_denominators_are_on(self):
         # (3/5, 4/5), (5/13, 12/13), (-8/17, 15/17) and (-7/25, -24/25) lie on
         # the unit circle, and every coordinate pair has unrelated denominators.
         a, b, c, d = P("3/5", "4/5"), P("5/13", "12/13"), P("-8/17", "15/17"), P("-7/25", "-24/25")
-        assert in_circumcircle(a, b, c, d) is CirclePosition.ON
-        assert in_circumcircle(a, b, c, P("-7/25", "-23/25")) is CirclePosition.INSIDE
+        assert incircle(a, b, c, d) == fraction_in_circumcircle(a, b, c, d) == 0
+        inside = P("-7/25", "-23/25")
+        assert incircle(a, b, c, inside) == fraction_in_circumcircle(a, b, c, inside) == 1
 
     @settings(max_examples=300, deadline=None)
     @given(segment_pairs())
     def test_segment_intersection_matches_reference(self, st_pair):
         s, t = st_pair
-        got = segment_intersection(s, t)
+        got = convex_closed_intersection(s, t)
         assert got == fraction_segment_intersection(s, t)
-        assert got == segment_intersection(t, s) == convex_closed_intersection(s, t)
+        assert got == convex_closed_intersection(t, s)
 
     def test_touch_returns_the_touching_endpoint(self):
         s = Segment(P("1/3", "1/7"), P("7/3", "15/7"))
-        assert segment_intersection(s, Segment(P("4/3", "8/7"), P(5, -1))) == P("4/3", "8/7")
-        assert segment_intersection(s, Segment(P(5, -1), P("7/3", "15/7"))) == P("7/3", "15/7")
-        assert segment_intersection(Segment(P(0, 2), P(4, 0)), s) == P("92/63", "80/63")
+        assert convex_closed_intersection(s, Segment(P("4/3", "8/7"), P(5, -1))) == P("4/3", "8/7")
+        assert convex_closed_intersection(s, Segment(P(5, -1), P("7/3", "15/7"))) == P("7/3", "15/7")
+        assert convex_closed_intersection(Segment(P(0, 2), P(4, 0)), s) == P("92/63", "80/63")
 
     @settings(max_examples=200, deadline=None)
     @given(polygon_and_line())
@@ -552,8 +578,7 @@ def convex_sets(draw, kind: str):
 
 class TestClosedConvexKernel:
     """convex_closed_intersection on every pair of kinds, against the
-    Fraction references rather than segment_intersection, which is the
-    kernel itself."""
+    Fraction references."""
 
     @pytest.mark.parametrize("first", KINDS)
     @pytest.mark.parametrize("second", KINDS)

@@ -9,7 +9,7 @@ from proxitri.cli import main
 from proxitri.delaunay import SiteSet, TriMesh, triangulate
 from proxitri.errors import ParseError
 from proxitri.generate import generate_sites
-from proxitri.geometry import Point, Polygon, Segment, distance_sq
+from proxitri.geometry import Point, Polygon, Segment
 from proxitri.io import (
     SCHEMA,
     coord_literal,
@@ -25,6 +25,8 @@ from proxitri.io import (
 )
 from proxitri.regions import Region
 from proxitri.voronoi import VoronoiDiagram, voronoi_diagram
+
+from oracles import fraction_distance_sq
 
 
 class TestCoordLiterals:
@@ -284,7 +286,7 @@ class TestGenerator:
         pts = generate_sites(8, 7, "cocircular")
         center = Point(*COCIRCULAR_CENTER)
         on_circle = [
-            p for p in pts if distance_sq(p, center) == COCIRCULAR_RADIUS**2
+            p for p in pts if fraction_distance_sq(p, center) == COCIRCULAR_RADIUS**2
         ]
         assert len(on_circle) >= 4
 

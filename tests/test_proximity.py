@@ -12,12 +12,9 @@ from proxitri.geometry import (
     is_convex_polygon,
     locate_point,
 )
-from proxitri.proximity import (
-    far,
-    near,
-    strongly_near_triangles,
-    triangles_near,
-)
+from proxitri.proximity import near, strongly_near_triangles, triangles_near
+
+from oracles import fraction_segment_intersection
 
 coords = st.fractions(min_value=-15, max_value=15, max_denominator=6)
 points = st.builds(Point, coords, coords)
@@ -43,12 +40,11 @@ class TestNearFar:
         tri = Polygon((P(0, 0), P(4, 0), P(0, 4)))
         assert near(seg, seg).is_near
         assert near(tri, tri).is_near
-        assert not far(tri, tri)
 
     def test_point_set_inputs(self):
         assert near(P(1, 1), Segment(P(0, 0), P(2, 2))).is_near
         assert near([P(5, 5), P(1, 1)], Polygon((P(0, 0), P(4, 0), P(0, 4)))).is_near
-        assert far((P(9, 9),), Polygon((P(0, 0), P(4, 0), P(0, 4))))
+        assert not near((P(9, 9),), Polygon((P(0, 0), P(4, 0), P(0, 4)))).is_near
 
     def test_segment_through_polygon_interior(self):
         tri = Polygon((P(0, 0), P(4, 0), P(0, 4)))
@@ -107,7 +103,6 @@ class TestNearFar:
                 verdict = near(x, y)
                 assert not verdict.is_near
                 assert verdict.witness is None
-                assert far(x, y)
 
     @given(points, points, points, points)
     @settings(max_examples=80)
@@ -124,7 +119,7 @@ class TestNearFar:
             return
         s, t = Segment(a, b), Segment(c, d)
         verdict = near(s, t)
-        assert verdict.is_near != far(s, t)
+        assert verdict.is_near == (fraction_segment_intersection(s, t) is not None)
         if verdict.is_near and isinstance(verdict.witness, Point):
             assert locate_point(verdict.witness, s) is not PointLocation.EXTERIOR
             assert locate_point(verdict.witness, t) is not PointLocation.EXTERIOR

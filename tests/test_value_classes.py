@@ -1,4 +1,4 @@
-"""The contract of the twelve value classes: equality and hash by their
+"""The contract of the eleven value classes: equality and hash by their
 compared fields (a Point's by its row), immutability, and pickle / copy
 round trips. Cache slots (a Voronoi diagram's cells and disk answers)
 take no part in any of these."""
@@ -10,7 +10,7 @@ import pytest
 
 from proxitri.checks import CheckResult
 from proxitri.delaunay import ConstraintSet, SiteSet, TriMesh, triangulate
-from proxitri.geometry import CircumCircle, Point, Polygon, Rect, Segment, circumcircle
+from proxitri.geometry import Point, Polygon, Rect, Segment
 from proxitri.proximity import ProximityVerdict
 from proxitri.regions import Region
 from proxitri.voronoi import VoronoiDiagram, voronoi_diagram
@@ -34,10 +34,6 @@ def _diagram():
 VALUES = {
     Point: (lambda: Point(x=1, y="1/2"), ("x", "y")),
     Segment: (lambda: Segment(a=Point(0, 0), b=Point(1, 2)), ("a", "b")),
-    CircumCircle: (
-        lambda: circumcircle(Point(0, 0), Point(4, 0), Point(0, 2)),
-        ("center", "radius_sq"),
-    ),
     Polygon: (lambda: Polygon(vertices=(Point(4, 0), Point(0, 4), Point(0, 0))), ("vertices",)),
     Rect: (lambda: Rect(x0=0, y0="-1/2", x1=4, y1=3), ("x0", "y0", "x1", "y1")),
     SiteSet: (_sites, ("points",)),

@@ -11,7 +11,6 @@ from proxitri.geometry import (
     Rect,
     Segment,
     bounding_box,
-    distance_sq,
     is_convex_polygon,
     locate_point,
 )
@@ -22,6 +21,7 @@ from proxitri.voronoi import closed_cell_intersection, common_vertex, voronoi_di
 from oracles import (
     composed_common_vertex,
     distance_matching_edges,
+    fraction_distance_sq,
     halfplane_cell,
     on_frame_boundary,
 )
@@ -162,9 +162,9 @@ class TestConstruction:
         for entry in corpus[:6]:
             for own, cell in zip(entry.sites.points, entry.diagram.cells):
                 for v in cell.vertices:
-                    d_own = distance_sq(v, own)
+                    d_own = fraction_distance_sq(v, own)
                     assert all(
-                        distance_sq(v, other) >= d_own for other in entry.sites.points
+                        fraction_distance_sq(v, other) >= d_own for other in entry.sites.points
                     )
 
 
