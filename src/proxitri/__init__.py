@@ -62,8 +62,6 @@ _EXPORTS = {
     "proximity": (
         "ProximityVerdict",
         "near",
-        "strongly_near_triangles",
-        "triangles_near",
     ),
     "regions": (
         "Region",

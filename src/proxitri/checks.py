@@ -28,7 +28,7 @@ from .geometry import (
     orientation,
 )
 from .io import geometry_literal
-from .proximity import near, strongly_near_triangles, triangles_near
+from .proximity import near
 from .regions import (
     extract_regions,
     leader_neighborhoods,
@@ -286,7 +286,7 @@ def _check_regions(mesh: TriMesh) -> tuple[list[CheckResult], dict]:
         for t in sorted(adjacency(mesh, members[0])):
             if t in region.triangles:
                 continue
-            if all(strongly_near_triangles(mesh, t, u) for u in members):
+            if region.triangles <= adjacency(mesh, t):
                 sound = False
                 witness = f"region-{idx}:not-maximal:misses-{t}"
                 break
@@ -341,7 +341,7 @@ def _check_leader(mesh: TriMesh) -> list[CheckResult]:
     for a, b in sorted(pairs):
         combinatorial = b in hoods[a]
         geometric = near(polys[a], polys[b]).is_near
-        index_near = triangles_near(mesh, a, b)
+        index_near = not set(mesh.triangles[a]).isdisjoint(mesh.triangles[b])
         if not (combinatorial == geometric == index_near):
             bad = f"pair-{a}-{b}:family={combinatorial},geometric={geometric},indices={index_near}"
             break

@@ -117,22 +117,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_mesh(args):
+def cmd_triangulate(args) -> int:
     from .delaunay import constrained_triangulate, triangulate
-    from .io import parse_constraint_file, parse_site_file
+    from .io import document_for_mesh, parse_constraint_file, parse_site_file, render_document
 
     sites = parse_site_file(_read_text(args.input), args.input)
-    constraints_path = getattr(args, "constraints", None)
-    if constraints_path:
-        constraints = parse_constraint_file(_read_text(constraints_path), constraints_path)
-        return constrained_triangulate(sites, constraints)
-    return triangulate(sites)
-
-
-def cmd_triangulate(args) -> int:
-    from .io import document_for_mesh, render_document
-
-    model = document_for_mesh(_load_mesh(args))
+    if args.constraints:
+        constraints = parse_constraint_file(_read_text(args.constraints), args.constraints)
+        mesh = constrained_triangulate(sites, constraints)
+    else:
+        mesh = triangulate(sites)
+    model = document_for_mesh(mesh)
     _write_output(args.out, render_document(model, args.format), args.quiet)
     return 0
 
@@ -251,7 +246,7 @@ def cmd_query(args) -> int:
             }
         ],
     }
-    _write_output(getattr(args, "out", None), render_document(model, args.format), args.quiet)
+    _write_output(None, render_document(model, args.format), args.quiet)
     return 0
 
 

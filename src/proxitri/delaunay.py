@@ -348,17 +348,6 @@ class TriMesh(_Frozen):
     def is_constrained(self, i: int, j: int) -> bool:
         return _edge_key(i, j) in self.constrained
 
-    def directed_triangle(self, u: int, v: int) -> Optional[int]:
-        return self._tri_of.get((u, v))
-
-    def opposite_vertex(self, u: int, v: int) -> Optional[int]:
-        """Apex of the triangle containing directed edge (u, v), if any."""
-        tid = self._tri_of.get((u, v))
-        if tid is None:
-            return None
-        i, j, k = self.triangles[tid]
-        return i + j + k - u - v
-
     def fan(self, site: int) -> tuple[list[int], list[int]]:
         """Fan of triangles around a site in CCW order, with its spokes.
 
@@ -406,8 +395,10 @@ class TriMesh(_Frozen):
 def adjacency(mesh: TriMesh, t: int) -> set[int]:
     """Triangle ids sharing a full edge with t."""
     i, j, k = mesh.check_triangle(t)
-    across = (mesh.directed_triangle(v, u) for u, v in ((i, j), (j, k), (k, i)))
-    return {s for s in across if s is not None}
+    get = mesh._tri_of.get
+    across = {get((j, i)), get((k, j)), get((i, k))}
+    across.discard(None)
+    return across
 
 
 def _freeze(sites: SiteSet, builder: _MeshBuilder) -> TriMesh:
@@ -604,8 +595,9 @@ def is_locally_delaunay(mesh: TriMesh, edge: tuple[int, int]) -> bool:
     tids = mesh.edge_triangles(i, j)  # raises UnknownEdge
     if len(tids) == 1 or mesh.is_constrained(i, j):
         return True
-    c = mesh.opposite_vertex(i, j)
-    d = mesh.opposite_vertex(j, i)
+    tris, tri_of = mesh.triangles, mesh._tri_of
+    c = sum(tris[tri_of[i, j]]) - i - j
+    d = sum(tris[tri_of[j, i]]) - i - j
     rows = mesh.sites.rows
     hi, hj, hc, hd = rows[i], rows[j], rows[c], rows[d]
     # The in-circle sign is meaningless unless (i, j, c) turns left, which a

@@ -13,9 +13,8 @@ here rebuilds a mesh from a document.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .delaunay import ConstraintSet, SiteSet, TriMesh, is_locally_delaunay
 from .errors import ParseError
 from .geometry import (
     Homogeneous,
@@ -27,6 +26,9 @@ from .geometry import (
     _int_str,
     as_coord,
 )
+
+if TYPE_CHECKING:
+    from .delaunay import ConstraintSet, SiteSet, TriMesh
 
 SITES_HEADER = "proxitri-sites 1"
 DOCUMENT_HEADER = "proxitri-document 1"
@@ -79,6 +81,8 @@ def format_site_file(points: list[Point], comment: str = "") -> str:
 
 
 def parse_site_file(text: str, path: str = "") -> SiteSet:
+    from .delaunay import SiteSet
+
     points: list[Point] = []
     seen: dict[Homogeneous, int] = {}
     header_seen = False
@@ -110,6 +114,8 @@ def parse_site_file(text: str, path: str = "") -> SiteSet:
 
 
 def parse_constraint_file(text: str, path: str = "") -> ConstraintSet:
+    from .delaunay import ConstraintSet
+
     segments: list[Segment] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -188,6 +194,8 @@ def _point_pair(p: Point) -> list[str]:
 def document_for_mesh(mesh: TriMesh) -> dict:
     """Model with sites, triangles and per-edge flags; the locally-Delaunay
     flag of each edge is computed here by is_locally_delaunay."""
+    from .delaunay import is_locally_delaunay
+
     model: dict = {"schema": SCHEMA}
     model["sites"] = [_point_pair(p) for p in mesh.sites.points]
     if mesh.constrained:

@@ -7,8 +7,9 @@ convex polygons, meet in geometry's one kernel,
 `convex_closed_intersection`. Two convex polygons are strongly near when
 their closed intersection is a positive-length segment; `near` flags it,
 and the CLI decides strong nearness of triangles and of cells that way.
-`strongly_near_triangles` is the index form (two shared vertices),
-equal to it on every mesh that `triangulate` builds.
+On a mesh that `triangulate` builds, the same relation between two
+triangles is read off the mesh: `delaunay.adjacency` for a shared edge,
+a shared vertex index for contact.
 All computation is exact; there is no tolerance parameter anywhere.
 """
 
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .delaunay import TriMesh
-from .errors import IndexOutOfRange
 from .geometry import (
     Point,
     PointLocation,
@@ -138,22 +137,3 @@ def _polygons_near(p: Polygon, q: Polygon) -> ProximityVerdict:
             if hit is not None:
                 return ProximityVerdict(hit)
     return _FAR
-
-
-def triangles_near(mesh: TriMesh, t1: int, t2: int) -> bool:
-    """Closure contact of two mesh triangles, decided from shared indices.
-
-    Reflexive: a triangle is near itself.
-    """
-    a = set(mesh.check_triangle(t1))
-    b = set(mesh.check_triangle(t2))
-    return bool(a & b)
-
-
-def strongly_near_triangles(mesh: TriMesh, t1: int, t2: int) -> bool:
-    """True when two distinct triangles share a full mesh edge."""
-    a = set(mesh.check_triangle(t1))
-    b = set(mesh.check_triangle(t2))
-    if t1 == t2:
-        raise IndexOutOfRange("strong proximity needs two distinct triangles")
-    return len(a & b) == 2

@@ -1,7 +1,8 @@
 """Triangulation regions and neighborhood families.
 
 A region is a set of mesh triangles in which every pair shares a full
-edge (a clique of the edge-adjacency graph). In a valid triangulation the
+edge (a clique of the edge-adjacency graph, which delaunay.adjacency
+reads off the mesh's edge map). In a valid triangulation the
 maximal regions are read off the mesh in one pass. Three triangles that
 pairwise share an edge are exactly the closed fan around a vertex with
 exactly three incident triangles (an open hull fan of three is not a
@@ -13,7 +14,8 @@ that regions are convex polygons. region_common_intersection gives the
 intersection reading, which is convex because each closed triangle is:
 one fold of geometry's closed convex intersection kernel over the
 members. leader_neighborhoods maps each triangle to its Leader family,
-locally when given a scope region.
+the triangles that share a vertex index with it, locally when given a
+scope region.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .delaunay import TriMesh
+from .delaunay import TriMesh, adjacency
 from .errors import GeometryError, MixedMeshes, UnionHasHole
 from .geometry import (
     Polygon,
@@ -29,7 +31,6 @@ from .geometry import (
     convex_closed_intersection,
     is_convex_polygon,
 )
-from .proximity import strongly_near_triangles
 
 
 class Region(_Frozen):
@@ -50,9 +51,10 @@ class Region(_Frozen):
         members = sorted(self.triangles)
         for t in members:
             self.mesh.check_triangle(t)
-        for i, t in enumerate(members):
+        for i, t in enumerate(members[:-1]):
+            shared = adjacency(self.mesh, t)
             for u in members[i + 1 :]:
-                if not strongly_near_triangles(self.mesh, t, u):
+                if u not in shared:
                     raise GeometryError(
                         f"triangles {t} and {u} do not share an edge; not a region"
                     )

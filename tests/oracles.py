@@ -952,7 +952,7 @@ def all_pairs_check_leader(mesh) -> list[CheckResult]:
     for a, b in combinations(range(len(mesh)), 2):
         combinatorial = b in hoods[a]
         geometric = checks.near(polys[a], polys[b]).is_near
-        index_near = checks.triangles_near(mesh, a, b)
+        index_near = not set(mesh.triangles[a]).isdisjoint(mesh.triangles[b])
         if not (combinatorial == geometric == index_near):
             bad = f"pair-{a}-{b}:family={combinatorial},geometric={geometric},indices={index_near}"
             break
@@ -1220,11 +1220,14 @@ def reference_fan(mesh: TriMesh, site: int) -> tuple[list[int], list[int]]:
             return (k, i)
         return (i, j)
 
+    # Triangle (site, a, b) holds the directed edges site->a and b->site.
+    leaving = {rotation(tid)[0]: tid for tid in tids}
+    entering = {rotation(tid)[1]: tid for tid in tids}
     # Open fans start where the incoming directed edge has no mate.
     start = None
     for tid in sorted(tids):
         a, _ = rotation(tid)
-        if mesh.directed_triangle(a, site) is None:
+        if a not in entering:
             start = tid
             break
     if start is None:
@@ -1233,7 +1236,7 @@ def reference_fan(mesh: TriMesh, site: int) -> tuple[list[int], list[int]]:
     spokes = [rotation(start)[0]]
     while True:
         _, b = rotation(ring[-1])
-        nxt = mesh.directed_triangle(site, b)
+        nxt = leaving.get(b)
         if nxt == start:
             return ring, spokes
         spokes.append(b)

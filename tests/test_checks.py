@@ -27,6 +27,7 @@ from proxitri.geometry import (
     bounding_box,
     orientation,
 )
+from proxitri.proximity import ProximityVerdict
 from proxitri.regions import extract_regions, region_union_polygon
 from proxitri.voronoi import VoronoiDiagram, closed_cell_intersection, voronoi_diagram
 
@@ -57,14 +58,14 @@ def _flip_first_edge(mesh):
     the other diagonal (c, d) of its quadrilateral, and both edges."""
     pts = mesh.sites.points
     for a, b in mesh.edges():
-        c = mesh.opposite_vertex(a, b)  # (a, b, c) is counterclockwise
-        d = mesh.opposite_vertex(b, a)  # (b, a, d) too
-        if c is None or d is None:
+        s, t = mesh._tri_of.get((a, b)), mesh._tri_of.get((b, a))
+        if s is None or t is None:
             continue
+        c = sum(mesh.triangles[s]) - a - b  # (a, b, c) is counterclockwise
+        d = sum(mesh.triangles[t]) - a - b  # (b, a, d) too
         new = ((a, d, c), (d, b, c))
         if all(orientation(*(pts[v] for v in tri)) is Orientation.CCW for tri in new):
-            old = {mesh.directed_triangle(a, b), mesh.directed_triangle(b, a)}
-            kept = [tri for t, tri in enumerate(mesh.triangles) if t not in old]
+            kept = [tri for u, tri in enumerate(mesh.triangles) if u not in (s, t)]
             triangles = tuple(sorted(kept + [_canonical(tri) for tri in new]))
             return TriMesh(mesh.sites, triangles, frozenset()), (a, b), tuple(sorted((c, d)))
     raise AssertionError("no flippable edge")
@@ -142,28 +143,36 @@ class TestLeaderFaults:
             "fail", f"pair-{min(a, b)}-{max(a, b)}:family=True,geometric=False,indices=False"
         )
 
-    def test_triangles_near_drops_a_contact(self, monkeypatch, diagram):
-        real = checks.triangles_near
-        a, b = 5, min(checks.leader_neighborhoods(diagram.mesh)[5])
-        wrong = {(a, b), (b, a)}
+    @staticmethod
+    def _patch_near(monkeypatch, mesh, a, b, verdict):
+        """Make checks.near give verdict for the closed triangles a and b."""
+        real = checks.near
+        wrong = {mesh.triangle_polygon(a), mesh.triangle_polygon(b)}
         monkeypatch.setattr(
-            checks, "triangles_near", lambda mesh, s, t: (s, t) not in wrong and real(mesh, s, t)
+            checks, "near", lambda p, q: verdict if {p, q} == wrong else real(p, q)
         )
-        got = self._compare(diagram)
-        assert got["leader/geometric-agreement"][0] == "fail"
 
-    def test_triangles_near_claims_a_box_neighbor(self, monkeypatch, diagram):
-        # A pair whose boxes meet but which shares no vertex.
+    def test_near_drops_a_contact(self, monkeypatch, diagram):
+        # A pair that shares a vertex, reported far by the geometric leg.
         mesh = diagram.mesh
-        boxes = checks._overlapping_boxes([mesh.triangle_polygon(t).bounding_box() for t in range(len(mesh))])
-        a, b = min(p for p in boxes if not checks.triangles_near(mesh, *p))
-        real = checks.triangles_near
-        monkeypatch.setattr(
-            checks, "triangles_near", lambda m, s, t: {s, t} == {a, b} or real(m, s, t)
-        )
+        a, b = sorted((5, min(checks.leader_neighborhoods(mesh)[5])))
+        assert set(mesh.triangles[a]) & set(mesh.triangles[b])
+        self._patch_near(monkeypatch, mesh, a, b, ProximityVerdict())
         got = self._compare(diagram)
         assert got["leader/geometric-agreement"] == (
-            "fail", f"pair-{a}-{b}:family=False,geometric=False,indices=True"
+            "fail", f"pair-{a}-{b}:family=True,geometric=False,indices=True"
+        )
+
+    def test_near_claims_a_box_neighbor(self, monkeypatch, diagram):
+        # A pair whose boxes meet but which shares no vertex, reported near.
+        mesh = diagram.mesh
+        boxes = checks._overlapping_boxes([mesh.triangle_polygon(t).bounding_box() for t in range(len(mesh))])
+        a, b = min(p for p in boxes if set(mesh.triangles[p[0]]).isdisjoint(mesh.triangles[p[1]]))
+        witness = mesh.sites[mesh.triangles[a][0]]
+        self._patch_near(monkeypatch, mesh, a, b, ProximityVerdict(witness))
+        got = self._compare(diagram)
+        assert got["leader/geometric-agreement"] == (
+            "fail", f"pair-{a}-{b}:family=False,geometric=True,indices=False"
         )
 
 

@@ -456,7 +456,7 @@ EXPORTS = {
         "Orientation Point PointLocation Polygon Rect Segment convex_closed_intersection "
         "convex_hull is_convex_polygon locate_point orientation"
     ),
-    "proximity": "ProximityVerdict near strongly_near_triangles triangles_near",
+    "proximity": "ProximityVerdict near",
     "regions": (
         "Region extract_regions is_region_convex leader_neighborhoods "
         "proximal_region_pairs region_common_intersection region_union_polygon"
@@ -468,7 +468,8 @@ REMOVED = (
     "CellEdge CircumCircle CirclePosition LeaderNeighborhood Relation VoronoiCell "
     "cells_strongly_near circumcircle connected_components convex_polygon_intersection "
     "distance_sq far in_circumcircle is_constrained_delaunay_edge is_delaunay_edge "
-    "is_delaunay_triangle is_visible segment_intersection"
+    "is_delaunay_triangle is_visible segment_intersection strongly_near_triangles "
+    "triangles_near"
 )
 SUBMODULES = COMPUTATIONAL | {"choices", "cli", "errors"}
 
@@ -478,7 +479,10 @@ class TestImportFootprint:
         "argv,unloaded",
         [
             (["--version"], COMPUTATIONAL),
-            (["gen", "24", "--out", "g.sites"], {"checks", "proximity", "regions", "voronoi", "render"}),
+            (
+                ["gen", "24", "--out", "g.sites"],
+                {"checks", "delaunay", "proximity", "regions", "voronoi", "render"},
+            ),
             (["triangulate", "{sites}"], {"checks", "proximity", "regions", "voronoi", "render"}),
             (
                 ["query", "{sites}", "near", "t:0", "t:1"],
@@ -498,7 +502,7 @@ class TestImportFootprint:
             ),
             (
                 ["render", "{sites}", "--what", "regions", "--out", "r.svg"],
-                {"checks", "generate"},
+                {"checks", "generate", "proximity"},
             ),
             (
                 ["query", "{sites}", "strong", "v:0", "v:1"],
@@ -544,10 +548,23 @@ class TestImportFootprint:
                 getattr(proxitri, name)
         assert not hasattr(proxitri.io, "mesh_from_document")
 
-    def test_readme_library_tour_names_every_export(self):
+    @staticmethod
+    def _readme_tour() -> str:
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
-        tour = readme.partition("\n## Library tour\n")[2].partition("\n## ")[0]
+        return readme.partition("\n## Library tour\n")[2].partition("\n## ")[0]
+
+    def test_readme_library_tour_names_every_export(self):
+        tour = self._readme_tour()
         assert [name for name in proxitri.__all__ if f"`{name}`" not in tour] == []
+
+    def test_readme_library_tour_runs(self):
+        code = self._readme_tour().partition("```python\n")[2].partition("```")[0]
+        namespace: dict = {}
+        exec(code, namespace)
+        assert namespace["mesh"].triangles == ((0, 1, 3), (0, 3, 2), (1, 2, 3))
+        (shared_edge,) = [line for line in code.splitlines() if "# True: they share a full edge" in line]
+        assert eval(shared_edge.partition("#")[0], namespace) is True
+        assert namespace["verdict"].witness == Point(1, 1)
 
     def test_star_import(self):
         namespace: dict = {}

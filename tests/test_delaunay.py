@@ -620,8 +620,8 @@ class TestFan:
             mesh = entry.mesh
             for t, (i, j, k) in enumerate(mesh.triangles):
                 for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-                    assert mesh.directed_triangle(u, v) == t
-                    assert mesh.opposite_vertex(u, v) == w
+                    assert mesh._tri_of[u, v] == t
+                    assert sum(mesh.triangles[mesh._tri_of[u, v]]) - u - v == w
             assert mesh.edges() == sorted(edges_of_triangles(mesh.triangles))
             for a, b in mesh.edges():
                 ids = tuple(t for t, tri in enumerate(mesh.triangles) if a in tri and b in tri)

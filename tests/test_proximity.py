@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxitri.delaunay import SiteSet, adjacency, triangulate
-from proxitri.errors import IndexOutOfRange
 from proxitri.geometry import (
     Point,
     PointLocation,
@@ -12,7 +11,7 @@ from proxitri.geometry import (
     is_convex_polygon,
     locate_point,
 )
-from proxitri.proximity import near, strongly_near_triangles, triangles_near
+from proxitri.proximity import near
 
 from oracles import fraction_segment_intersection
 
@@ -126,12 +125,17 @@ class TestNearFar:
 
 
 class TestTriangleRelations:
+    # The mesh spells strong nearness of two triangles as adjacency (a
+    # shared edge) and nearness as a shared vertex index; near() decides
+    # both from the closed triangles.
+
     def test_figure_pattern_shared_edge(self):
         # two triangles sharing one full edge
         sites = SiteSet.of([(0, 0), (4, 0), (1, 3), (5, 3)])
         mesh = triangulate(sites)
         assert len(mesh) == 2
-        assert strongly_near_triangles(mesh, 0, 1)
+        assert adjacency(mesh, 0) == {1}
+        assert near(mesh.triangle_polygon(0), mesh.triangle_polygon(1)).strongly
         assert mesh.has_edge(1, 2)  # the shared edge
 
     def test_vertex_only_contact_is_not_strong(self):
@@ -146,29 +150,35 @@ class TestTriangleRelations:
         ]
         assert pairs
         for t1, t2 in pairs:
-            assert not strongly_near_triangles(mesh, t1, t2)
-            assert triangles_near(mesh, t1, t2)
+            assert t2 not in adjacency(mesh, t1)
+            verdict = near(mesh.triangle_polygon(t1), mesh.triangle_polygon(t2))
+            assert verdict.is_near and not verdict.strongly
 
     def test_same_triangle_rejected_for_strong(self, fan_mesh):
-        with pytest.raises(IndexOutOfRange):
-            strongly_near_triangles(fan_mesh, 1, 1)
+        assert 1 not in adjacency(fan_mesh, 1)
+        poly = fan_mesh.triangle_polygon(1)
+        assert not near(poly, poly).strongly
 
     def test_near_is_reflexive(self, fan_mesh):
-        assert triangles_near(fan_mesh, 2, 2)
+        poly = fan_mesh.triangle_polygon(2)
+        assert near(poly, poly).is_near
 
     def test_distant_components_are_far(self):
         from proxitri.delaunay import TriMesh
 
         sites = SiteSet.of([(0, 0), (2, 0), (1, 1), (50, 50), (52, 50), (51, 51)])
         scene = TriMesh(sites, ((0, 1, 2), (3, 4, 5)), frozenset())
-        assert not triangles_near(scene, 0, 1)
+        assert set(scene.triangles[0]).isdisjoint(scene.triangles[1])
+        assert adjacency(scene, 0) == adjacency(scene, 1) == set()
         polys = [scene.triangle_polygon(t) for t in range(2)]
         assert not near(polys[0], polys[1]).is_near
 
     def test_fan_pairs_all_near(self, fan_mesh):
+        polys = [fan_mesh.triangle_polygon(t) for t in range(3)]
         for t1 in range(3):
             for t2 in range(3):
-                assert triangles_near(fan_mesh, t1, t2)
+                assert set(fan_mesh.triangles[t1]) & set(fan_mesh.triangles[t2])
+                assert near(polys[t1], polys[t2]).is_near
 
     def test_strong_implies_near_and_symmetry(self, corpus):
         from itertools import combinations
@@ -176,10 +186,10 @@ class TestTriangleRelations:
         for entry in corpus[:5]:
             mesh = entry.mesh
             for t1, t2 in combinations(range(len(mesh)), 2):
-                s = strongly_near_triangles(mesh, t1, t2)
-                assert s == strongly_near_triangles(mesh, t2, t1)
+                s = t2 in adjacency(mesh, t1)
+                assert s == (t1 in adjacency(mesh, t2))
                 if s:
-                    assert triangles_near(mesh, t1, t2)
+                    assert set(mesh.triangles[t1]) & set(mesh.triangles[t2])
 
     def test_combinatorial_matches_geometric(self, corpus, degenerate_corpus):
         # Shared vertex indices and the closed intersection agree on
@@ -191,6 +201,6 @@ class TestTriangleRelations:
             polys = [mesh.triangle_polygon(t) for t in range(len(mesh))]
             for t1, t2 in combinations(range(len(mesh)), 2):
                 verdict = near(polys[t1], polys[t2])
-                assert triangles_near(mesh, t1, t2) == verdict.is_near
-                strong = strongly_near_triangles(mesh, t1, t2)
-                assert strong == verdict.strongly == (t2 in adjacency(mesh, t1))
+                shared_vertex = not set(mesh.triangles[t1]).isdisjoint(mesh.triangles[t2])
+                assert shared_vertex == verdict.is_near
+                assert verdict.strongly == (t2 in adjacency(mesh, t1))

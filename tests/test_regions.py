@@ -5,7 +5,7 @@ import pytest
 from proxitri.delaunay import SiteSet, TriMesh, adjacency, triangulate
 from proxitri.errors import GeometryError, MixedMeshes
 from proxitri.geometry import Point, Polygon
-from proxitri.proximity import near, triangles_near
+from proxitri.proximity import near
 from proxitri.regions import (
     Region,
     extract_regions,
@@ -194,12 +194,13 @@ class TestLeaderNeighborhoods:
             mesh = entry.mesh
             hoods = leader_neighborhoods(mesh)
             for anchor, neighbors in hoods.items():
+                corners = set(mesh.triangles[anchor])
                 for b in neighbors:
-                    assert triangles_near(mesh, anchor, b)
+                    assert corners & set(mesh.triangles[b])
                     assert anchor in hoods[b]
                 for b in range(len(mesh)):
                     if b != anchor and b not in neighbors:
-                        assert not triangles_near(mesh, anchor, b)
+                        assert corners.isdisjoint(mesh.triangles[b])
 
     def test_agrees_with_geometric_near(self, corpus):
         for entry in corpus[:3]:
